@@ -35,7 +35,6 @@ from .complexes import (
     stable_hook_cohomology,
 )
 from .determinantal import (
-    check_iadic_conjecture,
     check_lead_terms,
     filtration_character,
     ideal_power_slice,
@@ -76,9 +75,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        if values := [int(x) for x in text.split(",") if x.strip() != ""]:
+            return values
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
 def _timed(subject: str, parameters: dict, build) -> Verdict:
@@ -528,7 +529,8 @@ def build_parser() -> _Parser:
 def expand_config(config: dict) -> list[list[str]]:
     """Row-major expansion of {"runs": [{"command": "...", key: value-or-list}]}
     into argv rows.  A list value is a sweep axis; scalars pass through.
-    Weights-style flags take their comma string form ("1,1,1,1")."""
+    Valued flags become one "--key=value" token, so "--weights=-9,1,1" is
+    never read as two flags."""
     if not isinstance(config, dict) or "runs" not in config:
         raise ValueError('sweep config must be an object with a "runs" list')
     rows = []
@@ -555,7 +557,7 @@ def expand_config(config: dict) -> list[list[str]]:
                 elif value is False or value is None:
                     pass
                 else:
-                    argv.extend([flag, str(value)])
+                    argv.append(f"{flag}={value}")
             rows.append(argv)
     return rows
 
@@ -575,8 +577,10 @@ def _run_row(argv: list[str]) -> list[Verdict]:
         return [Verdict("sweep-row", {"argv": list(argv)}, ERROR,
                         {"message": sink.getvalue().strip() or "usage error"})]
     except (ValueError, UnsupportedRegimeError) as exc:
-        return [Verdict("sweep-row", {"argv": list(argv)}, ERROR,
-                        {"message": str(exc)})]
+        message = str(exc)
+    except Exception as exc:  # a failed check in one row must not end the sweep
+        message = f"{type(exc).__name__}: {exc}"
+    return [Verdict("sweep-row", {"argv": list(argv)}, ERROR, {"message": message})]
 
 
 def _cmd_sweep(ns):

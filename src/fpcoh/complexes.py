@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .linalg import (
     SMITH_SIZE_LIMIT,
     IntegerMatrix,
     PrimeFieldMatrix,
-    matmul_mod,
     smith_invariants,
 )
 
@@ -124,10 +124,6 @@ def _masks_by_size(d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(g) for g in groups)
 
 
-def mask_to_edges(mask: int) -> tuple[int, ...]:
-    return tuple(j + 1 for j in range(mask.bit_length()) if (mask >> j) & 1)
-
-
 @dataclass
 class ChainComplex:
     """Weighted path complex; boundaries[k-1] is the map from degree k to k-1."""
@@ -166,66 +162,62 @@ class ChainComplex:
 def build_complex(w, p: int | None = None, verify: bool = True) -> ChainComplex:
     """Construct the complex over Z (p=None) or over Z/p.
 
-    With verify=True every consecutive product of differentials is checked
-    to vanish.
+    Each boundary is assembled from its nonzeros: the column of a k-cell
+    holds one (row, coefficient) pair per edge it contains, reduced mod p
+    over Z/p.  With verify=True, d_{k-1} d_k = 0 is checked exactly on
+    these column lists, one column of d_k at a time, over Z or mod p.
     """
     ws = WeightSequence.of(w)
     d = ws.d
-    cum = [0] * (d + 2)
-    for i, x in enumerate(ws.entries):
-        cum[i + 1] = cum[i] + x
+    cum = [0, *accumulate(ws.entries)]
     masks = _masks_by_size(d)
-    boundaries = []
+    binom = lru_cache(maxsize=None)(binom_int)
+    columns = []  # columns[k-1][c]: the nonzeros of column c of d_k
     for k in range(1, d + 1):
         row_index = {mask: r for r, mask in enumerate(masks[k - 1])}
-        nrows, ncols = len(masks[k - 1]), len(masks[k])
-        rows = [[0] * ncols for _ in range(nrows)]
-        for col, mask in enumerate(masks[k]):
-            for jm in range(d):
-                if not (mask >> jm) & 1:
+        cols = []
+        for mask in masks[k]:
+            col = []
+            missing = 0  # edges below j absent from the mask: the sign exponent
+            j = 1
+            while j <= d:
+                if not (mask >> (j - 1)) & 1:
+                    missing += 1
+                    j += 1
                     continue
-                j = jm + 1
-                lo = j
-                while lo > 1 and (mask >> (lo - 2)) & 1:
-                    lo -= 1
-                hi = j
+                lo = hi = j  # the run of edges lo..hi, split at each of its edges
                 while hi < d and (mask >> hi) & 1:
                     hi += 1
-                total = cum[hi + 1] - cum[lo - 1]
-                right = cum[hi + 1] - cum[j]
-                below = mask & ((1 << jm) - 1)
-                sign_exp = jm - bin(below).count("1")
-                coeff = binom_int(total, right)
-                if sign_exp % 2:
-                    coeff = -coeff
-                rows[row_index[mask ^ (1 << jm)]][col] = coeff
-        if p is None:
-            boundaries.append(IntegerMatrix(rows))
-        else:
-            boundaries.append(PrimeFieldMatrix(p, _reduced_array(rows, p)))
-    cx = ChainComplex(ws, p, tuple(boundaries))
+                for j in range(lo, hi + 1):
+                    c = binom(cum[hi + 1] - cum[lo - 1], cum[hi + 1] - cum[j])
+                    c = -c if missing & 1 else c
+                    col.append((row_index[mask ^ (1 << (j - 1))], c if p is None else c % p))
+                j = hi + 1
+            cols.append(col)
+        columns.append(cols)
     if verify:
-        _verify_square_zero(cx)
-    return cx
+        _verify_square_zero(columns, p)
+    boundaries = tuple(
+        _boundary(len(masks[k - 1]), cols, p) for k, cols in enumerate(columns, 1)
+    )
+    return ChainComplex(ws, p, boundaries)
 
 
-def _reduced_array(rows: list[list[int]], p: int) -> np.ndarray:
-    return np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+def _boundary(nrows: int, cols: list, p: int | None):
+    a = np.zeros((nrows, len(cols)), dtype=object if p is None else np.int64)
+    rows, values = zip(*chain.from_iterable(cols))
+    a[rows, [c for c, col in enumerate(cols) for _ in col]] = values
+    return IntegerMatrix(a.tolist()) if p is None else PrimeFieldMatrix(p, a)
 
 
-def _verify_square_zero(cx: ChainComplex) -> None:
-    for k in range(2, cx.d + 1):
-        a = cx.boundaries[k - 2]
-        b = cx.boundaries[k - 1]
-        if cx.p is None:
-            prod = np.array(a.row_lists(), dtype=object) @ np.array(
-                b.row_lists(), dtype=object
-            )
-            if prod.size and np.any(prod != 0):
-                raise AssertionError(f"differential square is nonzero at degree {k}")
-        else:
-            prod = matmul_mod(a.to_array(), b.to_array(), cx.p)
-            if prod.size and np.any(prod):
+def _verify_square_zero(columns: list, p: int | None) -> None:
+    for k, (lower, upper) in enumerate(zip(columns, columns[1:]), 2):
+        for col in upper:
+            acc: dict[int, int] = {}
+            for r, u in col:
+                for s, v in lower[r]:
+                    acc[s] = acc.get(s, 0) + u * v
+            if any(x if p is None else x % p for x in acc.values()):
                 raise AssertionError(f"differential square is nonzero at degree {k}")
 
 

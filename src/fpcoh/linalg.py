@@ -8,6 +8,8 @@ sparse elimination once the column count reaches DENSE_COLUMN_THRESHOLD.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 DENSE_COLUMN_THRESHOLD = 512
@@ -118,14 +120,6 @@ def rank(m: PrimeFieldMatrix, dense_threshold: int | None = None) -> int:
     return m.rank(dense_threshold)
 
 
-def kernel_dimension(m: PrimeFieldMatrix) -> int:
-    return m.kernel_dimension()
-
-
-def cokernel_dimension(m: PrimeFieldMatrix) -> int:
-    return m.cokernel_dimension()
-
-
 def _dense_rank(a: np.ndarray, p: int) -> int:
     """Forward elimination; a is a writable int64 array already reduced mod p."""
     m, n = a.shape
@@ -141,19 +135,18 @@ def _dense_rank(a: np.ndarray, p: int) -> int:
             a[[r, i]] = a[[i, r]]
         inv = pow(int(a[r, c]), -1, p)
         row = (a[r, c + 1 :] * inv) % p
-        below = np.nonzero(a[r + 1 :, c])[0]
-        if below.size:
-            idx = r + 1 + below
+        idx = r + 1 + np.nonzero(a[r + 1 :, c])[0]
+        if idx.size:
             # factor * row stays below 2**62 since both factors are < p < 2**31
-            a[np.ix_(idx, np.arange(c + 1, n))] = (
-                a[np.ix_(idx, np.arange(c + 1, n))] - a[idx, c][:, None] * row[None, :]
-            ) % p
+            a[idx, c + 1 :] = (a[idx, c + 1 :] - a[idx, c][:, None] * row) % p
         r += 1
     return r
 
 
 def _sparse_rank(data: np.ndarray, p: int) -> int:
-    """Markowitz-style elimination on dict-of-rows, densifying once fill grows."""
+    """Markowitz-style elimination on dict-of-rows, densifying once fill grows.
+    Pivot columns come off a heap of (row count, column): a dropped count is
+    pushed at once, a count grown by fill-in when its stale entry surfaces."""
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
     nnz = 0
@@ -164,13 +157,25 @@ def _sparse_rank(data: np.ndarray, p: int) -> int:
             for c in nz:
                 col_rows.setdefault(int(c), set()).add(i)
             nnz += int(nz.size)
+    heap = [(len(s), c) for c, s in col_rows.items()]
+    heapq.heapify(heap)
+
+    def dropped(col: int, s: set[int]) -> None:
+        if s:
+            heapq.heappush(heap, (len(s), col))
+        else:
+            del col_rows[col]
 
     rank_count = 0
     while rows and col_rows:
         if nnz > _DENSIFY_FILL_RATIO * len(rows) * len(col_rows):
             return rank_count + _densified_rank(rows, col_rows, p)
         # cheapest column, then shortest row within it
-        c = min(col_rows, key=lambda col: (len(col_rows[col]), col))
+        n, c = heapq.heappop(heap)
+        while (count := len(col_rows.get(c, ()))) != n:
+            if count > n:
+                heapq.heappush(heap, (count, c))
+            n, c = heapq.heappop(heap)
         i = min(col_rows[c], key=lambda ri: (len(rows[ri]), ri))
         pivot = rows.pop(i)
         inv = pow(pivot[c], -1, p)
@@ -178,8 +183,7 @@ def _sparse_rank(data: np.ndarray, p: int) -> int:
         for cc in pivot:
             s = col_rows[cc]
             s.discard(i)
-            if not s:
-                del col_rows[cc]
+            dropped(cc, s)
         nnz -= len(pivot)
         targets = list(col_rows.get(c, ()))
         for j in targets:
@@ -198,8 +202,7 @@ def _sparse_rank(data: np.ndarray, p: int) -> int:
                         nnz -= 1
                         s = col_rows[cc]
                         s.discard(j)
-                        if not s:
-                            del col_rows[cc]
+                        dropped(cc, s)
             if not rj:
                 del rows[j]
         rank_count += 1

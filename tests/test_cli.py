@@ -173,10 +173,10 @@ def test_sweep_expansion_row_major():
         ]
     })
     assert rows == [
-        ["complex", "theorem", "--d", "2", "--primes", "2,3"],
-        ["complex", "theorem", "--d", "2", "--primes", "5"],
-        ["complex", "theorem", "--d", "3", "--primes", "2,3"],
-        ["complex", "theorem", "--d", "3", "--primes", "5"],
+        ["complex", "theorem", "--d=2", "--primes=2,3"],
+        ["complex", "theorem", "--d=2", "--primes=5"],
+        ["complex", "theorem", "--d=3", "--primes=2,3"],
+        ["complex", "theorem", "--d=3", "--primes=5"],
     ]
 
 
@@ -192,8 +192,8 @@ def test_sweep_expansion_flags_and_errors():
         ]
     })
     assert rows == [[
-        "det", "filtration", "--n", "2", "--a", "2", "--b", "1",
-        "--i", "1", "--prime", "2", "--compare",
+        "det", "filtration", "--n=2", "--a=2", "--b=1",
+        "--i=1", "--prime=2", "--compare",
     ]]
     with pytest.raises(ValueError):
         cli.expand_config({"runs": [{"d": 2}]})
@@ -251,6 +251,55 @@ def test_sweep_row_failure_becomes_error_verdict(tmp_path, capsys):
     assert code == 1  # error row, but no disagreement
     assert "sweep-row" in out
     assert "[             agree]" in out
+
+
+def test_sweep_keeps_negative_leading_weight(tmp_path, capsys):
+    config = {"runs": [
+        {"command": "complex homology", "weights": "-9,1,1,1,1,1,1", "prime": 3},
+    ]}
+    cfg = tmp_path / "negative.json"
+    cfg.write_text(json.dumps(config))
+    out_path = tmp_path / "negative-report.json"
+    code = cli.main(["sweep", "--config", str(cfg), "--parallel", "1",
+                     "--json", str(out_path)])
+    capsys.readouterr()
+    assert code == 0
+    (verdict,) = json.loads(out_path.read_text())["verdicts"]
+    assert verdict["status"] == AGREE
+    assert verdict["parameters"]["weights"] == [-9, 1, 1, 1, 1, 1, 1]
+
+
+def test_sweep_survives_a_row_that_raises(tmp_path, capsys, monkeypatch):
+    def broken(ns):
+        raise AssertionError("differential square is nonzero at degree 2")
+
+    monkeypatch.setattr(cli, "_cmd_complex_homology", broken)
+    config = {"runs": [
+        {"command": "complex theorem", "d": 2, "primes": "2"},
+        {"command": "complex homology", "weights": "1,1,1", "prime": 2},
+        {"command": "char nim", "m": 1, "n": 2},
+    ]}
+    cfg = tmp_path / "raising.json"
+    cfg.write_text(json.dumps(config))
+    out_path = tmp_path / "raising-report.json"
+    code = cli.main(["sweep", "--config", str(cfg), "--parallel", "1",
+                     "--json", str(out_path)])
+    capsys.readouterr()
+    assert code == 1
+    verdicts = json.loads(out_path.read_text())["verdicts"]
+    assert [v["status"] for v in verdicts] == [AGREE, ERROR, AGREE]
+    assert verdicts[1]["payload"]["message"].startswith("AssertionError: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["complex", "theorem", "--d", "3", "--primes", ","],
+    ["complex", "involution", "--w0", "1", "--d", "3", "--primes", ","],
+])
+def test_empty_prime_list_exits_one(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command)
+    assert exc.value.code == 1
+    assert "expected comma-separated integers" in capsys.readouterr().err
 
 
 def test_exit_code_rules():

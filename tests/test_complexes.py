@@ -20,6 +20,7 @@ from fpcoh.complexes import (
     ses_dimension_check,
     stable_hook_cohomology,
 )
+from fpcoh.combinatorics import binom_int, interval_data
 from fpcoh.linalg import matmul_mod
 
 
@@ -118,6 +119,49 @@ def test_square_zero_over_integers():
                 for i in range(len(a))
             ]
             assert all(all(x == 0 for x in row) for row in prod), (w, k)
+
+
+def _oracle_boundary(w, k):
+    """Dense d_k over Z, entry by entry from interval_data and binom_int."""
+    d = len(w) - 1
+    basis = [[m for m in range(1 << d) if bin(m).count("1") == n] for n in (k - 1, k)]
+    rows = [[0] * len(basis[1]) for _ in basis[0]]
+    for c, mask in enumerate(basis[1]):
+        edges = [j for j in range(1, d + 1) if (mask >> (j - 1)) & 1]
+        for j in edges:
+            total, right, sign_exponent = interval_data(w, edges, j)
+            rows[basis[0].index(mask ^ (1 << (j - 1)))][c] = (
+                (-1) ** sign_exponent * binom_int(total, right)
+            )
+    return rows
+
+
+def test_boundaries_match_entry_oracle():
+    rng = random.Random(31)
+    for _ in range(40):
+        d = rng.randint(1, 6)
+        w = (rng.randint(-12, 8),) + tuple(rng.randint(0, 4) for _ in range(d))
+        for p in (None, rng.choice([2, 3, 5, 7])):
+            cx = build_complex(w, p)
+            for k in range(1, d + 1):
+                expected = _oracle_boundary(w, k)
+                if p is not None:
+                    expected = [[x % p for x in row] for row in expected]
+                assert cx.differential(k).row_lists() == expected, (w, p, k)
+
+
+def test_square_zero_check_catches_a_wrong_coefficient(monkeypatch):
+    w = (2, 1, 1, 1)
+    honest = build_complex(w, verify=False)
+    monkeypatch.setattr(
+        "fpcoh.complexes.binom_int",
+        lambda m, k: binom_int(m, k) + ((m, k) == (4, 2)),
+    )
+    assert build_complex(w, verify=False).boundaries != honest.boundaries
+    for p in (None, 2, 3, 5, 7):
+        with pytest.raises(AssertionError, match="nonzero at degree"):
+            build_complex(w, p)
+        build_complex(w, p, verify=False)
 
 
 def test_negative_head_weight_entries():
