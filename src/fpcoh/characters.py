@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .combinatorics import TwoRowTableau, nim_sum
+from .combinatorics import TwoRowTableau, compositions, nim_sum
 
 
 class LaurentPolynomial:
@@ -178,25 +178,11 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({self.nvars}, {self._terms!r})"
 
 
-def _compositions(total: int, nparts: int, bound: int | None = None):
-    """Weak compositions of total into nparts parts, each part < bound."""
-    if total < 0:
-        return
-    if nparts == 0:
-        if total == 0:
-            yield ()
-        return
-    top = total if bound is None else min(total, bound - 1)
-    for first in range(top + 1):
-        for rest in _compositions(total - first, nparts - 1, bound):
-            yield (first,) + rest
-
-
 def h(d: int, n: int) -> LaurentPolynomial:
     """Complete homogeneous sum of all degree-d monomials; zero for d < 0."""
     if d < 0:
         return LaurentPolynomial.zero(n)
-    return LaurentPolynomial(n, {e: 1 for e in _compositions(d, n)})
+    return LaurentPolynomial(n, {e: 1 for e in compositions(d, n)})
 
 
 def h_trunc(d: int, q: int, n: int) -> LaurentPolynomial:
@@ -205,7 +191,7 @@ def h_trunc(d: int, q: int, n: int) -> LaurentPolynomial:
         raise ValueError("q must be positive")
     if d < 0:
         return LaurentPolynomial.zero(n)
-    return LaurentPolynomial(n, {e: 1 for e in _compositions(d, n, bound=q)})
+    return LaurentPolynomial(n, {e: 1 for e in compositions(d, n, bound=q)})
 
 
 def schur2(a: int, b: int, n: int) -> LaurentPolynomial:
@@ -239,7 +225,7 @@ def nim_poly(m: int, n: int) -> LaurentPolynomial:
     """Sum of monomials of degree 2m whose exponents have nim-sum zero."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    terms = {e: 1 for e in _compositions(2 * m, n) if nim_sum(e) == 0}
+    terms = {e: 1 for e in compositions(2 * m, n) if nim_sum(e) == 0}
     return LaurentPolynomial(n, terms)
 
 

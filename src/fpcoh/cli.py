@@ -34,11 +34,7 @@ from .complexes import (
     ses_dimension_check,
     stable_hook_cohomology,
 )
-from .determinantal import (
-    check_lead_terms,
-    filtration_character,
-    ideal_power_slice,
-)
+from .determinantal import check_lead_terms, slice_characters
 from .incidence import (
     UnsupportedRegimeError,
     char2_hypothesis,
@@ -321,12 +317,14 @@ def _cmd_det_filtration(ns):
               "truncated": truncated}
 
     def build():
-        quotient = filtration_character(ns.n, ns.a, ns.b, ns.i, truncated, ns.prime)
-        slc = ideal_power_slice(ns.n, ns.a, ns.b, ns.i, truncated, ns.prime)
+        slices = slice_characters(
+            ns.n, ns.a, ns.b, [ns.i, ns.i + 1], truncated, ns.prime
+        )
+        quotient = slices[ns.i] - slices[ns.i + 1]
         payload = {
             "quotient": quotient.to_records(),
             "quotient_dimension": quotient.dimension(),
-            "slice_dimension": slc.dimension(),
+            "slice_dimension": slices[ns.i].dimension(),
             "summary": _char_summary(quotient),
             "dimension_table": _char_table("filtration-quotient", quotient),
         }
@@ -384,6 +382,8 @@ def _cmd_char_nim(ns):
 
 
 def _cmd_char_schur(ns):
+    if ns.a < ns.b:
+        raise ValueError("--a must be at least --b for a two-row shape")
     params = {"a": ns.a, "b": ns.b, "n": ns.n}
     if ns.q is not None:
         params["q"] = ns.q
@@ -424,96 +424,52 @@ def build_parser() -> _Parser:
                         help="worker cap (default: available cores)")
     top = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
 
-    cx = top.add_parser("complex", help="weighted path complexes").add_subparsers(
-        dest="action", required=True, metavar="ACTION"
-    )
-    q = cx.add_parser("homology", parents=[shared])
-    q.add_argument("--weights", type=_int_list, required=True)
-    q.add_argument("--prime", type=int, required=True)
-    q.set_defaults(handler=_cmd_complex_homology, command="complex homology")
+    def group(name, text):
+        return top.add_parser(name, help=text).add_subparsers(
+            dest="action", required=True, metavar="ACTION"
+        )
 
-    q = cx.add_parser("theorem", parents=[shared])
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--primes", type=_int_list, required=True)
-    q.set_defaults(handler=_cmd_complex_theorem, command="complex theorem")
+    def leaf(actions, command, handler, **required):
+        """A subcommand whose flags `required` are all mandatory, in order."""
+        q = actions.add_parser(command.split()[1], parents=[shared])
+        for flag, kind in required.items():
+            q.add_argument(f"--{flag}", type=kind, required=True)
+        q.set_defaults(handler=handler, command=command)
+        return q
 
-    q = cx.add_parser("involution", parents=[shared])
-    q.add_argument("--w0", type=int, required=True)
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--primes", type=_int_list, required=True)
-    q.set_defaults(handler=_cmd_complex_involution, command="complex involution")
+    cx = group("complex", "weighted path complexes")
+    leaf(cx, "complex homology", _cmd_complex_homology, weights=_int_list, prime=int)
+    leaf(cx, "complex theorem", _cmd_complex_theorem, d=int, primes=_int_list)
+    leaf(cx, "complex involution", _cmd_complex_involution,
+         w0=int, d=int, primes=_int_list)
+    leaf(cx, "complex ses-check", _cmd_complex_ses,
+         weights=_int_list, split=int, prime=int)
 
-    q = cx.add_parser("ses-check", parents=[shared])
-    q.add_argument("--weights", type=_int_list, required=True)
-    q.add_argument("--split", type=int, required=True)
-    q.add_argument("--prime", type=int, required=True)
-    q.set_defaults(handler=_cmd_complex_ses, command="complex ses-check")
+    st = group("stable", "stable hook cohomology")
+    leaf(st, "stable hook", _cmd_stable_hook, w0=int, d=int, prime=int)
+    leaf(st, "stable periodicity", _cmd_stable_periodicity,
+         w0=int, d=int, prime=int, r=int)
 
-    st = top.add_parser("stable", help="stable hook cohomology").add_subparsers(
-        dest="action", required=True, metavar="ACTION"
-    )
-    q = st.add_parser("hook", parents=[shared])
-    q.add_argument("--w0", type=int, required=True)
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--prime", type=int, required=True)
-    q.set_defaults(handler=_cmd_stable_hook, command="stable hook")
-
-    q = st.add_parser("periodicity", parents=[shared])
-    q.add_argument("--w0", type=int, required=True)
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--prime", type=int, required=True)
-    q.add_argument("--r", type=int, required=True)
-    q.set_defaults(handler=_cmd_stable_periodicity, command="stable periodicity")
-
-    inc = top.add_parser("incidence", help="incidence cohomology characters").add_subparsers(
-        dest="action", required=True, metavar="ACTION"
-    )
-    q = inc.add_parser("chars", parents=[shared])
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--d", type=int, required=True)
-    q.add_argument("--e", type=int, required=True)
-    q.add_argument("--prime", type=int, required=True)
+    inc = group("incidence", "incidence cohomology characters")
+    q = leaf(inc, "incidence chars", _cmd_incidence_chars, n=int, d=int, e=int, prime=int)
     q.add_argument("--compare", choices=_COMPARE_CHOICES, default=None)
     q.add_argument("--no-symmetry", action="store_true",
                    help="disable the symmetry reduction over multidegree orbits")
-    q.set_defaults(handler=_cmd_incidence_chars, command="incidence chars")
 
-    det = top.add_parser("det", help="determinantal ideal filtrations").add_subparsers(
-        dest="action", required=True, metavar="ACTION"
-    )
-    q = det.add_parser("filtration", parents=[shared])
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--a", type=int, required=True)
-    q.add_argument("--b", type=int, required=True)
-    q.add_argument("--i", type=int, required=True)
-    q.add_argument("--prime", type=int, required=True)
+    det = group("det", "determinantal ideal filtrations")
+    q = leaf(det, "det filtration", _cmd_det_filtration,
+             n=int, a=int, b=int, i=int, prime=int)
     q.add_argument("--classical", action="store_true",
                    help="work in the plain polynomial ring instead of the truncation")
     q.add_argument("--compare", action="store_true",
                    help="compare against the two-row Schur character")
-    q.set_defaults(handler=_cmd_det_filtration, command="det filtration")
+    leaf(det, "det lead-terms", _cmd_det_lead_terms, n=int, a=int, b=int, prime=int)
 
-    q = det.add_parser("lead-terms", parents=[shared])
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--a", type=int, required=True)
-    q.add_argument("--b", type=int, required=True)
-    q.add_argument("--prime", type=int, required=True)
-    q.set_defaults(handler=_cmd_det_lead_terms, command="det lead-terms")
-
-    ch = top.add_parser("char", help="character ring evaluations").add_subparsers(
-        dest="action", required=True, metavar="ACTION"
-    )
-    q = ch.add_parser("nim", parents=[shared])
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.set_defaults(handler=_cmd_char_nim, command="char nim")
-
-    q = ch.add_parser("schur", parents=[shared])
-    q.add_argument("--a", type=int, required=True)
-    q.add_argument("--b", type=int, required=True)
+    ch = group("char", "character ring evaluations")
+    leaf(ch, "char nim", _cmd_char_nim, m=int, n=int)
+    q = leaf(ch, "char schur", _cmd_char_schur, a=int, b=int)
     q.add_argument("--q", type=int, default=None)
     q.add_argument("--n", type=int, required=True)
-    q.set_defaults(handler=_cmd_char_schur, command="char schur")
 
     q = top.add_parser("sweep", parents=[shared])
     q.add_argument("--config", metavar="FILE", required=True)
@@ -579,8 +535,13 @@ def _run_row(argv: list[str]) -> list[Verdict]:
     except (ValueError, UnsupportedRegimeError) as exc:
         message = str(exc)
     except Exception as exc:  # a failed check in one row must not end the sweep
-        message = f"{type(exc).__name__}: {exc}"
+        return [_crash_verdict("sweep-row", argv, exc)]
     return [Verdict("sweep-row", {"argv": list(argv)}, ERROR, {"message": message})]
+
+
+def _crash_verdict(subject: str, argv: list[str], exc: Exception) -> Verdict:
+    return Verdict(subject, {"argv": list(argv)}, ERROR,
+                   {"message": f"{type(exc).__name__}: {exc}"})
 
 
 def _cmd_sweep(ns):
@@ -606,6 +567,7 @@ def _cmd_sweep(ns):
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
@@ -619,6 +581,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"fpcoh: parameter error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a failed internal check still gets a report
+        verdicts = [_crash_verdict(ns.command, argv, exc)]
+        params = verdicts[0].parameters
+        print(f"fpcoh: {verdicts[0].payload['message']}", file=sys.stderr)
     for v, line in zip(verdicts, human_lines(verdicts)):
         print(line)
         summary = v.payload.get("summary")

@@ -24,6 +24,20 @@ def binom_mod_p(m: int, k: int, p: int) -> int:
     return binom_int(m, k) % p
 
 
+def compositions(total: int, nparts: int, bound: int | None = None):
+    """Weak compositions of total into nparts parts, each part < bound."""
+    if total < 0:
+        return
+    if nparts == 0:
+        if total == 0:
+            yield ()
+        return
+    top = total if bound is None else min(total, bound - 1)
+    for first in range(top + 1):
+        for rest in compositions(total - first, nparts - 1, bound):
+            yield (first,) + rest
+
+
 def nim_sum(values) -> int:
     return reduce(lambda a, b: a ^ b, values, 0)
 

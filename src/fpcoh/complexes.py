@@ -207,7 +207,7 @@ def _boundary(nrows: int, cols: list, p: int | None):
     a = np.zeros((nrows, len(cols)), dtype=object if p is None else np.int64)
     rows, values = zip(*chain.from_iterable(cols))
     a[rows, [c for c, col in enumerate(cols) for _ in col]] = values
-    return IntegerMatrix(a.tolist()) if p is None else PrimeFieldMatrix(p, a)
+    return IntegerMatrix(a.tolist()) if p is None else PrimeFieldMatrix.from_reduced(p, a)
 
 
 def _verify_square_zero(columns: list, p: int | None) -> None:

@@ -7,18 +7,28 @@ x_1 > ... > x_n > y_1 > ... > y_n.  A monomial is stored as the length-2n
 exponent tuple (x-block then y-block); within a fixed bidegree (a, b) all
 monomials share total degree, so ties are broken by plain lexicographic
 comparison of those tuples.
+
+Every slice rank comes from one elimination pass (`_eliminate`).  Since
+I^(i+1) lies in I^i, it feeds the generators of the requested powers,
+highest power first and grouped by torus multidegree, into one incremental
+row echelon per block with pivots in term order, and records the block
+ranks after each power.  A block whose rank reaches its column count is
+saturated and takes no further generators.  Truncated, monomials with an
+exponent >= p are dropped before expansion and expanded terms after.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
+from operator import add, itemgetter, sub
 
 import numpy as np
 
 from .characters import LaurentPolynomial, h_trunc, schur2_trunc
-from .combinatorics import TwoRowTableau
-from .linalg import PrimeFieldMatrix, rref_with_order
+from .combinatorics import TwoRowTableau, compositions, enumerate_pssyt
+from .linalg import PrimeFieldMatrix, check_modulus
 
 Monomial = tuple  # exponent tuple of length 2n
 
@@ -38,18 +48,6 @@ class BigradedMonomial:
 
     def key(self) -> Monomial:
         return self.x_exponents + self.y_exponents
-
-
-def _compositions(total: int, nparts: int):
-    if total < 0:
-        return
-    if nparts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, nparts - 1):
-            yield (first,) + rest
 
 
 def minor_pairs(n: int) -> list[tuple[int, int]]:
@@ -81,17 +79,67 @@ def expand_minor_product(
     return {k: c for k, c in terms.items() if c}
 
 
-@dataclass
+def _code(exponents, base: int) -> int:
+    return sum(e * base**k for k, e in enumerate(exponents))
+
+
 class _Block:
-    monomials: list[Monomial]  # decreasing term order
-    matrix: PrimeFieldMatrix
+    """Row echelon form over Z/p of the multidegree-m block.  Its columns
+    are its monomials, that is its power-0 generator specs, in decreasing
+    term order; an x-monomial fixes a monomial within the block, so
+    columns are found by the code of their x-exponents, and multiplying by
+    an x-monomial adds its code.  A row is stored under its pivot, scaled
+    to 1 there, as the entries after the pivot; the pivots are the leading
+    monomials of the span."""
+
+    def __init__(self, m: tuple[int, ...], monomial_specs: list, p: int) -> None:
+        specs = sorted(monomial_specs, key=itemgetter(2), reverse=True)
+        self.monomials = [x + tuple(map(sub, m, x)) for _, _, x in specs]
+        self.p = p
+        self._index = {code: c for c, (_, code, _) in enumerate(specs)}
+        self._rows: dict[int, list[int]] = {}  # pivot column -> entries after it
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def saturated(self) -> bool:
+        return len(self._rows) == len(self.monomials)
+
+    def add(self, shift: int, terms) -> None:
+        """Reduce the minor product `terms`, [(x-code, coefficient mod p)],
+        times the x-monomial coded `shift`, and keep any remainder.  Terms
+        outside the block's columns (truncated away) are dropped."""
+        p, rows, index = self.p, self._rows, self._index
+        vec = [0] * len(self.monomials)
+        for code, coeff in terms:
+            c = index.get(shift + code)
+            if c is not None:
+                vec[c] = coeff
+        for c, f in enumerate(vec):  # the slice updates below stay in place
+            if not f:
+                continue
+            tail = rows.get(c)
+            if tail is None:
+                inv = pow(f, -1, p)
+                rows[c] = [v * inv % p for v in vec[c + 1 :]]
+                return
+            vec[c + 1 :] = [(v - f * w) % p for v, w in zip(vec[c + 1 :], tail)]
+
+    @cached_property
+    def matrix(self) -> PrimeFieldMatrix:
+        """The echelon basis, one row per pivot in increasing column order."""
+        rows = [[0] * c + [1] + self._rows[c] for c in sorted(self._rows)]
+        data = np.array(rows, dtype=np.int64).reshape(self.rank, len(self.monomials))
+        return PrimeFieldMatrix.from_reduced(self.p, data)
 
 
 @dataclass
 class IdealPowerSlice:
-    """Spanning matrix of the bidegree-(a, b) slice of the i-th ideal power,
-    split into torus multidegree blocks.  With truncated=True everything is
-    taken in the quotient by p-th powers of the variables."""
+    """Echelon basis of the bidegree-(a, b) slice of the i-th ideal power,
+    split into torus multidegree blocks of nonzero rank.  With
+    truncated=True everything is taken in the quotient by p-th powers of
+    the variables."""
 
     n: int
     a: int
@@ -106,88 +154,84 @@ class IdealPowerSlice:
 
     def block_rank(self, m) -> int:
         block = self.blocks.get(tuple(m))
-        return block.matrix.rank() if block else 0
+        return block.rank if block else 0
 
     def dimension(self) -> int:
-        return sum(b.matrix.rank() for b in self.blocks.values())
+        return sum(b.rank for b in self.blocks.values())
 
     def rank_character(self) -> LaurentPolynomial:
-        terms = {}
-        for m, block in self.blocks.items():
-            r = block.matrix.rank()
-            if r:
-                terms[m] = r
-        return LaurentPolynomial(self.n, terms)
+        return LaurentPolynomial(self.n, {m: b.rank for m, b in self.blocks.items()})
 
 
-def _slice_generators(n: int, a: int, b: int, i: int, truncated: bool, p: int):
-    """Rows spanning the slice: products of i minors times bidegree
-    (a-i, b-i) monomials, expanded and (if truncated) cut to exponents < p."""
-    if a - i < 0 or b - i < 0:
-        return
-    for chosen in combinations_with_replacement(minor_pairs(n), i):
-        for xm in _compositions(a - i, n):
-            if truncated and any(x >= p for x in xm):
-                continue
-            for ym in _compositions(b - i, n):
-                if truncated and any(y >= p for y in ym):
-                    continue
-                row = expand_minor_product(n, chosen, xm, ym)
-                if truncated:
-                    row = {
-                        k: c
-                        for k, c in row.items()
-                        if all(x < p for x in k)
-                    }
-                if row:
-                    yield row
+def _generator_specs(n: int, a: int, b: int, i: int, truncated: bool, p: int):
+    """The i-th power's generators in bidegree (a, b) as {multidegree:
+    [(minors, code of the x-monomial, x-monomial)]}, nothing expanded; the
+    y-monomial follows from the multidegree."""
+    groups: dict[tuple[int, ...], list] = {}
+    if a < i or b < i:
+        return groups
+    bound = p if truncated else None
+    ys = list(compositions(b - i, n, bound))
+    shifts = [
+        (x, _code(x, a + 1), tuple(map(add, x, y)))
+        for x in compositions(a - i, n, bound)
+        for y in ys
+    ]
+    for minors in combinations_with_replacement(minor_pairs(n), i):
+        weight = [sum(k in pair for pair in minors) for k in range(n)]
+        for x, code, xy in shifts:
+            groups.setdefault(tuple(map(add, weight, xy)), []).append((minors, code, x))
+    return groups
 
 
-def _block_monomials(
-    n: int, a: int, m: tuple[int, ...], truncated: bool, p: int
-) -> list[Monomial]:
-    """Monomials of multidegree m and x-degree a, in decreasing term order."""
-    out = []
-
-    def rec(idx: int, remaining: int, prefix: tuple[int, ...]):
-        if idx == n:
-            if remaining == 0:
-                mono = prefix + tuple(c - x for c, x in zip(m, prefix))
-                if not truncated or all(v < p for v in mono):
-                    out.append(mono)
-            return
-        tail = sum(m[idx + 1 :])
-        lo = max(0, remaining - tail)
-        hi = min(m[idx], remaining)
-        for v in range(lo, hi + 1):
-            rec(idx + 1, remaining - v, prefix + (v,))
-
-    rec(0, a, ())
-    return sorted(out, reverse=True)
+def _eliminate(n: int, a: int, b: int, powers, truncated: bool, p: int):
+    """The one elimination pass over the given powers, highest first.
+    Returns the blocks, an echelon basis of the lowest power's slice, and
+    {power: rank character of its slice}.  A minor product is expanded
+    once, when a block that is not saturated first needs it."""
+    powers = sorted(set(powers), reverse=True)
+    if min(n, a, b, *powers) < 0:
+        raise ValueError("parameters must be non-negative")
+    check_modulus(p)
+    zero = (0,) * n
+    monomials = _generator_specs(n, a, b, 0, truncated, p)
+    products: dict[tuple, list[tuple[int, int]]] = {}
+    blocks: dict[tuple[int, ...], _Block] = {}
+    characters = {}
+    for i in powers:
+        for m, specs in _generator_specs(n, a, b, i, truncated, p).items():
+            block = blocks.get(m)
+            if block is None:
+                block = blocks[m] = _Block(m, monomials.get(m, []), p)
+            for minors, shift, _ in specs:
+                if block.saturated():
+                    break
+                if minors not in products:
+                    expansion = expand_minor_product(n, minors, zero, zero).items()
+                    products[minors] = [
+                        (_code(mono[:n], a + 1), c % p) for mono, c in expansion if c % p
+                    ]
+                block.add(shift, products[minors])
+        characters[i] = LaurentPolynomial(n, {m: blk.rank for m, blk in blocks.items()})
+    return blocks, characters
 
 
 def ideal_power_slice(
     n: int, a: int, b: int, i: int, truncated: bool, p: int
 ) -> IdealPowerSlice:
-    if min(n, a, b) < 0 or i < 0:
-        raise ValueError("parameters must be non-negative")
-    grouped: dict[tuple[int, ...], list[dict[Monomial, int]]] = {}
-    for row in _slice_generators(n, a, b, i, truncated, p):
-        mono = next(iter(row))
-        m = tuple(mono[j] + mono[n + j] for j in range(n))
-        grouped.setdefault(m, []).append(row)
-    blocks = {}
-    for m, rows in grouped.items():
-        monomials = _block_monomials(n, a, m, truncated, p)
-        index = {mono: c for c, mono in enumerate(monomials)}
-        mat = np.zeros((len(rows), len(monomials)), dtype=np.int64)
-        for r, row in enumerate(rows):
-            for mono, coeff in row.items():
-                mat[r, index[mono]] = coeff % p
-        blocks[m] = _Block(monomials=monomials, matrix=PrimeFieldMatrix(p, mat))
+    blocks, _ = _eliminate(n, a, b, [i], truncated, p)
     return IdealPowerSlice(
-        n=n, a=a, b=b, power=i, truncated=truncated, p=p, blocks=blocks
+        n=n, a=a, b=b, power=i, truncated=truncated, p=p,
+        blocks={m: block for m, block in blocks.items() if block.rank},
     )
+
+
+def slice_characters(
+    n: int, a: int, b: int, powers, truncated: bool, p: int
+) -> dict[int, LaurentPolynomial]:
+    """{i: blockwise rank character of the i-th slice} for every requested
+    power, from one elimination pass."""
+    return _eliminate(n, a, b, powers, truncated, p)[1]
 
 
 def filtration_character(
@@ -195,26 +239,16 @@ def filtration_character(
 ) -> LaurentPolynomial:
     """Character of the i-th filtration quotient in bidegree (a, b):
     blockwise rank of the i-th slice minus rank of the (i+1)-st."""
-    top = ideal_power_slice(n, a, b, i, truncated, p)
-    below = ideal_power_slice(n, a, b, i + 1, truncated, p)
-    return top.rank_character() - below.rank_character()
+    chars = slice_characters(n, a, b, [i, i + 1], truncated, p)
+    return chars[i] - chars[i + 1]
 
 
 def leading_monomials(slc: IdealPowerSlice) -> set[BigradedMonomial]:
-    """Leading monomials of the row space: pivot columns of the echelon form
-    taken block by block in decreasing term order."""
-    out = set()
-    for block in slc.blocks.values():
-        if not block.monomials:
-            continue
-        _, pivots = rref_with_order(
-            block.matrix, list(range(len(block.monomials)))
-        )
-        n = slc.n
-        for c in pivots:
-            mono = block.monomials[c]
-            out.add(BigradedMonomial(mono[:n], mono[n:]))
-    return out
+    """Leading monomials of the row space: the pivots of each block's
+    echelon basis."""
+    n = slc.n
+    leads = (b.monomials[c] for b in slc.blocks.values() for c in b._rows)
+    return {BigradedMonomial(mono[:n], mono[n:]) for mono in leads}
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +328,7 @@ def check_iadic_conjecture(n: int, a: int, b: int, p: int) -> FiltrationReport:
     """Compare every truncated filtration quotient in bidegree (a, b) with
     the truncated Schur character of (a+b-i, i).  The stated hypothesis is
     a - b >= p - 1; the comparison runs either way."""
-    slices = [
-        ideal_power_slice(n, a, b, i, True, p).rank_character()
-        for i in range(b + 2)
-    ]
+    slices = slice_characters(n, a, b, range(b + 2), True, p)
     rows = []
     for i in range(b + 1):
         computed = slices[i] - slices[i + 1]
@@ -349,22 +380,14 @@ class LeadTermReport:
 
 
 def check_lead_terms(n: int, a: int, b: int, p: int) -> LeadTermReport:
-    from .combinatorics import enumerate_pssyt
-
     slc = ideal_power_slice(n, a, b, b, True, p)
     pivots = {(mono.x_exponents, mono.y_exponents) for mono in leading_monomials(slc)}
-    expected = set()
-    for t in enumerate_pssyt(n, a, b, p):
-        mono = tableau_monomial(t, n)
-        expected.add((mono.x_exponents, mono.y_exponents))
-    missing = sorted(expected - pivots)
+    expected = {
+        (mono.x_exponents, mono.y_exponents)
+        for mono in (tableau_monomial(t, n) for t in enumerate_pssyt(n, a, b, p))
+    }
     return LeadTermReport(
-        n=n,
-        a=a,
-        b=b,
-        p=p,
-        hypothesis_met=(a - b >= p - 1),
-        expected=sorted(expected),
-        pivots=sorted(pivots),
-        missing=missing,
+        n=n, a=a, b=b, p=p, hypothesis_met=(a - b >= p - 1),
+        expected=sorted(expected), pivots=sorted(pivots),
+        missing=sorted(expected - pivots),
     )

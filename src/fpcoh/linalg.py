@@ -36,16 +36,20 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def check_modulus(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    if p >= 2**31:
+        raise ValueError("modulus must be below 2**31")
+
+
 class PrimeFieldMatrix:
     """Immutable dense matrix over Z/p."""
 
     __slots__ = ("p", "_data", "_rank_cache")
 
     def __init__(self, p: int, entries) -> None:
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        if p >= 2**31:
-            raise ValueError("modulus must be below 2**31")
+        check_modulus(p)
         data = np.array(entries, dtype=np.int64)
         if data.ndim != 2:
             raise ValueError("entries must be two-dimensional")
@@ -54,6 +58,16 @@ class PrimeFieldMatrix:
         self.p = p
         self._data = data
         self._rank_cache: int | None = None
+
+    @classmethod
+    def from_reduced(cls, p: int, data: np.ndarray) -> "PrimeFieldMatrix":
+        """Take over a fresh 2-D int64 array already reduced mod p, without
+        copying it; it becomes read-only."""
+        check_modulus(p)
+        data.setflags(write=False)
+        m = cls.__new__(cls)
+        m.p, m._data, m._rank_cache = p, data, None
+        return m
 
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "PrimeFieldMatrix":

@@ -291,6 +291,37 @@ def test_sweep_survives_a_row_that_raises(tmp_path, capsys, monkeypatch):
     assert verdicts[1]["payload"]["message"].startswith("AssertionError: ")
 
 
+def test_internal_failure_becomes_error_verdict(tmp_path, capsys, monkeypatch):
+    from fpcoh.combinatorics import binom_int
+
+    monkeypatch.setattr(
+        "fpcoh.complexes.binom_int",
+        lambda m, k: binom_int(m, k) + ((m, k) == (4, 2)),
+    )
+    out_path = tmp_path / "crash.json"
+    code = cli.main(["complex", "homology", "--weights", "2,1,1,1",
+                     "--prime", "3", "--json", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error" in captured.out
+    assert "AssertionError: differential square" in captured.err
+    verdicts = json.loads(out_path.read_text())["verdicts"]
+    assert len(verdicts) == 1
+    assert verdicts[0]["status"] == ERROR
+    assert verdicts[0]["payload"]["message"] == (
+        "AssertionError: differential square is nonzero at degree 2"
+    )
+
+
+@pytest.mark.parametrize("extra", [[], ["--q", "2"]])
+def test_schur_shape_needs_a_at_least_b(extra, capsys):
+    code = cli.main(["char", "schur", "--a", "1", "--b", "3", "--n", "3", *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "parameter error" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", [
     ["complex", "theorem", "--d", "3", "--primes", ","],
     ["complex", "involution", "--w0", "1", "--d", "3", "--primes", ","],

@@ -1,12 +1,18 @@
 """Slices of powers of the 2x2-minor ideal, their characters, lead terms."""
 
-from itertools import product
+import random
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
 
-from fpcoh.characters import h, h_trunc, schur2
-from fpcoh.combinatorics import TwoRowTableau, enumerate_pssyt, enumerate_ssyt
+from fpcoh.characters import LaurentPolynomial, h, h_trunc, schur2, schur2_trunc
+from fpcoh.combinatorics import (
+    TwoRowTableau,
+    compositions,
+    enumerate_pssyt,
+    enumerate_ssyt,
+)
 from fpcoh.determinantal import (
     BigradedMonomial,
     check_iadic_conjecture,
@@ -18,6 +24,7 @@ from fpcoh.determinantal import (
     leading_term,
     minor_pairs,
     rbar_character,
+    slice_characters,
     tableau_monomial,
     tableau_product,
 )
@@ -217,3 +224,120 @@ def test_slice_validation():
         ideal_power_slice(3, -1, 1, 0, False, 2)
     with pytest.raises(ValueError):
         ideal_power_slice(3, 1, 1, -1, False, 2)
+
+
+def oracle_blocks(n, a, b, i, truncated, p):
+    """{multidegree: (columns, full generator matrix)} of the i-th power in
+    bidegree (a, b): every product of i minors times every monomial, each
+    expanded on its own, kept whole (no saturation stop)."""
+    if a < i or b < i:
+        return {}
+    rows = {}
+    for minors in combinations_with_replacement(minor_pairs(n), i):
+        for x in compositions(a - i, n):
+            for y in compositions(b - i, n):
+                row = {
+                    mono: c % p
+                    for mono, c in expand_minor_product(n, minors, x, y).items()
+                    if c % p and not (truncated and max(mono) >= p)
+                }
+                if row:
+                    mono = next(iter(row))
+                    m = tuple(mono[k] + mono[n + k] for k in range(n))
+                    rows.setdefault(m, []).append(row)
+    out = {}
+    for m, block in rows.items():
+        columns = sorted({mono for row in block for mono in row}, reverse=True)
+        index = {mono: c for c, mono in enumerate(columns)}
+        mat = np.zeros((len(block), len(columns)), dtype=np.int64)
+        for r, row in enumerate(block):
+            for mono, c in row.items():
+                mat[r, index[mono]] = c
+        out[m] = (columns, PrimeFieldMatrix(p, mat))
+    return out
+
+
+def assert_pass_matches_oracle(n, a, b, truncated, p):
+    """Per-power block ranks and leading monomials of the pass against the
+    oracle's full matrices, and the i-adic rows against their differences."""
+    top = min(a, b) + 1
+    chars = slice_characters(n, a, b, range(top + 1), truncated, p)
+    want = {}
+    for i in range(top + 1):
+        oracle = oracle_blocks(n, a, b, i, truncated, p)
+        want[i] = LaurentPolynomial(n, {m: mat.rank() for m, (_, mat) in oracle.items()})
+        assert chars[i] == want[i], (n, a, b, i, truncated, p)
+        leads = set()
+        for columns, mat in oracle.values():
+            _, pivots = rref_with_order(mat, list(range(mat.cols)))
+            leads |= {BigradedMonomial(columns[c][:n], columns[c][n:]) for c in pivots}
+        slc = ideal_power_slice(n, a, b, i, truncated, p)
+        assert leading_monomials(slc) == leads, (n, a, b, i, truncated, p)
+    if truncated and b <= a:
+        rows = check_iadic_conjecture(n, a, b, p).rows
+        assert [row["power"] for row in rows] == list(range(b + 1))
+        for i, row in enumerate(rows):
+            quotient = want[i] - want[i + 1]
+            assert row["computed_dim"] == quotient.dimension(), (n, a, b, p, i)
+            assert row["ok"] == (quotient == schur2_trunc(a + b - i, i, p, n))
+
+
+def test_pass_matches_full_generator_matrices():
+    rng = random.Random(3)
+    cases = [
+        (rng.randint(1, 4), rng.randint(0, 4), rng.randint(0, 3), truncated, p)
+        for p in (2, 3, 5)
+        for truncated in (False, True)
+        for _ in range(6)
+    ]
+    for case in cases:
+        assert_pass_matches_oracle(*case)
+
+
+def test_pass_matches_full_generator_matrices_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        n=st.integers(1, 4),
+        a=st.integers(0, 4),
+        b=st.integers(0, 3),
+        truncated=st.booleans(),
+        p=st.sampled_from((2, 3, 5)),
+    )
+    def check(n, a, b, truncated, p):
+        assert_pass_matches_oracle(n, a, b, truncated, p)
+
+    check()
+
+
+def test_pass_expands_once_and_never_feeds_a_saturated_block(monkeypatch):
+    from fpcoh import determinantal
+
+    expanded = []
+    real_expand = determinantal.expand_minor_product
+
+    def expand(n, minors, x, y):
+        expanded.append(tuple(minors))
+        return real_expand(n, minors, x, y)
+
+    fed_when_saturated = []
+    real_add = determinantal._Block.add
+
+    def add(block, shift, terms):
+        fed_when_saturated.append(block.saturated())
+        real_add(block, shift, terms)
+
+    monkeypatch.setattr(determinantal, "expand_minor_product", expand)
+    monkeypatch.setattr(determinantal._Block, "add", add)
+    n, a, b, p = 3, 3, 2, 2
+    slice_characters(n, a, b, range(b + 2), True, p)
+    generators = sum(
+        len(specs)
+        for i in range(b + 2)
+        for specs in determinantal._generator_specs(n, a, b, i, True, p).values()
+    )
+    assert len(expanded) == len(set(expanded))
+    assert fed_when_saturated and not any(fed_when_saturated)
+    assert len(fed_when_saturated) < generators

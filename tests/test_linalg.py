@@ -252,3 +252,22 @@ def test_smith_size_limit():
     big = IntegerMatrix.zeros(201, 2)
     with pytest.raises(ValueError):
         smith_invariants(big)
+
+
+def test_constructor_copies_the_callers_array():
+    entries = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    m = PrimeFieldMatrix(5, entries)
+    entries[0, 0] = 4
+    entries[1] = 0
+    assert m.row_lists() == [[1, 2], [3, 4]]
+    assert m.rank() == 2
+
+
+def test_from_reduced_takes_the_array_read_only():
+    data = np.array([[1, 0, 2], [0, 1, 1]], dtype=np.int64)
+    m = PrimeFieldMatrix.from_reduced(3, data)
+    assert m == PrimeFieldMatrix(3, [[1, 0, 2], [0, 1, 1]])
+    with pytest.raises(ValueError):
+        data[0, 0] = 2
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeFieldMatrix.from_reduced(4, np.zeros((1, 1), dtype=np.int64))
