@@ -4,11 +4,8 @@ __version__ = "0.1.0"
 
 from .characters import (
     LaurentPolynomial,
-    dim_eval,
-    frobenius,
     h,
     h_trunc,
-    is_symmetric,
     nim_poly,
     schur2,
     schur2_trunc,
@@ -18,7 +15,6 @@ from .combinatorics import (
     RibbonShape,
     TwoRowTableau,
     binom_int,
-    binom_mod_p,
     columns_to_ribbon,
     enumerate_A,
     enumerate_pssyt,
@@ -72,6 +68,5 @@ from .linalg import (
     PrimeFieldMatrix,
     kernel_basis,
     matmul_mod,
-    rank,
     smith_invariants,
 )

@@ -182,7 +182,7 @@ def h(d: int, n: int) -> LaurentPolynomial:
     """Complete homogeneous sum of all degree-d monomials; zero for d < 0."""
     if d < 0:
         return LaurentPolynomial.zero(n)
-    return LaurentPolynomial(n, {e: 1 for e in compositions(d, n)})
+    return LaurentPolynomial(n, {e: 1 for e in compositions(d, (d,) * n)})
 
 
 def h_trunc(d: int, q: int, n: int) -> LaurentPolynomial:
@@ -191,7 +191,7 @@ def h_trunc(d: int, q: int, n: int) -> LaurentPolynomial:
         raise ValueError("q must be positive")
     if d < 0:
         return LaurentPolynomial.zero(n)
-    return LaurentPolynomial(n, {e: 1 for e in compositions(d, n, bound=q)})
+    return LaurentPolynomial(n, {e: 1 for e in compositions(d, (q - 1,) * n)})
 
 
 def schur2(a: int, b: int, n: int) -> LaurentPolynomial:
@@ -209,23 +209,11 @@ def schur2_trunc(a: int, b: int, q: int, n: int) -> LaurentPolynomial:
     )
 
 
-def frobenius(f: LaurentPolynomial, q: int) -> LaurentPolynomial:
-    return f.frobenius(q)
-
-
-def dim_eval(f: LaurentPolynomial) -> int:
-    return f.dimension()
-
-
-def is_symmetric(f: LaurentPolynomial) -> bool:
-    return f.is_symmetric()
-
-
 def nim_poly(m: int, n: int) -> LaurentPolynomial:
     """Sum of monomials of degree 2m whose exponents have nim-sum zero."""
     if m < 0:
         raise ValueError("m must be non-negative")
-    terms = {e: 1 for e in compositions(2 * m, n) if nim_sum(e) == 0}
+    terms = {e: 1 for e in compositions(2 * m, (2 * m,) * n) if nim_sum(e) == 0}
     return LaurentPolynomial(n, terms)
 
 

@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from itertools import product
 
 from .characters import LaurentPolynomial, nim_poly, schur2, schur2_trunc
@@ -261,17 +262,9 @@ def _cmd_incidence_chars(ns):
         params["compare"] = ns.compare
     if ns.no_symmetry:
         params["symmetry_reduce"] = False
-    workers = ns.parallel if ns.parallel is not None else os.cpu_count()
 
     def build():
-        pair = h_characters(
-            ns.n,
-            ns.d,
-            ns.e,
-            ns.prime,
-            symmetry_reduce=not ns.no_symmetry,
-            parallel=workers,
-        )
+        pair = h_characters(ns.n, ns.d, ns.e, ns.prime, symmetry_reduce=not ns.no_symmetry)
         payload = {
             "h0": pair.h0.to_records(),
             "h1": pair.h1.to_records(),
@@ -421,7 +414,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--csv", metavar="PATH", default=None,
                         help="write dimension tables to PATH")
     parser.add_argument("--parallel", type=int, metavar="N", default=None,
-                        help="worker cap (default: available cores)")
+                        help="caps sweep worker count (default: available cores)")
     top = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
 
     def group(name, text):
@@ -526,7 +519,6 @@ def _run_row(argv: list[str]) -> list[Verdict]:
     try:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             ns = parser.parse_args(argv)
-            ns.parallel = 1  # rows already run in a pool; no nested workers
             _, verdicts = ns.handler(ns)
         return verdicts
     except SystemExit:
@@ -557,8 +549,12 @@ def _cmd_sweep(ns):
             verdicts.extend(_run_row(argv))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_run_row, rows):
-                verdicts.extend(result)
+            futures = [pool.submit(_run_row, argv) for argv in rows]
+            for argv, future in zip(rows, futures):
+                try:
+                    verdicts.extend(future.result())
+                except BrokenProcessPool as exc:  # a killed worker loses only its rows
+                    verdicts.append(_crash_verdict("sweep-row", argv, exc))
     return params, verdicts
 
 

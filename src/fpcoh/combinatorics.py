@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 
 
 def binom_int(m: int, k: int) -> int:
@@ -20,22 +21,20 @@ def binom_int(m: int, k: int) -> int:
     return (-1) ** k * math.comb(-m + k - 1, k)
 
 
-def binom_mod_p(m: int, k: int, p: int) -> int:
-    return binom_int(m, k) % p
+def compositions(total: int, caps: tuple[int, ...]):
+    """Weak compositions of total with 0 <= part i <= caps[i], in ascending
+    lexicographic order; none when total < 0 or total > sum(caps)."""
+    tails = list(accumulate(reversed(caps), initial=0))[::-1]  # sums of caps[i:]
 
+    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
+        if i == len(caps):
+            yield prefix
+            return
+        for v in range(max(0, remaining - tails[i + 1]), min(caps[i], remaining) + 1):
+            yield from rec(i + 1, remaining - v, prefix + (v,))
 
-def compositions(total: int, nparts: int, bound: int | None = None):
-    """Weak compositions of total into nparts parts, each part < bound."""
-    if total < 0:
-        return
-    if nparts == 0:
-        if total == 0:
-            yield ()
-        return
-    top = total if bound is None else min(total, bound - 1)
-    for first in range(top + 1):
-        for rest in compositions(total - first, nparts - 1, bound):
-            yield (first,) + rest
+    if 0 <= total <= tails[0]:
+        yield from rec(0, total, ())
 
 
 def nim_sum(values) -> int:

@@ -23,6 +23,7 @@ from .linalg import (
     SMITH_SIZE_LIMIT,
     IntegerMatrix,
     PrimeFieldMatrix,
+    check_modulus,
     smith_invariants,
 )
 
@@ -167,6 +168,8 @@ def build_complex(w, p: int | None = None, verify: bool = True) -> ChainComplex:
     over Z/p.  With verify=True, d_{k-1} d_k = 0 is checked exactly on
     these column lists, one column of d_k at a time, over Z or mod p.
     """
+    if p is not None:
+        check_modulus(p)
     ws = WeightSequence.of(w)
     d = ws.d
     cum = [0, *accumulate(ws.entries)]

@@ -170,11 +170,11 @@ def _generator_specs(n: int, a: int, b: int, i: int, truncated: bool, p: int):
     groups: dict[tuple[int, ...], list] = {}
     if a < i or b < i:
         return groups
-    bound = p if truncated else None
-    ys = list(compositions(b - i, n, bound))
+    caps = (p - 1 if truncated else a + b,) * n
+    ys = list(compositions(b - i, caps))
     shifts = [
         (x, _code(x, a + 1), tuple(map(add, x, y)))
-        for x in compositions(a - i, n, bound)
+        for x in compositions(a - i, caps)
         for y in ys
     ]
     for minors in combinations_with_replacement(minor_pairs(n), i):
@@ -285,10 +285,6 @@ def tableau_product(t: TwoRowTableau, n: int) -> dict[Monomial, int]:
     for val in t.top[b:]:
         x[val - 1] += 1
     return expand_minor_product(n, minors, tuple(x), (0,) * n)
-
-
-def leading_term(row: dict[Monomial, int]) -> Monomial:
-    return max(row)
 
 
 def rbar_character(n: int, a: int, b: int, p: int) -> LaurentPolynomial:

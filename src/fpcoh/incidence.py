@@ -12,13 +12,13 @@ multidegree m).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
-from .characters import LaurentPolynomial, h_trunc, nim_poly, schur2, schur2_trunc
+from .characters import LaurentPolynomial, nim_poly, schur2, schur2_trunc
+from .combinatorics import compositions
 from .linalg import PrimeFieldMatrix
 
 
@@ -66,29 +66,10 @@ def block_basis(n: int, d: int, e: int, m) -> list[LocalCohElement]:
     if sum(m) != d + e + n:
         raise ValueError("multidegree total must be d + e + n")
     caps = tuple(x - 1 for x in m)
-    out = []
-    for a in _bounded_vectors(caps, d):
-        b = tuple(c - x for c, x in zip(caps, a))
-        out.append(LocalCohElement(a, b))
-    return out
-
-
-def _bounded_vectors(caps: tuple[int, ...], total: int):
-    """Vectors 0 <= v <= caps with given sum, ascending lexicographic."""
-    n = len(caps)
-
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == n:
-            if remaining == 0:
-                yield prefix
-            return
-        tail_cap = sum(caps[i + 1 :])
-        lo = max(0, remaining - tail_cap)
-        hi = min(caps[i], remaining)
-        for v in range(lo, hi + 1):
-            yield from rec(i + 1, remaining - v, prefix + (v,))
-
-    yield from rec(0, total, ())
+    return [
+        LocalCohElement(a, tuple(c - x for c, x in zip(caps, a)))
+        for a in compositions(d, caps)
+    ]
 
 
 def omega_block(n: int, d: int, e: int, m, p: int) -> PrimeFieldMatrix:
@@ -130,29 +111,15 @@ def _multidegree_reps(n: int, total: int, symmetry_reduce: bool):
     return sorted(out)
 
 
-def _orbit_monomials(n: int, m: tuple[int, ...]) -> LaurentPolynomial:
-    """Sum of t^(sigma(m) - 1) over the distinct permutations of m."""
-    terms = {
-        tuple(x - 1 for x in perm): 1 for perm in set(permutations(m))
-    }
-    return LaurentPolynomial(n, terms)
-
-
 def h_characters(
-    n: int,
-    d: int,
-    e: int,
-    p: int,
-    *,
-    symmetry_reduce: bool = True,
-    parallel: int | None = None,
+    n: int, d: int, e: int, p: int, *, symmetry_reduce: bool = True
 ) -> CohomologyCharacterPair:
     """Characters of the kernel and cokernel of omega across all blocks,
     normalised by t_1 ... t_n.
 
     The scan runs over one representative per S_n-orbit of multidegrees
-    unless symmetry_reduce is off; parallel > 1 fans blocks out to threads,
-    with the reduction always performed in representative order.
+    unless symmetry_reduce is off; a representative's kernel and cokernel
+    dimensions hold on its whole orbit.
     """
     if n < 2:
         raise ValueError("need at least two variables")
@@ -162,36 +129,17 @@ def h_characters(
         raise UnsupportedRegimeError(
             "twists below -1 are outside the supported block model"
         )
-    reps = _multidegree_reps(n, d + e + n, symmetry_reduce)
-
-    def scan(m: tuple[int, ...]) -> tuple[int, int]:
-        domain = block_basis(n, d, e, m)
-        codomain = block_basis(n, d - 1, e + 1, m)
+    h0: dict[tuple[int, ...], int] = {}
+    h1: dict[tuple[int, ...], int] = {}
+    for m in _multidegree_reps(n, d + e + n, symmetry_reduce):
         mat = omega_block(n, d, e, m, p)
-        r = mat.rank()
-        return len(domain) - r, len(codomain) - r
-
-    if parallel is not None and parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(scan, reps))
-    else:
-        results = [scan(m) for m in reps]
-
-    h0 = LaurentPolynomial.zero(n)
-    h1 = LaurentPolynomial.zero(n)
-    for m, (ker, coker) in zip(reps, results):
+        ker, coker = mat.kernel_dimension(), mat.cokernel_dimension()
         if not ker and not coker:
             continue
-        mono = (
-            _orbit_monomials(n, m)
-            if symmetry_reduce
-            else LaurentPolynomial(n, {tuple(x - 1 for x in m): 1})
-        )
-        if ker:
-            h0 = h0 + ker * mono
-        if coker:
-            h1 = h1 + coker * mono
-    return CohomologyCharacterPair(h0=h0, h1=h1)
+        for perm in set(permutations(m)) if symmetry_reduce else [m]:
+            exps = tuple(x - 1 for x in perm)
+            h0[exps], h1[exps] = ker, coker
+    return CohomologyCharacterPair(LaurentPolynomial(n, h0), LaurentPolynomial(n, h1))
 
 
 # ---------------------------------------------------------------------------

@@ -130,10 +130,6 @@ class PrimeFieldMatrix:
         return f"PrimeFieldMatrix(p={self.p}, shape={self.shape})"
 
 
-def rank(m: PrimeFieldMatrix, dense_threshold: int | None = None) -> int:
-    return m.rank(dense_threshold)
-
-
 def _dense_rank(a: np.ndarray, p: int) -> int:
     """Forward elimination; a is a writable int64 array already reduced mod p."""
     m, n = a.shape

@@ -146,6 +146,8 @@ def human_lines(verdicts) -> list[str]:
             note = f"  witness: {json.dumps(_jsonable(v.payload['witness']), sort_keys=True)}"
         elif v.status == OUTSIDE and "comparison_agrees" in v.payload:
             note = f"  comparison_agrees: {v.payload['comparison_agrees']}"
+        elif v.status == ERROR and "message" in v.payload:
+            note = f"  message: {v.payload['message']}"
         lines.append(f"[{v.status:>18}] {v.subject}  {params}{note}")
     return lines
 

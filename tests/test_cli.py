@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour: exit codes, report documents, sweeps."""
 
 import json
+import os
+import time
 
 import pytest
 
@@ -313,6 +315,48 @@ def test_internal_failure_becomes_error_verdict(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_killed_pool_worker_costs_only_its_rows(tmp_path, capsys, monkeypatch):
+    def killed(m, n):
+        time.sleep(0.5)  # the other worker finishes its rows first
+        os._exit(3)
+
+    monkeypatch.setattr(cli, "nim_poly", killed)  # forked workers inherit it
+    config = {"runs": [
+        {"command": "complex theorem", "d": [1, 2, 3, 4], "primes": "2"},
+        {"command": "char nim", "m": 1, "n": 2},
+    ]}
+    cfg = tmp_path / "killed.json"
+    cfg.write_text(json.dumps(config))
+    out_path = tmp_path / "killed-report.json"
+    code = cli.main(["sweep", "--config", str(cfg), "--parallel", "2",
+                     "--json", str(out_path)])
+    capsys.readouterr()
+    assert code == 1
+    document = json.loads(out_path.read_text())
+    assert document["parameters"]["rows"] == 5
+    verdicts = document["verdicts"]
+    assert len(verdicts) == 5
+    assert [v["subject"] for v in verdicts[:4]] == ["all-ones-homology-formula"] * 4
+    assert [v["status"] for v in verdicts[:4]] == [AGREE] * 4
+    assert verdicts[4]["subject"] == "sweep-row"
+    assert verdicts[4]["status"] == ERROR
+    assert verdicts[4]["parameters"]["argv"] == ["char", "nim", "--m=1", "--n=2"]
+    assert verdicts[4]["payload"]["message"].startswith("BrokenProcessPool: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["complex", "homology", "--weights", "1,1", "--prime", "0"],
+    ["complex", "theorem", "--d", "2", "--primes", "0"],
+    ["stable", "hook", "--w0", "1", "--d", "2", "--prime", "0"],
+])
+def test_prime_zero_is_a_parameter_error(command, capsys):
+    code = cli.main(command)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "parameter error: modulus 0 is not prime" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("extra", [[], ["--q", "2"]])
 def test_schur_shape_needs_a_at_least_b(extra, capsys):
     code = cli.main(["char", "schur", "--a", "1", "--b", "3", "--n", "3", *extra])
@@ -372,3 +416,23 @@ def test_human_lines_witness_note():
     (line,) = human_lines([v])
     assert "witness" in line
     assert '"degree": 1' in line
+
+
+def test_human_lines_error_message(tmp_path, capsys):
+    v = Verdict("s", {"d": 2}, ERROR, {"message": "modulus 0 is not prime"})
+    (line,) = human_lines([v])
+    assert line.endswith("  message: modulus 0 is not prime")
+    config = {"runs": [{"command": "complex homology", "weights": "1,1", "prime": 0}]}
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps(config))
+    out_path = tmp_path / "zero-report.json"
+    code = cli.main(["sweep", "--config", str(cfg), "--parallel", "1",
+                     "--json", str(out_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.splitlines() == [
+        "[             error] sweep-row  argv=complex,homology,--weights=1,1,--prime=0"
+        "  message: modulus 0 is not prime"
+    ]
+    (verdict,) = json.loads(out_path.read_text())["verdicts"]
+    assert verdict["payload"] == {"message": "modulus 0 is not prime"}

@@ -10,8 +10,8 @@ from fpcoh.combinatorics import (
     RibbonShape,
     TwoRowTableau,
     binom_int,
-    binom_mod_p,
     columns_to_ribbon,
+    compositions,
     enumerate_A,
     enumerate_pssyt,
     enumerate_ssyt,
@@ -59,7 +59,37 @@ def test_binom_periodicity_mod_p():
             q = p**r
             m = rng.randint(-50, 200)
             k = rng.randint(0, q - 1)
-            assert binom_mod_p(m + q, k, p) == binom_mod_p(m, k, p), (m, k, p, r)
+            assert binom_int(m + q, k) % p == binom_int(m, k) % p, (m, k, p, r)
+
+
+def filtered_product(total, caps):
+    return [v for v in product(*(range(c + 1) for c in caps)) if sum(v) == total]
+
+
+def test_compositions_match_filtered_product():
+    cases = [(0, ()), (1, ()), (-1, ()), (0, (0, 0)), (1, (0, 0)), (2, (0, 3, 0)),
+             (6, (1, 2, 3)), (7, (1, 2, 3)), (-1, (2, 2)), (3, (3,))]
+    rng = random.Random(4)
+    for _ in range(300):
+        caps = tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 5)))
+        cases.append((rng.randint(-2, sum(caps) + 2), caps))
+    for total, caps in cases:
+        assert list(compositions(total, caps)) == filtered_product(total, caps), (total, caps)
+
+
+def test_compositions_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        total=st.integers(-3, 16),
+        caps=st.lists(st.integers(0, 5), max_size=5).map(tuple),
+    )
+    def check(total, caps):
+        assert list(compositions(total, caps)) == filtered_product(total, caps)
+
+    check()
 
 
 def test_nim_sum():

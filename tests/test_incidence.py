@@ -124,12 +124,12 @@ def test_block_family_character():
         assert total == rbar_like_character(n, d, e), (n, d, e)
 
 
-def test_symmetry_reduce_and_parallel_agree():
-    base = h_characters(3, 3, 2, 2)
-    no_reduce = h_characters(3, 3, 2, 2, symmetry_reduce=False)
-    threaded = h_characters(3, 3, 2, 2, parallel=4)
-    assert base.h0 == no_reduce.h0 == threaded.h0
-    assert base.h1 == no_reduce.h1 == threaded.h1
+def test_symmetry_reduce_agrees_with_full_scan():
+    for n, d, e, p in product((2, 3, 4), range(5), range(-1, 4), (2, 3)):
+        reduced = h_characters(n, d, e, p)
+        full = h_characters(n, d, e, p, symmetry_reduce=False)
+        assert reduced.h0 == full.h0, (n, d, e, p)
+        assert reduced.h1 == full.h1, (n, d, e, p)
 
 
 def test_characters_are_symmetric():
