@@ -12,18 +12,14 @@ from .characters import (
     tableau_sum,
 )
 from .combinatorics import (
-    RibbonShape,
     TwoRowTableau,
     binom_int,
-    columns_to_ribbon,
     enumerate_A,
     enumerate_pssyt,
     enumerate_ssyt,
-    hook_columns,
     nim_sum,
     p_index,
     p_index_total,
-    ribbon_to_columns,
 )
 from .complexes import (
     ChainComplex,

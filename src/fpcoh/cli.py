@@ -9,12 +9,19 @@ count), 2 some comparison disagrees, 1 usage or parameter error.
 each row through the same parser in a process pool; report order is the
 grid's row-major order regardless of scheduling, and JSON output is
 byte-identical across worker counts.
+
+The parser is built once per process and shared by `main()` and every sweep
+row (pool workers fork after the build and inherit it).  It names each
+command's handler instead of holding the function, and the handler is looked
+up in this module when the command runs, so a handler rebound after the build
+is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -77,6 +84,15 @@ def _int_list(text: str) -> list[int]:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        if (value := int(text)) >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
 
 
 def _timed(subject: str, parameters: dict, build) -> Verdict:
@@ -400,21 +416,22 @@ def _cmd_char_schur(ns):
 # parser
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one `fpcoh` parser of this process, shared by every caller, so no
+    caller may change it; `ns.handler` is the name of a handler in this
+    module."""
     shared = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps a leaf from clobbering values parsed before the
     # subcommand name
     shared.add_argument("--json", metavar="PATH", default=argparse.SUPPRESS)
     shared.add_argument("--csv", metavar="PATH", default=argparse.SUPPRESS)
-    shared.add_argument("--parallel", type=int, metavar="N", default=argparse.SUPPRESS)
 
     parser = _Parser(prog="fpcoh", description=__doc__.splitlines()[0] if __doc__ else None)
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the verdict document to PATH")
     parser.add_argument("--csv", metavar="PATH", default=None,
                         help="write dimension tables to PATH")
-    parser.add_argument("--parallel", type=int, metavar="N", default=None,
-                        help="caps sweep worker count (default: available cores)")
     top = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
 
     def group(name, text):
@@ -423,7 +440,8 @@ def build_parser() -> _Parser:
         )
 
     def leaf(actions, command, handler, **required):
-        """A subcommand whose flags `required` are all mandatory, in order."""
+        """A subcommand run by the handler named `handler`, whose flags
+        `required` are all mandatory, in order."""
         q = actions.add_parser(command.split()[1], parents=[shared])
         for flag, kind in required.items():
             q.add_argument(f"--{flag}", type=kind, required=True)
@@ -431,42 +449,44 @@ def build_parser() -> _Parser:
         return q
 
     cx = group("complex", "weighted path complexes")
-    leaf(cx, "complex homology", _cmd_complex_homology, weights=_int_list, prime=int)
-    leaf(cx, "complex theorem", _cmd_complex_theorem, d=int, primes=_int_list)
-    leaf(cx, "complex involution", _cmd_complex_involution,
+    leaf(cx, "complex homology", "_cmd_complex_homology", weights=_int_list, prime=int)
+    leaf(cx, "complex theorem", "_cmd_complex_theorem", d=int, primes=_int_list)
+    leaf(cx, "complex involution", "_cmd_complex_involution",
          w0=int, d=int, primes=_int_list)
-    leaf(cx, "complex ses-check", _cmd_complex_ses,
+    leaf(cx, "complex ses-check", "_cmd_complex_ses",
          weights=_int_list, split=int, prime=int)
 
     st = group("stable", "stable hook cohomology")
-    leaf(st, "stable hook", _cmd_stable_hook, w0=int, d=int, prime=int)
-    leaf(st, "stable periodicity", _cmd_stable_periodicity,
+    leaf(st, "stable hook", "_cmd_stable_hook", w0=int, d=int, prime=int)
+    leaf(st, "stable periodicity", "_cmd_stable_periodicity",
          w0=int, d=int, prime=int, r=int)
 
     inc = group("incidence", "incidence cohomology characters")
-    q = leaf(inc, "incidence chars", _cmd_incidence_chars, n=int, d=int, e=int, prime=int)
+    q = leaf(inc, "incidence chars", "_cmd_incidence_chars", n=int, d=int, e=int, prime=int)
     q.add_argument("--compare", choices=_COMPARE_CHOICES, default=None)
     q.add_argument("--no-symmetry", action="store_true",
                    help="disable the symmetry reduction over multidegree orbits")
 
     det = group("det", "determinantal ideal filtrations")
-    q = leaf(det, "det filtration", _cmd_det_filtration,
+    q = leaf(det, "det filtration", "_cmd_det_filtration",
              n=int, a=int, b=int, i=int, prime=int)
     q.add_argument("--classical", action="store_true",
                    help="work in the plain polynomial ring instead of the truncation")
     q.add_argument("--compare", action="store_true",
                    help="compare against the two-row Schur character")
-    leaf(det, "det lead-terms", _cmd_det_lead_terms, n=int, a=int, b=int, prime=int)
+    leaf(det, "det lead-terms", "_cmd_det_lead_terms", n=int, a=int, b=int, prime=int)
 
     ch = group("char", "character ring evaluations")
-    leaf(ch, "char nim", _cmd_char_nim, m=int, n=int)
-    q = leaf(ch, "char schur", _cmd_char_schur, a=int, b=int)
+    leaf(ch, "char nim", "_cmd_char_nim", m=int, n=int)
+    q = leaf(ch, "char schur", "_cmd_char_schur", a=int, b=int)
     q.add_argument("--q", type=int, default=None)
     q.add_argument("--n", type=int, required=True)
 
     q = top.add_parser("sweep", parents=[shared])
+    q.add_argument("--parallel", type=_positive_int, metavar="N", default=None,
+                   help="caps sweep worker count (default: available cores)")
     q.add_argument("--config", metavar="FILE", required=True)
-    q.set_defaults(handler=None, command="sweep")
+    q.set_defaults(handler="_cmd_sweep", command="sweep")
 
     return parser
 
@@ -479,7 +499,7 @@ def expand_config(config: dict) -> list[list[str]]:
     """Row-major expansion of {"runs": [{"command": "...", key: value-or-list}]}
     into argv rows.  A list value is a sweep axis; scalars pass through.
     Valued flags become one "--key=value" token, so "--weights=-9,1,1" is
-    never read as two flags."""
+    never read as two flags.  A grid with no rows is refused."""
     if not isinstance(config, dict) or "runs" not in config:
         raise ValueError('sweep config must be an object with a "runs" list')
     rows = []
@@ -508,18 +528,19 @@ def expand_config(config: dict) -> list[list[str]]:
                 else:
                     argv.append(f"{flag}={value}")
             rows.append(argv)
+    if not rows:
+        raise ValueError("sweep config expands to no rows")
     return rows
 
 
 def _run_row(argv: list[str]) -> list[Verdict]:
     """One sweep row; stdout of the row is swallowed so the parent report
     stays the only output.  Any failure becomes an error verdict."""
-    parser = build_parser()
     sink = io.StringIO()
     try:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            ns = parser.parse_args(argv)
-            _, verdicts = ns.handler(ns)
+            ns = build_parser().parse_args(argv)
+            _, verdicts = globals()[ns.handler](ns)
         return verdicts
     except SystemExit:
         return [Verdict("sweep-row", {"argv": list(argv)}, ERROR,
@@ -541,8 +562,7 @@ def _cmd_sweep(ns):
         config = json.load(fh)
     rows = expand_config(config)
     params = {"config": os.path.basename(ns.config), "rows": len(rows)}
-    workers = ns.parallel if ns.parallel is not None else os.cpu_count()
-    workers = max(1, min(workers, len(rows) or 1))
+    workers = min(ns.parallel or os.cpu_count(), len(rows))
     verdicts: list[Verdict] = []
     if workers == 1:
         for argv in rows:
@@ -564,13 +584,9 @@ def _cmd_sweep(ns):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        if ns.command == "sweep":
-            params, verdicts = _cmd_sweep(ns)
-        else:
-            params, verdicts = ns.handler(ns)
+        params, verdicts = globals()[ns.handler](ns)
     except UnsupportedRegimeError as exc:
         print(f"fpcoh: unsupported regime: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Binomial arithmetic, digit combinatorics, ribbons, and two-row tableaux."""
+"""Binomial arithmetic, digit combinatorics, and two-row tableaux."""
 
 from __future__ import annotations
 
@@ -104,101 +104,6 @@ def interval_data(w, edges, j: int) -> tuple[int, int, int]:
     right = sum(w[j : hi + 1])
     sign_exponent = sum(1 for i in range(1, j) if i not in J)
     return total, right, sign_exponent
-
-
-# ---------------------------------------------------------------------------
-# ribbons
-
-
-@dataclass(frozen=True)
-class RibbonShape:
-    """Skew shape outer/inner containing no 2x2 square."""
-
-    outer: tuple[int, ...]
-    inner: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        outer = tuple(int(x) for x in self.outer)
-        inner = tuple(int(x) for x in self.inner)
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
-        if not outer:
-            raise ValueError("outer partition is empty")
-        if any(x <= 0 for x in outer) or any(x < 0 for x in inner):
-            raise ValueError("partition parts must be positive")
-        if any(outer[i] < outer[i + 1] for i in range(len(outer) - 1)):
-            raise ValueError("outer is not weakly decreasing")
-        if any(inner[i] < inner[i + 1] for i in range(len(inner) - 1)):
-            raise ValueError("inner is not weakly decreasing")
-        if len(inner) > len(outer):
-            raise ValueError("inner has more rows than outer")
-        padded = inner + (0,) * (len(outer) - len(inner))
-        if any(padded[i] > outer[i] for i in range(len(outer))):
-            raise ValueError("inner does not fit inside outer")
-        spans = _column_spans(outer, padded)
-        for j in range(len(spans) - 1):
-            if spans[j] is None or spans[j + 1] is None:
-                continue
-            if spans[j + 1][1] > spans[j][0]:
-                raise ValueError("shape contains a 2x2 square")
-
-    def size(self) -> int:
-        padded = self.inner + (0,) * (len(self.outer) - len(self.inner))
-        return sum(o - i for o, i in zip(self.outer, padded))
-
-
-def _column_spans(outer, inner_padded):
-    """(top row, bottom row) of each column, 1-based; None for empty columns."""
-    ncols = outer[0]
-    spans = []
-    for j in range(1, ncols + 1):
-        rows = [i + 1 for i in range(len(outer)) if inner_padded[i] < j <= outer[i]]
-        spans.append((min(rows), max(rows)) if rows else None)
-    return spans
-
-
-def ribbon_to_columns(shape: RibbonShape) -> tuple[int, ...]:
-    """Column sizes of a connected ribbon, read left to right."""
-    padded = shape.inner + (0,) * (len(shape.outer) - len(shape.inner))
-    spans = _column_spans(shape.outer, padded)
-    if any(s is None for s in spans):
-        raise ValueError("ribbon is disconnected: empty column")
-    for j in range(len(spans) - 1):
-        if spans[j + 1][1] < spans[j][0]:
-            raise ValueError("ribbon is disconnected")
-    return tuple(s[1] - s[0] + 1 for s in spans)
-
-
-def columns_to_ribbon(columns) -> RibbonShape:
-    """Connected ribbon with the given column sizes, leftmost first."""
-    sizes = tuple(int(x) for x in columns)
-    if not sizes or any(x < 1 for x in sizes):
-        raise ValueError("column sizes must be positive")
-    ncols = len(sizes)
-    top = [0] * ncols
-    bottom = [0] * ncols
-    top[ncols - 1] = 1
-    bottom[ncols - 1] = sizes[-1]
-    for j in range(ncols - 2, -1, -1):
-        top[j] = bottom[j + 1]
-        bottom[j] = top[j] + sizes[j] - 1
-    nrows = bottom[0]
-    outer = []
-    inner = []
-    for i in range(1, nrows + 1):
-        cols = [j + 1 for j in range(ncols) if top[j] <= i <= bottom[j]]
-        outer.append(max(cols))
-        inner.append(min(cols) - 1)
-    while inner and inner[-1] == 0:
-        inner.pop()
-    return RibbonShape(tuple(outer), tuple(inner))
-
-
-def hook_columns(w0: int, d: int) -> tuple[int, ...]:
-    """Column sizes (w0, 1, ..., 1) of the hook partition (d+1, 1^(w0-1))."""
-    if w0 < 1 or d < 0:
-        raise ValueError("need w0 >= 1 and d >= 0")
-    return (w0,) + (1,) * d
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: exit codes, report documents, sweeps."""
 
+import argparse
 import json
 import os
 import time
@@ -342,6 +343,95 @@ def test_killed_pool_worker_costs_only_its_rows(tmp_path, capsys, monkeypatch):
     assert verdicts[4]["status"] == ERROR
     assert verdicts[4]["parameters"]["argv"] == ["char", "nim", "--m=1", "--n=2"]
     assert verdicts[4]["payload"]["message"].startswith("BrokenProcessPool: ")
+
+
+def test_sweep_rows_build_no_parser(tmp_path, capsys, monkeypatch):
+    cli.build_parser()  # the one build of this process
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    config = {"runs": [
+        {"command": "complex theorem", "d": [1, 2, 3], "primes": "2"},
+        {"command": "char nim", "m": [1, 2], "n": 2},
+        {"command": "char schur", "a": 3, "b": 1, "n": 2},
+    ]}
+    cfg = tmp_path / "rows.json"
+    cfg.write_text(json.dumps(config))
+    code = cli.main(["sweep", "--config", str(cfg), "--parallel", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("[             agree]") == 6
+    assert added == []
+
+
+def _patched_nim(ns):
+    params = {"m": ns.m, "n": ns.n}
+    return params, [Verdict("patched-nim", params, AGREE)]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_handler_rebound_after_the_parser_is_built_runs(workers, tmp_path, capsys,
+                                                        monkeypatch):
+    cli.build_parser()
+    monkeypatch.setattr(cli, "_cmd_char_nim", _patched_nim)
+    assert cli.main(["char", "nim", "--m", "1", "--n", "2"]) == 0
+    assert "patched-nim" in capsys.readouterr().out
+    config = {"runs": [{"command": "char nim", "m": [1, 2], "n": 2}]}
+    cfg = tmp_path / "rebound.json"
+    cfg.write_text(json.dumps(config))
+    out_path = tmp_path / "rebound-report.json"
+    code = cli.main(["sweep", "--config", str(cfg), "--parallel", workers,
+                     "--json", str(out_path)])
+    capsys.readouterr()
+    assert code == 0
+    verdicts = json.loads(out_path.read_text())["verdicts"]
+    assert [v["subject"] for v in verdicts] == ["patched-nim"] * 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--parallel", "4", "incidence", "chars", "--n", "3", "--d", "2", "--e", "1",
+     "--prime", "2"],
+    ["complex", "homology", "--weights", "1,1", "--prime", "2", "--parallel", "0"],
+    ["char", "nim", "--m", "1", "--n", "2", "--parallel", "2"],
+])
+def test_parallel_outside_sweep_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: fpcoh" in captured.err
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_sweep_parallel_below_one_is_a_usage_error(count, tmp_path, capsys):
+    cfg = _write_sweep_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--config", str(cfg), "--parallel", count])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --parallel: expected an integer >= 1, got '{count}'" in captured.err
+
+
+def test_empty_sweep_is_a_parameter_error(tmp_path, capsys):
+    with pytest.raises(ValueError, match="no rows"):
+        cli.expand_config({"runs": []})
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps({"runs": []}))
+    out_path = tmp_path / "empty-report.json"
+    code = cli.main(["sweep", "--config", str(cfg), "--parallel", "1",
+                     "--json", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "parameter error: sweep config expands to no rows" in captured.err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("command", [

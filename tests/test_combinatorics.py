@@ -1,4 +1,4 @@
-"""Binomials, digit sets, ribbons, tableaux."""
+"""Binomials, digit sets, tableaux."""
 
 import math
 import random
@@ -7,22 +7,18 @@ from itertools import combinations, product
 import pytest
 
 from fpcoh.combinatorics import (
-    RibbonShape,
     TwoRowTableau,
     binom_int,
-    columns_to_ribbon,
     compositions,
     enumerate_A,
     enumerate_pssyt,
     enumerate_ssyt,
-    hook_columns,
     interval_data,
     is_p_semistandard,
     is_semistandard,
     nim_sum,
     p_index,
     p_index_total,
-    ribbon_to_columns,
 )
 
 
@@ -164,50 +160,6 @@ def test_interval_data_component_convention():
         interval_data(w, {1, 2}, 3)
     with pytest.raises(ValueError):
         interval_data(w, {0, 1}, 1)
-
-
-def test_ribbon_validation():
-    RibbonShape((3, 1), (1,))
-    with pytest.raises(ValueError):
-        RibbonShape((2, 2))  # full 2x2 square
-    with pytest.raises(ValueError):
-        RibbonShape((3, 3), (1,))
-    with pytest.raises(ValueError):
-        RibbonShape((1, 2))
-    with pytest.raises(ValueError):
-        RibbonShape((2,), (3,))
-    # disconnected but 2x2-free shapes are legal as shapes
-    shape = RibbonShape((3, 1), (2,))
-    with pytest.raises(ValueError):
-        ribbon_to_columns(shape)
-
-
-def test_ribbon_columns_worked_example():
-    shape = RibbonShape((7, 4, 3, 3, 3), (3, 2, 2, 2))
-    assert shape.size() == 11
-    assert ribbon_to_columns(shape) == (1, 1, 4, 2, 1, 1, 1)
-    back = columns_to_ribbon((1, 1, 4, 2, 1, 1, 1))
-    assert back == shape
-
-
-def test_hook_columns_roundtrip():
-    assert hook_columns(3, 2) == (3, 1, 1)
-    shape = columns_to_ribbon(hook_columns(3, 2))
-    assert shape.outer == (3, 1, 1)
-    assert shape.inner == ()
-    for w0 in range(1, 5):
-        for d in range(0, 5):
-            cols = hook_columns(w0, d)
-            assert ribbon_to_columns(columns_to_ribbon(cols)) == cols
-
-
-def test_columns_roundtrip_random():
-    rng = random.Random(8)
-    for _ in range(60):
-        cols = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 6)))
-        shape = columns_to_ribbon(cols)
-        assert ribbon_to_columns(shape) == cols
-        assert shape.size() == sum(cols)
 
 
 def test_tableau_shape_and_weight():
