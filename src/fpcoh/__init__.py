@@ -43,9 +43,7 @@ from .determinantal import (
     filtration_character,
     ideal_power_slice,
     leading_monomials,
-    rbar_character,
     tableau_monomial,
-    tableau_product,
 )
 from .incidence import (
     CohomologyCharacterPair,

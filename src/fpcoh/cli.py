@@ -321,6 +321,9 @@ def _cmd_incidence_chars(ns):
 
 
 def _cmd_det_filtration(ns):
+    if ns.compare and ns.i > min(ns.a, ns.b):
+        raise ValueError(f"--compare needs --i <= min(--a, --b) = {min(ns.a, ns.b)}: "
+                         "the two-row Schur target holds only there")
     truncated = not ns.classical
     params = {"n": ns.n, "a": ns.a, "b": ns.b, "i": ns.i, "prime": ns.prime,
               "truncated": truncated}

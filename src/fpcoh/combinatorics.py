@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, permutations
 
 
 def binom_int(m: int, k: int) -> int:
@@ -35,6 +35,28 @@ def compositions(total: int, caps: tuple[int, ...]):
 
     if 0 <= total <= tails[0]:
         yield from rec(0, total, ())
+
+
+def decreasing_compositions(total: int, caps: tuple[int, ...]):
+    """The weakly decreasing members of compositions(total, caps), in the same
+    order.  With equal caps they are one representative per orbit of the
+    permutations of the parts (see orbit)."""
+
+    def rec(i: int, remaining: int, prefix: tuple[int, ...], top: int):
+        if i == len(caps):
+            if remaining == 0:
+                yield prefix
+            return
+        lo = -(-remaining // (len(caps) - i))  # the later parts are at most v
+        for v in range(max(lo, 0), min(caps[i], top, remaining) + 1):
+            yield from rec(i + 1, remaining - v, prefix + (v,), v)
+
+    yield from rec(0, total, (), total)
+
+
+def orbit(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The distinct rearrangements of parts, in ascending lexicographic order."""
+    return sorted(set(permutations(parts)))
 
 
 def nim_sum(values) -> int:

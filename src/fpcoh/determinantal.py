@@ -15,6 +15,11 @@ row echelon per block with pivots in term order, and records the block
 ranks after each power.  A block whose rank reaches its column count is
 saturated and takes no further generators.  Truncated, monomials with an
 exponent >= p are dropped before expansion and expanded terms after.
+Permuting the n columns of the matrix sends each minor to a minor up to
+sign and fixes the p-th powers, so every slice is S_n-stable: rank characters
+(`slice_characters`) reduce one block per S_n orbit of multidegrees.
+Leading monomials (`ideal_power_slice`) need every block, because the term
+order is not symmetric.
 """
 
 from __future__ import annotations
@@ -26,8 +31,14 @@ from operator import add, itemgetter, sub
 
 import numpy as np
 
-from .characters import LaurentPolynomial, h_trunc, schur2_trunc
-from .combinatorics import TwoRowTableau, compositions, enumerate_pssyt
+from .characters import LaurentPolynomial, schur2_trunc
+from .combinatorics import (
+    TwoRowTableau,
+    compositions,
+    decreasing_compositions,
+    enumerate_pssyt,
+    orbit,
+)
 from .linalg import PrimeFieldMatrix, check_modulus
 
 Monomial = tuple  # exponent tuple of length 2n
@@ -159,47 +170,53 @@ class IdealPowerSlice:
     def dimension(self) -> int:
         return sum(b.rank for b in self.blocks.values())
 
-    def rank_character(self) -> LaurentPolynomial:
-        return LaurentPolynomial(self.n, {m: b.rank for m, b in self.blocks.items()})
 
-
-def _generator_specs(n: int, a: int, b: int, i: int, truncated: bool, p: int):
-    """The i-th power's generators in bidegree (a, b) as {multidegree:
-    [(minors, code of the x-monomial, x-monomial)]}, nothing expanded; the
-    y-monomial follows from the multidegree."""
-    groups: dict[tuple[int, ...], list] = {}
+def _generator_specs(n: int, a: int, b: int, i: int, truncated: bool, p: int, multidegrees):
+    """The i-th power's generators in bidegree (a, b) in the given
+    multidegrees, as {multidegree: [(minors, code of the x-monomial,
+    x-monomial)]}, nothing expanded.  A multidegree is the minors' weight (how
+    often each column occurs) plus x + y, so it fixes the y-monomial."""
     if a < i or b < i:
-        return groups
+        return {}
     caps = (p - 1 if truncated else a + b,) * n
     ys = list(compositions(b - i, caps))
-    shifts = [
-        (x, _code(x, a + 1), tuple(map(add, x, y)))
-        for x in compositions(a - i, caps)
-        for y in ys
-    ]
+    shifts: dict[tuple[int, ...], list] = {}
+    for x in compositions(a - i, caps):
+        code = _code(x, a + 1)
+        for y in ys:
+            shifts.setdefault(tuple(map(add, x, y)), []).append((code, x))
+    by_weight: dict[tuple[int, ...], list] = {}
     for minors in combinations_with_replacement(minor_pairs(n), i):
-        weight = [sum(k in pair for pair in minors) for k in range(n)]
-        for x, code, xy in shifts:
-            groups.setdefault(tuple(map(add, weight, xy)), []).append((minors, code, x))
-    return groups
+        weight = tuple(sum(k in pair for pair in minors) for k in range(n))
+        by_weight.setdefault(weight, []).append(minors)
+    groups: dict[tuple[int, ...], list] = {m: [] for m in multidegrees}
+    for weight, products in by_weight.items():
+        for xy, xs in shifts.items():
+            specs = groups.get(tuple(map(add, weight, xy)))
+            if specs is not None:
+                specs += [(minors, code, x) for minors in products for code, x in xs]
+    return {m: specs for m, specs in groups.items() if specs}
 
 
-def _eliminate(n: int, a: int, b: int, powers, truncated: bool, p: int):
-    """The one elimination pass over the given powers, highest first.
-    Returns the blocks, an echelon basis of the lowest power's slice, and
-    {power: rank character of its slice}.  A minor product is expanded
-    once, when a block that is not saturated first needs it."""
+def _eliminate(n: int, a: int, b: int, powers, truncated: bool, p: int, walk):
+    """The one elimination pass over the given powers, highest first, over
+    the multidegrees walk(a + b, caps) yields: `compositions` for all,
+    `decreasing_compositions` for one per orbit.  Returns the blocks and
+    {power: {multidegree: rank}}.  A minor product is expanded once, when a
+    block that is not saturated first needs it."""
     powers = sorted(set(powers), reverse=True)
     if min(n, a, b, *powers) < 0:
         raise ValueError("parameters must be non-negative")
     check_modulus(p)
     zero = (0,) * n
-    monomials = _generator_specs(n, a, b, 0, truncated, p)
+    # truncated, a multidegree entry above 2(p - 1) leaves its block no columns
+    multidegrees = list(walk(a + b, (2 * (p - 1) if truncated else a + b,) * n))
+    monomials = _generator_specs(n, a, b, 0, truncated, p, multidegrees)
     products: dict[tuple, list[tuple[int, int]]] = {}
     blocks: dict[tuple[int, ...], _Block] = {}
-    characters = {}
+    ranks = {}
     for i in powers:
-        for m, specs in _generator_specs(n, a, b, i, truncated, p).items():
+        for m, specs in _generator_specs(n, a, b, i, truncated, p, multidegrees).items():
             block = blocks.get(m)
             if block is None:
                 block = blocks[m] = _Block(m, monomials.get(m, []), p)
@@ -212,14 +229,14 @@ def _eliminate(n: int, a: int, b: int, powers, truncated: bool, p: int):
                         (_code(mono[:n], a + 1), c % p) for mono, c in expansion if c % p
                     ]
                 block.add(shift, products[minors])
-        characters[i] = LaurentPolynomial(n, {m: blk.rank for m, blk in blocks.items()})
-    return blocks, characters
+        ranks[i] = {m: blk.rank for m, blk in blocks.items()}
+    return blocks, ranks
 
 
 def ideal_power_slice(
     n: int, a: int, b: int, i: int, truncated: bool, p: int
 ) -> IdealPowerSlice:
-    blocks, _ = _eliminate(n, a, b, [i], truncated, p)
+    blocks, _ = _eliminate(n, a, b, [i], truncated, p, compositions)
     return IdealPowerSlice(
         n=n, a=a, b=b, power=i, truncated=truncated, p=p,
         blocks={m: block for m, block in blocks.items() if block.rank},
@@ -230,8 +247,10 @@ def slice_characters(
     n: int, a: int, b: int, powers, truncated: bool, p: int
 ) -> dict[int, LaurentPolynomial]:
     """{i: blockwise rank character of the i-th slice} for every requested
-    power, from one elimination pass."""
-    return _eliminate(n, a, b, powers, truncated, p)[1]
+    power, from one pass; a representative's rank holds on its orbit."""
+    _, ranks = _eliminate(n, a, b, powers, truncated, p, decreasing_compositions)
+    return {i: LaurentPolynomial(n, {o: r for m, r in by_m.items() for o in orbit(m)})
+            for i, by_m in ranks.items()}
 
 
 def filtration_character(
@@ -268,29 +287,6 @@ def tableau_monomial(t: TwoRowTableau, n: int) -> BigradedMonomial:
             raise ValueError("entry exceeds variable count")
         y[val - 1] += 1
     return BigradedMonomial(tuple(x), tuple(y))
-
-
-def tableau_product(t: TwoRowTableau, n: int) -> dict[Monomial, int]:
-    """Expansion of the product of column minors times leftover top-row
-    variables attached to the tableau: minor (u_i, v_i) per full column,
-    then x_(u_i) for the single-box columns."""
-    b = len(t.bottom)
-    minors = []
-    for i in range(b):
-        u, v = t.top[i], t.bottom[i]
-        if u >= v:
-            raise ValueError("column minors need strictly increasing columns")
-        minors.append((u - 1, v - 1))
-    x = [0] * n
-    for val in t.top[b:]:
-        x[val - 1] += 1
-    return expand_minor_product(n, minors, tuple(x), (0,) * n)
-
-
-def rbar_character(n: int, a: int, b: int, p: int) -> LaurentPolynomial:
-    """Bigraded character of the truncated polynomial ring in bidegree (a, b),
-    as a multidegree character: h_a^(p) * h_b^(p)."""
-    return h_trunc(a, p, n) * h_trunc(b, p, n)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
 from .characters import LaurentPolynomial, nim_poly, schur2, schur2_trunc
-from .combinatorics import compositions
+from .combinatorics import compositions, decreasing_compositions, orbit
 from .linalg import PrimeFieldMatrix
 
 
@@ -89,28 +88,6 @@ def omega_block(n: int, d: int, e: int, m, p: int) -> PrimeFieldMatrix:
     return PrimeFieldMatrix(p, mat)
 
 
-def _multidegree_reps(n: int, total: int, symmetry_reduce: bool):
-    """Block multidegrees (entries >= 1, given total); weakly decreasing
-    representatives when reducing by the variable symmetry."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == n - 1:
-            last = remaining
-            if last >= 1 and (not symmetry_reduce or (not prefix or last <= prefix[-1])):
-                out.append(prefix + (last,))
-            return
-        hi = remaining - (n - 1 - i)
-        if symmetry_reduce and prefix:
-            hi = min(hi, prefix[-1])
-        for v in range(1, hi + 1) if not symmetry_reduce else range(hi, 0, -1):
-            rec(i + 1, remaining - v, prefix + (v,))
-
-    if total >= n:
-        rec(0, total, ())
-    return sorted(out)
-
-
 def h_characters(
     n: int, d: int, e: int, p: int, *, symmetry_reduce: bool = True
 ) -> CohomologyCharacterPair:
@@ -131,14 +108,14 @@ def h_characters(
         )
     h0: dict[tuple[int, ...], int] = {}
     h1: dict[tuple[int, ...], int] = {}
-    for m in _multidegree_reps(n, d + e + n, symmetry_reduce):
-        mat = omega_block(n, d, e, m, p)
+    walk = decreasing_compositions if symmetry_reduce else compositions
+    for exps in walk(d + e, (d + e,) * n):
+        mat = omega_block(n, d, e, tuple(x + 1 for x in exps), p)
         ker, coker = mat.kernel_dimension(), mat.cokernel_dimension()
         if not ker and not coker:
             continue
-        for perm in set(permutations(m)) if symmetry_reduce else [m]:
-            exps = tuple(x - 1 for x in perm)
-            h0[exps], h1[exps] = ker, coker
+        for member in orbit(exps) if symmetry_reduce else [exps]:
+            h0[member], h1[member] = ker, coker
     return CohomologyCharacterPair(LaurentPolynomial(n, h0), LaurentPolynomial(n, h1))
 
 

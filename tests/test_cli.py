@@ -3,6 +3,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -78,6 +80,42 @@ def test_filtration_in_hypothesis_agrees():
         "--i", "1", "--prime", "2", "--compare",
     ])
     assert code == 0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n", "3", "--a", "3", "--b", "1", "--i", "2", "--prime", "2"],
+    ["--n", "3", "--a", "3", "--b", "1", "--i", "2", "--prime", "2", "--classical"],
+    ["--n", "3", "--a", "2", "--b", "1", "--i", "5", "--prime", "2", "--classical"],
+])
+def test_filtration_compare_beyond_min_bidegree_is_a_parameter_error(flags, capsys, tmp_path):
+    # the two-row Schur target holds only for i <= min(a, b)
+    report = tmp_path / "report.json"
+    code = cli.main(["det", "filtration", *flags, "--compare", "--json", str(report)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "parameter error" in captured.err
+    assert "min(--a, --b)" in captured.err
+    assert captured.out == ""
+    assert not report.exists()
+    assert cli.main(["det", "filtration", *flags]) == 0  # the quotient itself is fine
+
+
+def run_module(*args):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return subprocess.run([sys.executable, "-m", "fpcoh", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+
+
+def test_python_dash_m_fpcoh_help_exits_zero():
+    done = run_module("--help")
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: fpcoh")
+
+
+def test_python_dash_m_fpcoh_usage_error_exits_one():
+    done = run_module("det", "filtration", "--n", "3")
+    assert done.returncode == 1
+    assert "error: the following arguments are required" in done.stderr
 
 
 def test_usage_errors_exit_one():

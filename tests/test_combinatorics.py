@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -10,6 +10,7 @@ from fpcoh.combinatorics import (
     TwoRowTableau,
     binom_int,
     compositions,
+    decreasing_compositions,
     enumerate_A,
     enumerate_pssyt,
     enumerate_ssyt,
@@ -17,6 +18,7 @@ from fpcoh.combinatorics import (
     is_p_semistandard,
     is_semistandard,
     nim_sum,
+    orbit,
     p_index,
     p_index_total,
 )
@@ -86,6 +88,31 @@ def test_compositions_property():
         assert list(compositions(total, caps)) == filtered_product(total, caps)
 
     check()
+
+
+def test_orbit_walk_expands_to_compositions():
+    # the representatives are the weakly decreasing compositions, in
+    # compositions' order; their orbits, each ascending and duplicate-free,
+    # partition the compositions with equal caps
+    rng = random.Random(7)
+    cases = [(0, 0, 0), (1, 0, 3), (-1, 3, 2), (0, 3, 2), (7, 3, 2), (6, 3, 2)]
+    cases += [(rng.randint(-1, 12), rng.randint(1, 5), rng.randint(0, 5)) for _ in range(150)]
+    for total, n, cap in cases:
+        caps = (cap,) * n
+        full = list(compositions(total, caps))
+        reps = list(decreasing_compositions(total, caps))
+        assert reps == [c for c in full if list(c) == sorted(c, reverse=True)], (total, n, cap)
+        members = [list(orbit(r)) for r in reps]
+        for r, ms in zip(reps, members):
+            assert ms == sorted(set(permutations(r))), r
+        assert sorted(m for ms in members for m in ms) == full, (total, n, cap)
+    for _ in range(100):  # unequal caps: still the weakly decreasing members
+        caps = tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 5)))
+        total = rng.randint(-1, sum(caps) + 1)
+        full = filtered_product(total, caps)
+        assert list(decreasing_compositions(total, caps)) == [
+            c for c in full if list(c) == sorted(c, reverse=True)
+        ], (total, caps)
 
 
 def test_nim_sum():

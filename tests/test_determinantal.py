@@ -10,6 +10,7 @@ from fpcoh.characters import LaurentPolynomial, h, h_trunc, schur2, schur2_trunc
 from fpcoh.combinatorics import (
     TwoRowTableau,
     compositions,
+    decreasing_compositions,
     enumerate_pssyt,
     enumerate_ssyt,
 )
@@ -22,10 +23,8 @@ from fpcoh.determinantal import (
     ideal_power_slice,
     leading_monomials,
     minor_pairs,
-    rbar_character,
     slice_characters,
     tableau_monomial,
-    tableau_product,
 )
 from fpcoh.linalg import PrimeFieldMatrix, rref_with_order
 
@@ -78,8 +77,9 @@ def test_slice_beyond_min_bidegree_is_empty():
 
 def test_full_slice_character_is_h_product():
     for n, a, b, p in product((2, 3), (0, 1, 2), (0, 1, 2), (2, 5)):
-        slc = ideal_power_slice(n, a, b, 0, False, p)
-        assert slc.rank_character() == h(a, n) * h(b, n), (n, a, b, p)
+        want = h(a, n) * h(b, n)
+        assert slice_characters(n, a, b, [0], False, p)[0] == want, (n, a, b, p)
+        assert full_scan_characters(n, a, b, [0], False, p)[0] == want, (n, a, b, p)
 
 
 def test_classical_filtration_matches_schur():
@@ -139,6 +139,29 @@ def test_pivots_invariant_under_row_shuffle():
         PrimeFieldMatrix(2, shuffled), list(range(a.shape[1]))
     )
     assert sorted(pivots) == sorted(pivots2)
+
+
+def tableau_product(t, n):
+    """Expansion of the product of column minors times leftover top-row
+    variables attached to the tableau: minor (u_i, v_i) per full column,
+    then x_(u_i) for the single-box columns."""
+    b = len(t.bottom)
+    minors = []
+    for i in range(b):
+        u, v = t.top[i], t.bottom[i]
+        if u >= v:
+            raise ValueError("column minors need strictly increasing columns")
+        minors.append((u - 1, v - 1))
+    x = [0] * n
+    for val in t.top[b:]:
+        x[val - 1] += 1
+    return expand_minor_product(n, minors, tuple(x), (0,) * n)
+
+
+def rbar_character(n, a, b, p):
+    """Bigraded character of the truncated polynomial ring in bidegree (a, b),
+    as a multidegree character: h_a^(p) * h_b^(p)."""
+    return h_trunc(a, p, n) * h_trunc(b, p, n)
 
 
 def test_tableau_monomial_and_errors():
@@ -330,13 +353,75 @@ def test_pass_expands_once_and_never_feeds_a_saturated_block(monkeypatch):
 
     monkeypatch.setattr(determinantal, "expand_minor_product", expand)
     monkeypatch.setattr(determinantal._Block, "add", add)
-    n, a, b, p = 3, 3, 2, 2
-    slice_characters(n, a, b, range(b + 2), True, p)
-    generators = sum(
-        len(specs)
-        for i in range(b + 2)
-        for specs in determinantal._generator_specs(n, a, b, i, True, p).values()
-    )
-    assert len(expanded) == len(set(expanded))
-    assert fed_when_saturated and not any(fed_when_saturated)
-    assert len(fed_when_saturated) < generators
+    for n, a, b, p in ((3, 3, 2, 2), (4, 4, 3, 3)):
+        expanded.clear()
+        fed_when_saturated.clear()
+        slice_characters(n, a, b, range(b + 2), True, p)
+        # the generators of the blocks the pass builds, one per orbit
+        reps = list(decreasing_compositions(a + b, (2 * (p - 1),) * n))
+        generators = sum(
+            len(specs)
+            for i in range(b + 2)
+            for specs in determinantal._generator_specs(n, a, b, i, True, p, reps).values()
+        )
+        assert len(expanded) == len(set(expanded))
+        assert fed_when_saturated and not any(fed_when_saturated)
+        assert len(fed_when_saturated) < generators
+
+
+def full_scan_characters(n, a, b, powers, truncated, p):
+    """{i: rank character of the i-th slice} with every multidegree block
+    reduced, as the leading-monomial slices are."""
+    out = {}
+    for i in powers:
+        slc = ideal_power_slice(n, a, b, i, truncated, p)
+        out[i] = LaurentPolynomial(n, {m: slc.block_rank(m) for m in slc.multidegrees()})
+    return out
+
+
+def test_orbit_pass_matches_full_scan_beyond_the_oracle():
+    # n = 5, 6 lie beyond the matrix oracle above; the full scan reduces
+    # every block, the rank pass one per S_n orbit
+    rng = random.Random(11)
+    cases = [
+        (n, rng.randint(2, 3), rng.randint(1, 2), truncated, p)
+        for n in (5, 6)
+        for p in (2, 3, 5)
+        for truncated in (False, True)
+    ]
+    for n, a, b, truncated, p in cases:
+        powers = range(min(a, b) + 2)
+        want = full_scan_characters(n, a, b, powers, truncated, p)
+        got = slice_characters(n, a, b, powers, truncated, p)
+        assert got == want, (n, a, b, truncated, p)
+
+
+def test_rank_pass_builds_one_block_per_orbit(monkeypatch):
+    from fpcoh import determinantal
+
+    built = []
+    real_init = determinantal._Block.__init__
+
+    def init(block, m, specs, p):
+        built.append(m)
+        real_init(block, m, specs, p)
+
+    monkeypatch.setattr(determinantal._Block, "__init__", init)
+    # (5, 4, 4): 18 orbits of 495 multidegrees, of which I^2 meets 16 and 470
+    for n, a, b, powers, truncated, p, orbits, blocks in (
+        (5, 4, 4, [2, 3], False, 2, 16, 470),
+        (5, 4, 2, [0, 1, 2], True, 3, None, None),
+        (6, 3, 2, [1, 2], False, 5, None, None),
+    ):
+        built.clear()
+        slice_characters(n, a, b, powers, truncated, p)
+        reps = list(built)
+        built.clear()
+        for i in powers:
+            ideal_power_slice(n, a, b, i, truncated, p)
+        every = set(built)
+        assert len(reps) == len(set(reps)), (n, a, b)
+        assert set(reps) == {tuple(sorted(m, reverse=True)) for m in every}, (n, a, b)
+        assert len(every) > len(reps)
+        if orbits is not None:
+            assert (len(reps), len(every)) == (orbits, blocks)
