@@ -9,7 +9,6 @@ from .characters import (
     nim_poly,
     schur2,
     schur2_trunc,
-    tableau_sum,
 )
 from .combinatorics import (
     TwoRowTableau,
@@ -29,7 +28,6 @@ from .complexes import (
     check_involution,
     check_stable_periodicity_hook,
     homology_dims,
-    lucas_reduce,
     min_power_exceeding,
     poincare_formula_all_ones,
     ses_dimension_check,
@@ -38,9 +36,7 @@ from .complexes import (
 from .determinantal import (
     BigradedMonomial,
     IdealPowerSlice,
-    check_iadic_conjecture,
     check_lead_terms,
-    filtration_character,
     ideal_power_slice,
     leading_monomials,
     tableau_monomial,
@@ -53,14 +49,11 @@ from .incidence import (
     h1_small_weight_char,
     h1_window_char,
     h_characters,
-    module_dimension,
     omega_block,
-    rbar_like_character,
 )
 from .linalg import (
     IntegerMatrix,
     PrimeFieldMatrix,
-    kernel_basis,
     matmul_mod,
     smith_invariants,
 )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .combinatorics import TwoRowTableau, compositions, nim_sum
+from .combinatorics import compositions, nim_sum
 
 
 class LaurentPolynomial:
@@ -215,14 +215,3 @@ def nim_poly(m: int, n: int) -> LaurentPolynomial:
         raise ValueError("m must be non-negative")
     terms = {e: 1 for e in compositions(2 * m, (2 * m,) * n) if nim_sum(e) == 0}
     return LaurentPolynomial(n, terms)
-
-
-def tableau_sum(tableaux, n: int) -> LaurentPolynomial:
-    """Sum of the content monomials t^T of the given two-row tableaux."""
-    out: dict[tuple[int, ...], int] = {}
-    for t in tableaux:
-        if not isinstance(t, TwoRowTableau):
-            raise TypeError("expected TwoRowTableau instances")
-        e = t.weight(n)
-        out[e] = out.get(e, 0) + 1
-    return LaurentPolynomial(n, out)

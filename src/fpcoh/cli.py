@@ -189,43 +189,18 @@ def _cmd_complex_theorem(ns):
 
 def _cmd_complex_involution(ns):
     params = {"w0": ns.w0, "d": ns.d, "primes": list(ns.primes)}
-    verdicts = []
-    for p in ns.primes:
-        vparams = {"w0": ns.w0, "d": ns.d, "prime": p}
-
-        def build(p=p):
-            rep = check_involution(ns.w0, ns.d, p)
-            payload = rep.to_payload()
-            if rep.agree:
-                return AGREE, payload
-            for k, (a, b) in enumerate(zip(rep.ranks_direct, rep.ranks_shifted)):
-                if a != b:
-                    payload["witness"] = {"degree": k + 1, "direct": a, "shifted": b}
-                    break
-            else:
-                payload["witness"] = {"smith_direct": payload["smith_direct"],
-                                      "smith_negated": payload["smith_negated"]}
-            return DISAGREE, payload
-
-        verdicts.append(_timed("hook-involution", vparams, build))
+    verdicts = [
+        _timed("hook-involution", {"w0": ns.w0, "d": ns.d, "prime": p},
+               functools.partial(check_involution, ns.w0, ns.d, p))
+        for p in ns.primes
+    ]
     return params, verdicts
 
 
 def _cmd_complex_ses(ns):
     params = {"weights": list(ns.weights), "split": ns.split, "prime": ns.prime}
-
-    def build():
-        rep = ses_dimension_check(tuple(ns.weights), ns.split, ns.prime)
-        payload = rep.to_payload()
-        if rep.agree:
-            return AGREE, payload
-        bad = next((r for r in rep.dimension_rows if not r["ok"]), None)
-        if bad is None:
-            bad = next((r for r in rep.subadditivity_rows if not r["ok"]), payload["euler"])
-        payload["witness"] = bad
-        return DISAGREE, payload
-
-    return params, [_timed("ses-bookkeeping", params, build)]
+    return params, [_timed("ses-bookkeeping", params, functools.partial(
+        ses_dimension_check, tuple(ns.weights), ns.split, ns.prime))]
 
 
 def _cmd_stable_hook(ns):
@@ -248,25 +223,8 @@ def _cmd_stable_hook(ns):
 
 def _cmd_stable_periodicity(ns):
     params = {"w0": ns.w0, "d": ns.d, "prime": ns.prime, "r": ns.r}
-
-    def build():
-        rep = check_stable_periodicity_hook(ns.w0, ns.d, ns.prime, ns.r)
-        payload = rep.to_payload()
-        if rep.agree:
-            return AGREE, payload
-        k = next(
-            i
-            for i in range(max(len(rep.base.coefficients), len(rep.shifted.coefficients)))
-            if rep.base.coefficient(i) != rep.shifted.coefficient(i)
-        )
-        payload["witness"] = {
-            "degree": k,
-            "base": rep.base.coefficient(k),
-            "shifted": rep.shifted.coefficient(k),
-        }
-        return DISAGREE, payload
-
-    return params, [_timed("stable-periodicity", params, build)]
+    return params, [_timed("stable-periodicity", params, functools.partial(
+        check_stable_periodicity_hook, ns.w0, ns.d, ns.prime, ns.r))]
 
 
 _COMPARE_CHOICES = ("h1-theorem", "small-weights", "char2")
@@ -363,19 +321,8 @@ def _cmd_det_filtration(ns):
 
 def _cmd_det_lead_terms(ns):
     params = {"n": ns.n, "a": ns.a, "b": ns.b, "prime": ns.prime}
-
-    def build():
-        rep = check_lead_terms(ns.n, ns.a, ns.b, ns.prime)
-        payload = rep.to_payload()
-        if not rep.hypothesis_met:
-            payload["comparison_agrees"] = rep.agree
-            return OUTSIDE, payload
-        if rep.agree:
-            return AGREE, payload
-        payload["witness"] = {"missing_monomial": payload["missing"][0]}
-        return DISAGREE, payload
-
-    return params, [_timed("lead-term-containment", params, build)]
+    return params, [_timed("lead-term-containment", params, functools.partial(
+        check_lead_terms, ns.n, ns.a, ns.b, ns.prime))]
 
 
 def _cmd_char_nim(ns):

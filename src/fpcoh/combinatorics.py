@@ -183,15 +183,6 @@ def _weakly_increasing_words(n: int, length: int, max_run: int | None = None):
     yield from rec(0)
 
 
-def is_semistandard(t: TwoRowTableau) -> bool:
-    u, v = t.top, t.bottom
-    if any(u[i] > u[i + 1] for i in range(len(u) - 1)):
-        return False
-    if any(v[i] > v[i + 1] for i in range(len(v) - 1)):
-        return False
-    return all(u[i] < v[i] for i in range(len(v)))
-
-
 def enumerate_ssyt(n: int, a: int, b: int) -> list[TwoRowTableau]:
     """Semistandard fillings of shape (a, b) with entries in 1..n: weakly
     increasing rows, strictly increasing columns.  Lexicographic on (u, v)."""

@@ -7,6 +7,10 @@ binomial coefficient of the split component (total weight over the weight
 of the piece away from vertex 0) and sign (-1)^(number of earlier missing
 edges).  Only w_0 may be negative; binomials with negative top argument are
 the falling-factorial ones, so every construction is exact over Z or Z/p.
+
+The checks of the hook involution, the edge-contraction sequence and stable
+periodicity return a verdict status and its payload; a disagreeing payload
+carries a witness.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .linalg import (
     check_modulus,
     smith_invariants,
 )
+from .verdicts import AGREE, DISAGREE
 
 
 @dataclass(frozen=True)
@@ -246,67 +251,8 @@ def poincare_formula_all_ones(d: int, p: int) -> PoincarePolynomial:
     return PoincarePolynomial(tuple(coeffs))
 
 
-def lucas_reduce(w, p: int) -> WeightSequence:
-    """Strip powers of p from the leading weight while some p^r exceeds the
-    tail sum, largest power first.  Homology over Z/p is unchanged."""
-    ws = WeightSequence.of(w)
-    if ws.entries[0] < 0:
-        raise ValueError("leading weight must be non-negative for reduction")
-    head = ws.entries[0]
-    tail = ws.tail_total()
-    while head > tail and head > 0:
-        q = 1
-        while q * p <= head:
-            q *= p
-        if q <= tail:
-            break
-        head -= q
-    return WeightSequence((head,) + ws.entries[1:])
-
-
 # ---------------------------------------------------------------------------
-# reports
-
-
-@dataclass
-class InvolutionReport:
-    """Rank comparison between C(w0, 1^d), its negated partner
-    C(-w0-2d, 1^d), and the shifted partner C(q-w0-2d, 1^d) over Z/p,
-    plus Smith invariants over Z when the matrices are small enough."""
-
-    w0: int
-    d: int
-    p: int
-    shift: int
-    dimensions: tuple[int, ...]
-    ranks_direct: tuple[int, ...]
-    ranks_negated: tuple[int, ...]
-    ranks_shifted: tuple[int, ...]
-    smith_direct: tuple[tuple[int, ...], ...] | None
-    smith_negated: tuple[tuple[int, ...], ...] | None
-    agree_ranks: bool
-    agree_smith: bool | None
-
-    @property
-    def agree(self) -> bool:
-        return self.agree_ranks and self.agree_smith is not False
-
-    def to_payload(self) -> dict:
-        return {
-            "shift": self.shift,
-            "dimensions": list(self.dimensions),
-            "ranks_direct": list(self.ranks_direct),
-            "ranks_negated": list(self.ranks_negated),
-            "ranks_shifted": list(self.ranks_shifted),
-            "smith_direct": _smith_payload(self.smith_direct),
-            "smith_negated": _smith_payload(self.smith_negated),
-            "agree_ranks": self.agree_ranks,
-            "agree_smith": self.agree_smith,
-        }
-
-
-def _smith_payload(data):
-    return None if data is None else [list(t) for t in data]
+# checks; each returns (status, payload) with a witness when they disagree
 
 
 def _hook_weights(w0: int, d: int) -> tuple[int, ...]:
@@ -320,7 +266,12 @@ def min_power_exceeding(p: int, bound: int) -> int:
     return q
 
 
-def check_involution(w0: int, d: int, p: int) -> InvolutionReport:
+def check_involution(w0: int, d: int, p: int) -> tuple[str, dict]:
+    """Rank comparison between C(w0, 1^d), its negated partner
+    C(-w0-2d, 1^d), and the shifted partner C(q-w0-2d, 1^d) over Z/p,
+    plus Smith invariants over Z when the matrices are small enough.  The
+    witness is the first degree where the direct and shifted ranks differ,
+    else the two Smith lists."""
     direct = build_complex(_hook_weights(w0, d), p)
     negated = build_complex((-w0 - 2 * d,) + (1,) * d, p)
     q = min_power_exceeding(p, w0 + 2 * d)
@@ -330,63 +281,37 @@ def check_involution(w0: int, d: int, p: int) -> InvolutionReport:
     if math.comb(d, d // 2) <= SMITH_SIZE_LIMIT:
         za = build_complex(_hook_weights(w0, d), None)
         zb = build_complex((-w0 - 2 * d,) + (1,) * d, None)
-        smith_a = tuple(tuple(smith_invariants(m)) for m in za.boundaries)
-        smith_b = tuple(tuple(smith_invariants(m)) for m in zb.boundaries)
+        smith_a = [list(smith_invariants(m)) for m in za.boundaries]
+        smith_b = [list(smith_invariants(m)) for m in zb.boundaries]
     agree_ranks = ranks_a == ranks_b == ranks_c
     agree_smith = None if smith_a is None else smith_a == smith_b
-    return InvolutionReport(
-        w0=w0,
-        d=d,
-        p=p,
-        shift=q,
-        dimensions=direct.dimensions(),
-        ranks_direct=ranks_a,
-        ranks_negated=ranks_b,
-        ranks_shifted=ranks_c,
-        smith_direct=smith_a,
-        smith_negated=smith_b,
-        agree_ranks=agree_ranks,
-        agree_smith=agree_smith,
-    )
+    payload = {
+        "shift": q,
+        "dimensions": list(direct.dimensions()),
+        "ranks_direct": list(ranks_a),
+        "ranks_negated": list(ranks_b),
+        "ranks_shifted": list(ranks_c),
+        "smith_direct": smith_a,
+        "smith_negated": smith_b,
+        "agree_ranks": agree_ranks,
+        "agree_smith": agree_smith,
+    }
+    if agree_ranks and agree_smith is not False:
+        return AGREE, payload
+    k = next((k for k, (a, c) in enumerate(zip(ranks_a, ranks_c)) if a != c), None)
+    if k is None:
+        payload["witness"] = {"smith_direct": smith_a, "smith_negated": smith_b}
+    else:
+        payload["witness"] = {"degree": k + 1, "direct": ranks_a[k], "shifted": ranks_c[k]}
+    return DISAGREE, payload
 
 
-@dataclass
-class SesReport:
+def ses_dimension_check(w, split: int, p: int) -> tuple[str, dict]:
     """Checks the degreewise size bookkeeping of the edge-contraction short
     exact sequence: subcomplex = tensor of the two sides, quotient = the
-    contracted complex shifted up by one."""
-
-    weights: tuple[int, ...]
-    split: int
-    p: int
-    dimension_rows: list[dict]
-    euler_total: int
-    euler_tensor: int
-    euler_merged: int
-    subadditivity_rows: list[dict]
-
-    @property
-    def agree(self) -> bool:
-        return (
-            all(r["ok"] for r in self.dimension_rows)
-            and self.euler_total == self.euler_tensor - self.euler_merged
-            and all(r["ok"] for r in self.subadditivity_rows)
-        )
-
-    def to_payload(self) -> dict:
-        return {
-            "dimensions": self.dimension_rows,
-            "euler": {
-                "total": self.euler_total,
-                "tensor": self.euler_tensor,
-                "merged": self.euler_merged,
-                "ok": self.euler_total == self.euler_tensor - self.euler_merged,
-            },
-            "subadditivity": self.subadditivity_rows,
-        }
-
-
-def ses_dimension_check(w, split: int, p: int) -> SesReport:
+    contracted complex shifted up by one.  The witness is the first failing
+    dimension row, then the first failing subadditivity row, else the Euler
+    characteristics."""
     ws = WeightSequence.of(w)
     d = ws.d
     if not 0 <= split < d:
@@ -444,16 +369,14 @@ def ses_dimension_check(w, split: int, p: int) -> SesReport:
             }
         )
 
-    return SesReport(
-        weights=ws.entries,
-        split=split,
-        p=p,
-        dimension_rows=dim_rows,
-        euler_total=euler_total,
-        euler_tensor=euler_tensor,
-        euler_merged=euler_merged,
-        subadditivity_rows=sub_rows,
-    )
+    euler = {"total": euler_total, "tensor": euler_tensor, "merged": euler_merged,
+             "ok": euler_total == euler_tensor - euler_merged}
+    payload = {"dimensions": dim_rows, "euler": euler, "subadditivity": sub_rows}
+    witness = next((r for r in dim_rows + sub_rows if not r["ok"]), euler)
+    if witness["ok"]:
+        return AGREE, payload
+    payload["witness"] = witness
+    return DISAGREE, payload
 
 
 def stable_hook_cohomology(w0: int, d: int, p: int) -> dict[int, int]:
@@ -465,30 +388,10 @@ def stable_hook_cohomology(w0: int, d: int, p: int) -> dict[int, int]:
     return {d + w0 - i: hdims[i] for i in range(d, -1, -1)}
 
 
-@dataclass
-class PeriodicityReport:
-    w0: int
-    d: int
-    p: int
-    q: int
-    base: PoincarePolynomial
-    shifted: PoincarePolynomial
-
-    @property
-    def agree(self) -> bool:
-        return self.base == self.shifted
-
-    def to_payload(self) -> dict:
-        return {
-            "q": self.q,
-            "base": list(self.base.coefficients),
-            "shifted": list(self.shifted.coefficients),
-        }
-
-
-def check_stable_periodicity_hook(w0: int, d: int, p: int, r: int) -> PeriodicityReport:
+def check_stable_periodicity_hook(w0: int, d: int, p: int, r: int) -> tuple[str, dict]:
     """Compare hook homology before and after adding q = p^r to the first
-    column size; q must exceed d."""
+    column size; q must exceed d.  The witness is the first degree where
+    they differ."""
     if r < 0:
         raise ValueError("r must be non-negative")
     q = p**r
@@ -496,4 +399,11 @@ def check_stable_periodicity_hook(w0: int, d: int, p: int, r: int) -> Periodicit
         raise ValueError(f"period p^r = {q} must exceed d = {d}")
     base = homology_dims(build_complex(_hook_weights(w0, d), p))
     shifted = homology_dims(build_complex(_hook_weights(w0 + q, d), p))
-    return PeriodicityReport(w0=w0, d=d, p=p, q=q, base=base, shifted=shifted)
+    payload = {"q": q, "base": list(base.coefficients), "shifted": list(shifted.coefficients)}
+    if base == shifted:
+        return AGREE, payload
+    k = next(i for i in range(max(len(base.coefficients), len(shifted.coefficients)))
+             if base.coefficient(i) != shifted.coefficient(i))
+    payload["witness"] = {"degree": k, "base": base.coefficient(k),
+                          "shifted": shifted.coefficient(k)}
+    return DISAGREE, payload

@@ -19,7 +19,8 @@ Permuting the n columns of the matrix sends each minor to a minor up to
 sign and fixes the p-th powers, so every slice is S_n-stable: rank characters
 (`slice_characters`) reduce one block per S_n orbit of multidegrees.
 Leading monomials (`ideal_power_slice`) need every block, because the term
-order is not symmetric.
+order is not symmetric.  `check_lead_terms` compares them with the
+p-semistandard tableau monomials and returns a verdict status and payload.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from operator import add, itemgetter, sub
 
 import numpy as np
 
-from .characters import LaurentPolynomial, schur2_trunc
+from .characters import LaurentPolynomial
 from .combinatorics import (
     TwoRowTableau,
     compositions,
@@ -40,6 +41,7 @@ from .combinatorics import (
     orbit,
 )
 from .linalg import PrimeFieldMatrix, check_modulus
+from .verdicts import AGREE, DISAGREE, OUTSIDE
 
 Monomial = tuple  # exponent tuple of length 2n
 
@@ -207,6 +209,8 @@ def _eliminate(n: int, a: int, b: int, powers, truncated: bool, p: int, walk):
     powers = sorted(set(powers), reverse=True)
     if min(n, a, b, *powers) < 0:
         raise ValueError("parameters must be non-negative")
+    if n < 1:
+        raise ValueError("need at least one variable")
     check_modulus(p)
     zero = (0,) * n
     # truncated, a multidegree entry above 2(p - 1) leaves its block no columns
@@ -253,15 +257,6 @@ def slice_characters(
             for i, by_m in ranks.items()}
 
 
-def filtration_character(
-    n: int, a: int, b: int, i: int, truncated: bool, p: int
-) -> LaurentPolynomial:
-    """Character of the i-th filtration quotient in bidegree (a, b):
-    blockwise rank of the i-th slice minus rank of the (i+1)-st."""
-    chars = slice_characters(n, a, b, [i, i + 1], truncated, p)
-    return chars[i] - chars[i + 1]
-
-
 def leading_monomials(slc: IdealPowerSlice) -> set[BigradedMonomial]:
     """Leading monomials of the row space: the pivots of each block's
     echelon basis."""
@@ -290,96 +285,32 @@ def tableau_monomial(t: TwoRowTableau, n: int) -> BigradedMonomial:
 
 
 # ---------------------------------------------------------------------------
-# verdict-style checks
+# verdict-style check
 
 
-@dataclass
-class FiltrationReport:
-    """Per-power comparison of truncated filtration characters with the
-    truncated two-row Schur characters."""
-
-    n: int
-    a: int
-    b: int
-    p: int
-    hypothesis_met: bool
-    rows: list[dict]
-
-    @property
-    def agree(self) -> bool:
-        return all(r["ok"] for r in self.rows)
-
-    def to_payload(self) -> dict:
-        return {
-            "hypothesis_met": self.hypothesis_met,
-            "rows": self.rows,
-        }
-
-
-def check_iadic_conjecture(n: int, a: int, b: int, p: int) -> FiltrationReport:
-    """Compare every truncated filtration quotient in bidegree (a, b) with
-    the truncated Schur character of (a+b-i, i).  The stated hypothesis is
-    a - b >= p - 1; the comparison runs either way."""
-    slices = slice_characters(n, a, b, range(b + 2), True, p)
-    rows = []
-    for i in range(b + 1):
-        computed = slices[i] - slices[i + 1]
-        target = schur2_trunc(a + b - i, i, p, n)
-        diff = computed - target
-        row = {
-            "power": i,
-            "ok": diff.is_zero(),
-            "computed_dim": computed.dimension(),
-            "target_dim": target.dimension(),
-        }
-        if not diff.is_zero():
-            exps, coeff = diff.terms()[0]
-            row["first_difference"] = {
-                "exponents": list(exps),
-                "coeff": coeff,
-            }
-        rows.append(row)
-    return FiltrationReport(
-        n=n, a=a, b=b, p=p, hypothesis_met=(a - b >= p - 1), rows=rows
-    )
-
-
-@dataclass
-class LeadTermReport:
+def check_lead_terms(n: int, a: int, b: int, p: int) -> tuple[str, dict]:
     """Whether every p-semistandard tableau monomial occurs among the
-    leading monomials of the b-th truncated ideal power in bidegree (a, b)."""
-
-    n: int
-    a: int
-    b: int
-    p: int
-    hypothesis_met: bool
-    expected: list[tuple[tuple[int, ...], tuple[int, ...]]]
-    pivots: list[tuple[tuple[int, ...], tuple[int, ...]]]
-    missing: list[tuple[tuple[int, ...], tuple[int, ...]]]
-
-    @property
-    def agree(self) -> bool:
-        return not self.missing
-
-    def to_payload(self) -> dict:
-        return {
-            "hypothesis_met": self.hypothesis_met,
-            "expected_count": len(self.expected),
-            "pivot_count": len(self.pivots),
-            "missing": [list(map(list, m)) for m in self.missing],
-        }
-
-
-def check_lead_terms(n: int, a: int, b: int, p: int) -> LeadTermReport:
+    leading monomials of the b-th truncated ideal power in bidegree (a, b),
+    as (status, payload).  The stated hypothesis is a - b >= p - 1; outside
+    it the comparison is reported as comparison_agrees, inside it the
+    witness is the first missing monomial."""
     slc = ideal_power_slice(n, a, b, b, True, p)
     pivots = {(mono.x_exponents, mono.y_exponents) for mono in leading_monomials(slc)}
     expected = {
         (mono.x_exponents, mono.y_exponents)
         for mono in (tableau_monomial(t, n) for t in enumerate_pssyt(n, a, b, p))
     }
-    return LeadTermReport(
-        n=n, a=a, b=b, p=p, hypothesis_met=(a - b >= p - 1),
-        expected=sorted(expected), pivots=sorted(pivots),
-        missing=sorted(expected - pivots),
-    )
+    missing = [list(map(list, m)) for m in sorted(expected - pivots)]
+    payload = {
+        "hypothesis_met": a - b >= p - 1,
+        "expected_count": len(expected),
+        "pivot_count": len(pivots),
+        "missing": missing,
+    }
+    if not payload["hypothesis_met"]:
+        payload["comparison_agrees"] = not missing
+        return OUTSIDE, payload
+    if not missing:
+        return AGREE, payload
+    payload["witness"] = {"missing_monomial": missing[0]}
+    return DISAGREE, payload

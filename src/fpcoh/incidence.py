@@ -11,14 +11,13 @@ multidegree m).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .characters import LaurentPolynomial, nim_poly, schur2, schur2_trunc
 from .combinatorics import compositions, decreasing_compositions, orbit
-from .linalg import PrimeFieldMatrix
+from .linalg import PrimeFieldMatrix, check_modulus
 
 
 class UnsupportedRegimeError(ValueError):
@@ -44,13 +43,6 @@ class LocalCohElement:
 class CohomologyCharacterPair:
     h0: LaurentPolynomial
     h1: LaurentPolynomial
-
-
-def module_dimension(n: int, d: int, e: int) -> int:
-    """Dimension of the span of x^b / y^(1+a), |a| = d, |b| = e."""
-    if d < 0 or e < 0:
-        return 0
-    return math.comb(n + d - 1, d) * math.comb(n + e - 1, e)
 
 
 def block_basis(n: int, d: int, e: int, m) -> list[LocalCohElement]:
@@ -98,6 +90,7 @@ def h_characters(
     unless symmetry_reduce is off; a representative's kernel and cokernel
     dimensions hold on its whole orbit.
     """
+    check_modulus(p)
     if n < 2:
         raise ValueError("need at least two variables")
     if d < 0:
@@ -190,11 +183,3 @@ def h1_char2_char(n: int, d: int, e: int) -> LaurentPolynomial:
         trunc = schur2_trunc(e - (2 * m - 1) * q, d - (2 * m + 1) * q, q, n)
         out = out + twist * trunc
     return out
-
-
-def rbar_like_character(n: int, d: int, e: int) -> LaurentPolynomial:
-    """Character of the full (d, e) block family: h_d h_e t_1...t_n."""
-    from .characters import h
-
-    ones = LaurentPolynomial(n, {(1,) * n: 1})
-    return h(d, n) * h(e, n) * ones

@@ -97,12 +97,11 @@ class PrimeFieldMatrix:
     def transpose(self) -> "PrimeFieldMatrix":
         return PrimeFieldMatrix(self.p, self._data.T)
 
-    def rank(self, dense_threshold: int | None = None) -> int:
+    def rank(self) -> int:
         if self._rank_cache is None:
-            limit = DENSE_COLUMN_THRESHOLD if dense_threshold is None else dense_threshold
             if min(self.shape) == 0:
                 self._rank_cache = 0
-            elif self.cols >= limit:
+            elif self.cols >= DENSE_COLUMN_THRESHOLD:
                 self._rank_cache = _sparse_rank(self._data, self.p)
             else:
                 self._rank_cache = _dense_rank(self._data.copy(), self.p)
@@ -261,24 +260,6 @@ def rref_with_order(
         pivots.append(c)
         r += 1
     return PrimeFieldMatrix(p, a), pivots
-
-
-def kernel_basis(m: PrimeFieldMatrix) -> list[tuple[int, ...]]:
-    """Basis of the right null space, one vector per free column."""
-    reduced, pivots = rref_with_order(m, list(range(m.cols)))
-    a = reduced.to_array()
-    p = reduced.p
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [0] * m.cols
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-int(a[r, f])) % p
-        basis.append(tuple(v))
-    return basis
 
 
 class IntegerMatrix:

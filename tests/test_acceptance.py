@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from fpcoh import cli
-from fpcoh.characters import h, nim_poly, schur2, schur2_trunc, tableau_sum
+from fpcoh.characters import h, nim_poly, schur2, schur2_trunc
 from fpcoh.combinatorics import TwoRowTableau, enumerate_pssyt, enumerate_ssyt
 from fpcoh.complexes import (
     build_complex,
@@ -23,7 +23,6 @@ from fpcoh.complexes import (
 )
 from fpcoh.determinantal import (
     check_lead_terms,
-    filtration_character,
     ideal_power_slice,
     leading_monomials,
     tableau_monomial,
@@ -35,7 +34,9 @@ from fpcoh.incidence import (
     h_characters,
     omega_block,
 )
-from fpcoh.linalg import PrimeFieldMatrix, kernel_basis, matmul_mod
+from fpcoh.linalg import PrimeFieldMatrix, matmul_mod
+from fpcoh.verdicts import AGREE
+from helpers import filtration_character, kernel_basis, tableau_sum
 
 
 def criterion(number, label):
@@ -119,9 +120,9 @@ def test_criterion_05():
     for w0 in range(1, 5):
         for d in range(0, 7):
             for p in (2, 3):
-                rep = check_involution(w0, d, p)
-                assert rep.agree_ranks, (w0, d, p)
-                assert rep.agree, (w0, d, p)
+                status, payload = check_involution(w0, d, p)
+                assert payload["agree_ranks"], (w0, d, p)
+                assert status == AGREE, (w0, d, p)
 
 
 @criterion(6, "stable hook cohomology tables, including the d = 0 case")
@@ -229,8 +230,8 @@ def test_criterion_12():
                 assert pivots == expected, (n, a, b)
     # containment verdicts at p = 2, small sizes: agree, exit 0
     for n, a, b in ((2, 2, 1), (3, 2, 1), (3, 3, 1), (3, 3, 2)):
-        rep = check_lead_terms(n, a, b, 2)
-        assert rep.hypothesis_met and rep.agree, (n, a, b)
+        status, payload = check_lead_terms(n, a, b, 2)
+        assert payload["hypothesis_met"] and status == AGREE, (n, a, b)
         code = cli.main([
             "det", "lead-terms", "--n", str(n), "--a", str(a),
             "--b", str(b), "--prime", "2",

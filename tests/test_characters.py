@@ -13,9 +13,9 @@ from fpcoh.characters import (
     nim_poly,
     schur2,
     schur2_trunc,
-    tableau_sum,
 )
 from fpcoh.combinatorics import TwoRowTableau, enumerate_pssyt, enumerate_ssyt, nim_sum
+from helpers import tableau_sum
 
 
 def test_construction_drops_zeros():

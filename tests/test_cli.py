@@ -100,6 +100,105 @@ def test_filtration_compare_beyond_min_bidegree_is_a_parameter_error(flags, caps
     assert cli.main(["det", "filtration", *flags]) == 0  # the quotient itself is fine
 
 
+# Each check is forced to disagree by corrupting one input it reads; the
+# witness is the one the check's rule picks from that corrupted data.
+
+
+def _single_verdict(argv, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code = cli.main([*argv, "--json", str(report)])
+    capsys.readouterr()
+    (verdict,) = json.loads(report.read_text())["verdicts"]
+    return code, verdict
+
+
+def test_involution_rank_mismatch_witness(tmp_path, capsys, monkeypatch):
+    from fpcoh import complexes
+
+    exact = complexes.min_power_exceeding
+    monkeypatch.setattr(complexes, "min_power_exceeding", lambda p, b: exact(p, b) + 1)
+    code, verdict = _single_verdict(
+        ["complex", "involution", "--w0", "1", "--d", "2", "--primes", "2"], tmp_path, capsys)
+    assert code == 2
+    assert verdict["status"] == DISAGREE
+    assert verdict["payload"]["witness"] == {"degree": 1, "direct": 0, "shifted": 1}
+
+
+def test_involution_smith_mismatch_witness(tmp_path, capsys, monkeypatch):
+    from fpcoh import complexes
+
+    monkeypatch.setattr(complexes, "smith_invariants", lambda m: (m.entry(0, 0),))
+    code, verdict = _single_verdict(
+        ["complex", "involution", "--w0", "1", "--d", "2", "--primes", "2"], tmp_path, capsys)
+    assert code == 2
+    assert verdict["status"] == DISAGREE
+    assert verdict["payload"]["agree_ranks"] is True
+    assert verdict["payload"]["witness"] == {"smith_direct": [[2], [3]],
+                                             "smith_negated": [[-4], [-3]]}
+
+
+def test_ses_check_failing_row_witness(tmp_path, capsys, monkeypatch):
+    from fpcoh import complexes
+
+    exact = complexes.homology_dims
+
+    def inflated(cx):  # the whole complex only, not its two sides or the contraction
+        h = exact(cx)
+        if cx.d < 3:
+            return h
+        return complexes.PoincarePolynomial(tuple(c + 10 for c in h.coefficients))
+
+    monkeypatch.setattr(complexes, "homology_dims", inflated)
+    code, verdict = _single_verdict(
+        ["complex", "ses-check", "--weights", "1,1,1,1", "--split", "1", "--prime", "2"],
+        tmp_path, capsys)
+    assert code == 2
+    assert verdict["status"] == DISAGREE
+    assert verdict["payload"]["witness"] == {"degree": 0, "homology": 11, "bound": 1,
+                                             "ok": False}
+
+
+def test_periodicity_first_differing_degree_witness(tmp_path, capsys, monkeypatch):
+    from fpcoh import complexes
+
+    exact = complexes.homology_dims
+
+    def shifted_up(cx):
+        h = exact(cx)
+        if cx.weights[0] == 1:
+            return h
+        return complexes.PoincarePolynomial(tuple(c + 1 for c in h.coefficients))
+
+    monkeypatch.setattr(complexes, "homology_dims", shifted_up)
+    code, verdict = _single_verdict(
+        ["stable", "periodicity", "--w0", "1", "--d", "3", "--prime", "2", "--r", "2"],
+        tmp_path, capsys)
+    assert code == 2
+    assert verdict["status"] == DISAGREE
+    assert verdict["payload"]["witness"] == {"degree": 0, "base": 1, "shifted": 2}
+
+
+@pytest.mark.parametrize("prime, status, extra", [
+    ("2", DISAGREE, {"witness": {"missing_monomial": [[2, 0, 0], [1, 0, 0]]}}),
+    ("5", OUTSIDE, {"comparison_agrees": False}),  # a - b = 1 < p - 1
+])
+def test_lead_terms_missing_monomial(prime, status, extra, tmp_path, capsys, monkeypatch):
+    from fpcoh import determinantal
+    from fpcoh.combinatorics import TwoRowTableau
+
+    exact = determinantal.enumerate_pssyt
+    monkeypatch.setattr(determinantal, "enumerate_pssyt",
+                        lambda *args: exact(*args) + [TwoRowTableau((1, 1), (1,))])
+    code, verdict = _single_verdict(
+        ["det", "lead-terms", "--n", "3", "--a", "2", "--b", "1", "--prime", prime],
+        tmp_path, capsys)
+    assert code == 2
+    assert verdict["status"] == status
+    assert verdict["payload"]["missing"] == [[[2, 0, 0], [1, 0, 0]]]
+    payload = verdict["payload"]
+    assert {k: payload[k] for k in ("witness", "comparison_agrees") if k in payload} == extra
+
+
 def run_module(*args):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     return subprocess.run([sys.executable, "-m", "fpcoh", *args], capture_output=True,
@@ -476,13 +575,32 @@ def test_empty_sweep_is_a_parameter_error(tmp_path, capsys):
     ["complex", "homology", "--weights", "1,1", "--prime", "0"],
     ["complex", "theorem", "--d", "2", "--primes", "0"],
     ["stable", "hook", "--w0", "1", "--d", "2", "--prime", "0"],
+    # d + e = -1: the scan meets no block, so no matrix would check the prime
+    ["incidence", "chars", "--n", "3", "--d", "0", "--e", "-1", "--prime", "4"],
+    ["incidence", "chars", "--n", "3", "--d", "0", "--e", "-1", "--prime", "1"],
 ])
 def test_prime_zero_is_a_parameter_error(command, capsys):
     code = cli.main(command)
     captured = capsys.readouterr()
     assert code == 1
-    assert "parameter error: modulus 0 is not prime" in captured.err
+    assert f"parameter error: modulus {command[-1]} is not prime" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["det", "lead-terms", "--n", "0", "--a", "3", "--b", "1", "--prime", "2"],
+    ["det", "filtration", "--n", "0", "--a", "3", "--b", "1", "--i", "0", "--prime", "2"],
+])
+def test_zero_variables_is_a_parameter_error(command, capsys, tmp_path):
+    report = tmp_path / "report.json"
+    code = cli.main([*command, "--json", str(report)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "parameter error: need at least one variable" in captured.err
+    assert captured.out == ""
+    assert not report.exists()
+    one_variable = [*command[:3], "1", *command[4:]]
+    assert cli.main(one_variable) == 0
 
 
 @pytest.mark.parametrize("extra", [[], ["--q", "2"]])

@@ -16,12 +16,21 @@ from fpcoh.combinatorics import (
     enumerate_ssyt,
     interval_data,
     is_p_semistandard,
-    is_semistandard,
     nim_sum,
     orbit,
     p_index,
     p_index_total,
 )
+
+
+def is_semistandard(t):
+    """Weakly increasing rows and strictly increasing columns."""
+    u, v = t.top, t.bottom
+    if any(u[i] > u[i + 1] for i in range(len(u) - 1)):
+        return False
+    if any(v[i] > v[i + 1] for i in range(len(v) - 1)):
+        return False
+    return all(u[i] < v[i] for i in range(len(v)))
 
 
 def falling_binom(m, k):

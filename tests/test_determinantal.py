@@ -16,10 +16,8 @@ from fpcoh.combinatorics import (
 )
 from fpcoh.determinantal import (
     BigradedMonomial,
-    check_iadic_conjecture,
     check_lead_terms,
     expand_minor_product,
-    filtration_character,
     ideal_power_slice,
     leading_monomials,
     minor_pairs,
@@ -27,6 +25,8 @@ from fpcoh.determinantal import (
     tableau_monomial,
 )
 from fpcoh.linalg import PrimeFieldMatrix, rref_with_order
+from fpcoh.verdicts import AGREE, OUTSIDE
+from helpers import filtration_character
 
 
 def test_bigraded_monomial():
@@ -196,49 +196,51 @@ def test_rbar_character_values():
 
 
 def test_iadic_check_agrees_in_hypothesis():
-    rep = check_iadic_conjecture(3, 2, 1, 2)
-    assert rep.hypothesis_met
-    assert rep.agree
-    assert [r["power"] for r in rep.rows] == [0, 1]
-    rep = check_iadic_conjecture(2, 3, 1, 3)
-    assert rep.hypothesis_met
-    assert rep.agree
+    # every truncated quotient i = 0..b against the Schur character of (a + b - i, i)
+    for n, a, b, p in ((3, 2, 1, 2), (2, 3, 1, 3)):
+        assert a - b >= p - 1
+        slices = slice_characters(n, a, b, range(b + 2), True, p)
+        assert sorted(slices) == list(range(b + 2))
+        for i in range(b + 1):
+            assert slices[i] - slices[i + 1] == schur2_trunc(a + b - i, i, p, n), (n, a, b, i)
 
 
 def test_iadic_check_negative_control():
     # a - b = 0 < p - 1 fails, and the characters genuinely differ
-    rep = check_iadic_conjecture(3, 1, 1, 2)
-    assert not rep.hypothesis_met
-    assert not rep.agree
-    row = rep.rows[0]
-    assert row["computed_dim"] == 6
-    assert row["target_dim"] == 3
-    assert "first_difference" in row
-    assert rep.to_payload()["hypothesis_met"] is False
+    n, a, b, p = 3, 1, 1, 2
+    assert not a - b >= p - 1
+    slices = slice_characters(n, a, b, range(b + 2), True, p)
+    quotient = slices[0] - slices[1]
+    target = schur2_trunc(a + b, 0, p, n)
+    assert quotient != target
+    assert quotient.dimension() == 6
+    assert target.dimension() == 3
+    assert (quotient - target).terms()
 
 
 def test_lead_term_check_truncated():
-    rep = check_lead_terms(3, 2, 1, 2)
-    assert rep.hypothesis_met
-    assert rep.agree
-    assert len(rep.expected) == 8
-    assert rep.missing == []
+    status, payload = check_lead_terms(3, 2, 1, 2)
+    assert payload["hypothesis_met"]
+    assert status == AGREE
+    assert payload["expected_count"] == 8
+    assert payload["missing"] == []
 
 
 def test_lead_term_check_matches_classical_at_large_p():
-    rep = check_lead_terms(3, 2, 1, 11)
-    assert rep.agree
-    assert len(rep.expected) == len(list(enumerate_ssyt(3, 2, 1)))
-    assert len(rep.expected) == len(list(enumerate_pssyt(3, 2, 1, 11)))
+    status, payload = check_lead_terms(3, 2, 1, 11)  # a - b < p - 1
+    assert status == OUTSIDE
+    assert payload["comparison_agrees"] is True
+    assert payload["expected_count"] == len(list(enumerate_ssyt(3, 2, 1)))
+    assert payload["expected_count"] == len(list(enumerate_pssyt(3, 2, 1, 11)))
 
 
 def test_lead_term_small_grid_char_two():
     for n in (2, 3):
         for a in range(1, 4):
             for b in range(0, min(a - 1, 2) + 1):
-                rep = check_lead_terms(n, a, b, 2)
-                assert rep.hypothesis_met, (n, a, b)
-                assert rep.agree, (n, a, b)
+                status, payload = check_lead_terms(n, a, b, 2)
+                assert payload["hypothesis_met"], (n, a, b)
+                assert status == AGREE, (n, a, b)
 
 
 def test_slice_validation():
@@ -281,7 +283,8 @@ def oracle_blocks(n, a, b, i, truncated, p):
 
 def assert_pass_matches_oracle(n, a, b, truncated, p):
     """Per-power block ranks and leading monomials of the pass against the
-    oracle's full matrices, and the i-adic rows against their differences."""
+    oracle's full matrices, and truncated quotients of two-power passes
+    against their differences."""
     top = min(a, b) + 1
     chars = slice_characters(n, a, b, range(top + 1), truncated, p)
     want = {}
@@ -296,12 +299,9 @@ def assert_pass_matches_oracle(n, a, b, truncated, p):
         slc = ideal_power_slice(n, a, b, i, truncated, p)
         assert leading_monomials(slc) == leads, (n, a, b, i, truncated, p)
     if truncated and b <= a:
-        rows = check_iadic_conjecture(n, a, b, p).rows
-        assert [row["power"] for row in rows] == list(range(b + 1))
-        for i, row in enumerate(rows):
+        for i in range(b + 1):
             quotient = want[i] - want[i + 1]
-            assert row["computed_dim"] == quotient.dimension(), (n, a, b, p, i)
-            assert row["ok"] == (quotient == schur2_trunc(a + b - i, i, p, n))
+            assert filtration_character(n, a, b, i, True, p) == quotient, (n, a, b, p, i)
 
 
 def test_pass_matches_full_generator_matrices():

@@ -17,13 +17,24 @@ from fpcoh.incidence import (
     h1_small_weight_char,
     h1_window_char,
     h_characters,
-    module_dimension,
     omega_block,
-    rbar_like_character,
     small_weights_hypothesis,
     window_hypothesis,
 )
-from fpcoh.linalg import kernel_basis
+from helpers import kernel_basis
+
+
+def module_dimension(n, d, e):
+    """Dimension of the span of x^b / y^(1+a), |a| = d, |b| = e."""
+    if d < 0 or e < 0:
+        return 0
+    return math.comb(n + d - 1, d) * math.comb(n + e - 1, e)
+
+
+def rbar_like_character(n, d, e):
+    """Character of the full (d, e) block family: h_d h_e t_1...t_n."""
+    ones = LaurentPolynomial(n, {(1,) * n: 1})
+    return h(d, n) * h(e, n) * ones
 
 
 def multidegrees(n, total):

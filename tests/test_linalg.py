@@ -14,11 +14,11 @@ from fpcoh.linalg import (
     _dense_rank,
     _sparse_rank,
     is_prime,
-    kernel_basis,
     matmul_mod,
     rref_with_order,
     smith_invariants,
 )
+from helpers import kernel_basis
 
 
 def reference_rank(rows, p):
