@@ -16,9 +16,9 @@ carries a witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
@@ -27,10 +27,16 @@ from .linalg import (
     SMITH_SIZE_LIMIT,
     IntegerMatrix,
     PrimeFieldMatrix,
+    chain_ranks,
     check_modulus,
     smith_invariants,
 )
 from .verdicts import AGREE, DISAGREE
+
+# Building and ranking a complex take about 100 bytes of peak RSS per
+# boundary nonzero (64-81 MB at d = 16, with d*2^(d-1) = 524 288 of them;
+# 183 MB for all-ones d = 18), so a 512 MiB budget allows d <= 19.
+MAX_COMPLEX_NONZEROS = 2**29 // 100
 
 
 @dataclass(frozen=True)
@@ -132,11 +138,13 @@ def _masks_by_size(d: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass
 class ChainComplex:
-    """Weighted path complex; boundaries[k-1] is the map from degree k to k-1."""
+    """Weighted path complex; columns[k-1][c] holds the nonzero (row,
+    coefficient) pairs of column c of d_k, the map from degree k to k-1."""
 
     weights: WeightSequence
     p: int | None
-    boundaries: tuple
+    columns: tuple
+    _ranks: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -151,9 +159,17 @@ class ChainComplex:
         return tuple(math.comb(self.d, k) for k in range(self.d + 1))
 
     def differential(self, k: int):
+        """d_k as a new IntegerMatrix over Z or PrimeFieldMatrix over Z/p."""
         if not 1 <= k <= self.d:
             raise ValueError(f"no differential in degree {k}")
-        return self.boundaries[k - 1]
+        a = np.zeros((self.dimension(k - 1), self.dimension(k)),
+                     dtype=object if self.p is None else np.int64)
+        for c, col in enumerate(self.columns[k - 1]):
+            for r, x in col:
+                a[r, c] = x
+        if self.p is None:
+            return IntegerMatrix(a.tolist())
+        return PrimeFieldMatrix.from_reduced(self.p, a)
 
     def basis(self, k: int) -> tuple[int, ...]:
         return _masks_by_size(self.d)[k]
@@ -162,21 +178,27 @@ class ChainComplex:
         """Rank of each differential, degree 1 through d; needs a prime field."""
         if self.p is None:
             raise ValueError("rank table requires a prime field complex")
-        return tuple(m.rank() for m in self.boundaries)
+        if self._ranks is None:
+            self._ranks = chain_ranks(self.columns, self.p)
+        return self._ranks
 
 
-def build_complex(w, p: int | None = None, verify: bool = True) -> ChainComplex:
+def build_complex(w, p: int | None = None) -> ChainComplex:
     """Construct the complex over Z (p=None) or over Z/p.
 
-    Each boundary is assembled from its nonzeros: the column of a k-cell
-    holds one (row, coefficient) pair per edge it contains, reduced mod p
-    over Z/p.  With verify=True, d_{k-1} d_k = 0 is checked exactly on
-    these column lists, one column of d_k at a time, over Z or mod p.
+    Each boundary is kept as its column lists: the column of a k-cell holds
+    one (row, coefficient) pair per edge it contains, reduced mod p over Z/p
+    and dropped when zero.  d_{k-1} d_k = 0 is checked exactly on these
+    lists, one column of d_k at a time, over Z or mod p; the ranks over Z/p
+    rely on it.  Sizes past MAX_COMPLEX_NONZEROS are refused up front.
     """
     if p is not None:
         check_modulus(p)
     ws = WeightSequence.of(w)
     d = ws.d
+    if (nonzeros := d * 2**d // 2) > MAX_COMPLEX_NONZEROS:
+        raise ValueError(f"d = {d} gives d*2^(d-1) = {nonzeros} boundary nonzeros, "
+                         f"over the budget of {MAX_COMPLEX_NONZEROS}")
     cum = [0, *accumulate(ws.entries)]
     masks = _masks_by_size(d)
     binom = lru_cache(maxsize=None)(binom_int)
@@ -199,23 +221,15 @@ def build_complex(w, p: int | None = None, verify: bool = True) -> ChainComplex:
                 for j in range(lo, hi + 1):
                     c = binom(cum[hi + 1] - cum[lo - 1], cum[hi + 1] - cum[j])
                     c = -c if missing & 1 else c
-                    col.append((row_index[mask ^ (1 << (j - 1))], c if p is None else c % p))
+                    if p is not None:
+                        c %= p
+                    if c:
+                        col.append((row_index[mask ^ (1 << (j - 1))], c))
                 j = hi + 1
             cols.append(col)
         columns.append(cols)
-    if verify:
-        _verify_square_zero(columns, p)
-    boundaries = tuple(
-        _boundary(len(masks[k - 1]), cols, p) for k, cols in enumerate(columns, 1)
-    )
-    return ChainComplex(ws, p, boundaries)
-
-
-def _boundary(nrows: int, cols: list, p: int | None):
-    a = np.zeros((nrows, len(cols)), dtype=object if p is None else np.int64)
-    rows, values = zip(*chain.from_iterable(cols))
-    a[rows, [c for c, col in enumerate(cols) for _ in col]] = values
-    return IntegerMatrix(a.tolist()) if p is None else PrimeFieldMatrix.from_reduced(p, a)
+    _verify_square_zero(columns, p)
+    return ChainComplex(ws, p, tuple(columns))
 
 
 def _verify_square_zero(columns: list, p: int | None) -> None:
@@ -281,8 +295,8 @@ def check_involution(w0: int, d: int, p: int) -> tuple[str, dict]:
     if math.comb(d, d // 2) <= SMITH_SIZE_LIMIT:
         za = build_complex(_hook_weights(w0, d), None)
         zb = build_complex((-w0 - 2 * d,) + (1,) * d, None)
-        smith_a = [list(smith_invariants(m)) for m in za.boundaries]
-        smith_b = [list(smith_invariants(m)) for m in zb.boundaries]
+        smith_a = [list(smith_invariants(za.differential(k))) for k in range(1, d + 1)]
+        smith_b = [list(smith_invariants(zb.differential(k))) for k in range(1, d + 1)]
     agree_ranks = ranks_a == ranks_b == ranks_c
     agree_smith = None if smith_a is None else smith_a == smith_b
     payload = {

@@ -1,9 +1,10 @@
 """Exact linear algebra over prime fields and over the integers.
 
-Matrices over Z/p are stored densely as int64 arrays; p must be prime and
-below 2**31 so that a product of two residues fits in a signed 64-bit word.
-Rank computations switch from dense Gaussian elimination to a Markowitz-style
-sparse elimination once the column count reaches DENSE_COLUMN_THRESHOLD.
+`PrimeFieldMatrix` stores a matrix over Z/p densely as an int64 array; p must
+be prime and below 2**31 so that a product of two residues fits in a signed
+64-bit word.  Its rank switches from dense Gaussian elimination to a
+Markowitz-style sparse elimination at DENSE_COLUMN_THRESHOLD columns.
+`chain_ranks` ranks a chain complex from sparse column lists, with no matrix.
 """
 
 from __future__ import annotations
@@ -226,6 +227,40 @@ def _densified_rank(rows: dict[int, dict[int, int]], col_rows: dict[int, set[int
         for c, v in row.items():
             sub[k, col_index[c]] = v
     return _dense_rank(sub, p)
+
+
+def chain_ranks(columns, p: int) -> tuple[int, ...]:
+    """Ranks over Z/p of d_1, ..., d_n, where columns[k-1][c] lists the
+    nonzero (row, residue) pairs of column c of d_k, the rows of d_k are the
+    columns of d_(k-1), and d∘d = 0.  Columns are reduced by lowest-row
+    pivots from d_n down, with clearing (Chen–Kerber, "Persistent homology
+    computation with a twist", 2011): the reduced columns of d_(k+1) are
+    cycles spanning its image, triangular on their pivot rows, so the
+    columns of d_k at those rows depend on lower ones and are skipped."""
+    ranks = []
+    cleared: dict = {}
+    for cols in reversed(columns):
+        pivots: dict[int, dict[int, int]] = {}  # pivot row -> its column, scaled to 1 there
+        for c, col in enumerate(cols):
+            if c in cleared:
+                continue
+            v = dict(col)
+            while v:
+                low = max(v)
+                pivot = pivots.get(low)
+                if pivot is None:
+                    inv = pow(v[low], -1, p)
+                    pivots[low] = {r: x * inv % p for r, x in v.items()}
+                    break
+                f = v[low]
+                for r, x in pivot.items():
+                    if y := (v.get(r, 0) - f * x) % p:
+                        v[r] = y
+                    else:  # a zero here was a nonzero of v: f * x is a unit
+                        del v[r]
+        ranks.append(len(pivots))
+        cleared = pivots
+    return tuple(reversed(ranks))
 
 
 def rref_with_order(

@@ -253,7 +253,7 @@ def test_criterion_13():
         d = rng.randint(1, 5)
         w = (rng.randint(-6, 8),) + tuple(rng.randint(0, 4) for _ in range(d))
         p = rng.choice([2, 3, 5, 7])
-        cx = build_complex(w, p, verify=False)
+        cx = build_complex(w, p)
         for k in range(2, d + 1):
             prod = matmul_mod(
                 cx.differential(k - 1).to_array(), cx.differential(k).to_array(), p

@@ -248,6 +248,17 @@ def test_parameter_error_exits_one(capsys):
     assert "parameter error" in err
 
 
+def test_oversized_complex_exits_one_at_once(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    t0 = time.perf_counter()
+    code = cli.main(["complex", "theorem", "--d", "40", "--primes", "2", "--json", str(path)])
+    assert time.perf_counter() - t0 < 1.0
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "parameter error" in err and "over the budget" in err
+    assert out == "" and not path.exists()
+
+
 def test_json_document_shape(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = cli.main([

@@ -2,10 +2,12 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fpcoh import complexes
 from fpcoh.complexes import (
     ChainComplex,
     PoincarePolynomial,
@@ -20,7 +22,7 @@ from fpcoh.complexes import (
     stable_hook_cohomology,
 )
 from fpcoh.combinatorics import binom_int, interval_data
-from fpcoh.linalg import matmul_mod
+from fpcoh.linalg import DENSE_COLUMN_THRESHOLD, _dense_rank, chain_ranks, matmul_mod
 from fpcoh.verdicts import AGREE
 
 
@@ -98,7 +100,7 @@ def test_square_zero_on_random_weights():
         w0 = rng.randint(-8, 8)
         w = (w0,) + tuple(rng.randint(0, 4) for _ in range(d))
         p = rng.choice([2, 3, 5, 7])
-        cx = build_complex(w, p)  # verify=True checks d∘d = 0 internally
+        cx = build_complex(w, p)  # build_complex checks d∘d = 0 internally
         for k in range(2, d + 1):
             a = cx.differential(k - 1).to_array()
             b = cx.differential(k).to_array()
@@ -150,18 +152,72 @@ def test_boundaries_match_entry_oracle():
                 assert cx.differential(k).row_lists() == expected, (w, p, k)
 
 
+def _differentials(cx):
+    return [cx.differential(k) for k in range(1, cx.d + 1)]
+
+
 def test_square_zero_check_catches_a_wrong_coefficient(monkeypatch):
     w = (2, 1, 1, 1)
-    honest = build_complex(w, verify=False)
+    honest = build_complex(w)
     monkeypatch.setattr(
         "fpcoh.complexes.binom_int",
         lambda m, k: binom_int(m, k) + ((m, k) == (4, 2)),
     )
-    assert build_complex(w, verify=False).boundaries != honest.boundaries
     for p in (None, 2, 3, 5, 7):
         with pytest.raises(AssertionError, match="nonzero at degree"):
             build_complex(w, p)
-        build_complex(w, p, verify=False)
+    # with the check switched off the same wrong complex builds
+    monkeypatch.setattr(complexes, "_verify_square_zero", lambda columns, p: None)
+    assert _differentials(build_complex(w)) != _differentials(honest)
+    for p in (None, 2, 3, 5, 7):
+        build_complex(w, p)
+
+
+def test_ranks_match_dense_elimination():
+    rng = random.Random(8)
+    for _ in range(150):
+        d = rng.randint(1, 9)
+        w = (rng.randint(-12, 8),) + tuple(rng.randint(0, 4) for _ in range(d))
+        p = rng.choice([2, 3, 5, 7, 97])
+        cx = build_complex(w, p)
+        expected = tuple(_dense_rank(m.to_array(), p) for m in _differentials(cx))
+        assert cx.ranks() == expected, (w, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_all_ones_ranks_match_sparse_matrix_rank(p):
+    cx = build_complex((1,) * 13, p)
+    matrices = _differentials(cx)
+    assert max(m.cols for m in matrices) >= DENSE_COLUMN_THRESHOLD
+    assert cx.ranks() == tuple(m.rank() for m in matrices)
+
+
+def test_ranks_run_once_per_complex(monkeypatch):
+    calls = []
+    monkeypatch.setattr(complexes, "chain_ranks",
+                        lambda columns, p: calls.append(p) or chain_ranks(columns, p))
+    cx = build_complex((1,) * 6, 3)
+    homology_dims(cx)
+    assert cx.ranks() == cx.ranks()
+    assert calls == [3]
+
+
+def test_all_ones_d12_homology_stays_small():
+    tracemalloc.start()
+    try:
+        homology_dims(build_complex((1,) * 13, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
+def test_oversized_complex_is_refused_before_enumeration(monkeypatch):
+    monkeypatch.setattr(complexes, "_masks_by_size", None)  # any enumeration would fail
+    with pytest.raises(ValueError, match="over the budget"):
+        build_complex((1,) * 41, 2)
+    d = 16
+    assert d * 2 ** (d - 1) <= complexes.MAX_COMPLEX_NONZEROS
 
 
 def test_negative_head_weight_entries():
