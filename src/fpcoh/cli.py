@@ -188,6 +188,8 @@ def _cmd_complex_theorem(ns):
 
 
 def _cmd_complex_involution(ns):
+    if ns.d < 1:  # d = 0 compares empty rank lists
+        raise ValueError(f"need d >= 1, got d = {ns.d}")
     params = {"w0": ns.w0, "d": ns.d, "primes": list(ns.primes)}
     verdicts = [
         _timed("hook-involution", {"w0": ns.w0, "d": ns.d, "prime": p},
@@ -343,6 +345,8 @@ def _cmd_char_nim(ns):
 def _cmd_char_schur(ns):
     if ns.a < ns.b:
         raise ValueError("--a must be at least --b for a two-row shape")
+    if ns.b < 0:
+        raise ValueError("--b must be non-negative")
     params = {"a": ns.a, "b": ns.b, "n": ns.n}
     if ns.q is not None:
         params["q"] = ns.q

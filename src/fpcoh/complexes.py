@@ -406,6 +406,8 @@ def check_stable_periodicity_hook(w0: int, d: int, p: int, r: int) -> tuple[str,
     """Compare hook homology before and after adding q = p^r to the first
     column size; q must exceed d.  The witness is the first degree where
     they differ."""
+    if w0 < 1 or d < 0:
+        raise ValueError("need w0 >= 1 and d >= 0")
     if r < 0:
         raise ValueError("r must be non-negative")
     q = p**r

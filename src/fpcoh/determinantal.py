@@ -40,7 +40,7 @@ from .combinatorics import (
     enumerate_pssyt,
     orbit,
 )
-from .linalg import PrimeFieldMatrix, check_modulus
+from .linalg import PrimeFieldMatrix, check_modulus, reduce_into
 from .verdicts import AGREE, DISAGREE, OUTSIDE
 
 Monomial = tuple  # exponent tuple of length 2n
@@ -98,52 +98,46 @@ def _code(exponents, base: int) -> int:
 
 class _Block:
     """Row echelon form over Z/p of the multidegree-m block.  Its columns
-    are its monomials, that is its power-0 generator specs, in decreasing
-    term order; an x-monomial fixes a monomial within the block, so
-    columns are found by the code of their x-exponents, and multiplying by
-    an x-monomial adds its code.  A row is stored under its pivot, scaled
-    to 1 there, as the entries after the pivot; the pivots are the leading
+    are its monomials, that is its power-0 generator specs, in increasing
+    term order, so the largest column of a row is its leading monomial; an
+    x-monomial fixes a monomial within the block, so columns are found by
+    the code of their x-exponents, and multiplying by an x-monomial adds its
+    code.  Rows are reduced by `linalg.reduce_into` and stored under their
+    largest column, scaled to 1 there; those columns are the leading
     monomials of the span."""
 
     def __init__(self, m: tuple[int, ...], monomial_specs: list, p: int) -> None:
-        specs = sorted(monomial_specs, key=itemgetter(2), reverse=True)
+        specs = sorted(monomial_specs, key=itemgetter(2))
         self.monomials = [x + tuple(map(sub, m, x)) for _, _, x in specs]
         self.p = p
         self._index = {code: c for c, (_, code, _) in enumerate(specs)}
-        self._rows: dict[int, list[int]] = {}  # pivot column -> entries after it
+        self._pivots: dict[int, dict[int, int]] = {}  # leading column -> row
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
     def saturated(self) -> bool:
-        return len(self._rows) == len(self.monomials)
+        return len(self._pivots) == len(self.monomials)
 
     def add(self, shift: int, terms) -> None:
         """Reduce the minor product `terms`, [(x-code, coefficient mod p)],
         times the x-monomial coded `shift`, and keep any remainder.  Terms
         outside the block's columns (truncated away) are dropped."""
-        p, rows, index = self.p, self._rows, self._index
-        vec = [0] * len(self.monomials)
+        index = self._index
+        v = {}
         for code, coeff in terms:
             c = index.get(shift + code)
             if c is not None:
-                vec[c] = coeff
-        for c, f in enumerate(vec):  # the slice updates below stay in place
-            if not f:
-                continue
-            tail = rows.get(c)
-            if tail is None:
-                inv = pow(f, -1, p)
-                rows[c] = [v * inv % p for v in vec[c + 1 :]]
-                return
-            vec[c + 1 :] = [(v - f * w) % p for v, w in zip(vec[c + 1 :], tail)]
+                v[c] = coeff
+        reduce_into(v, self._pivots, self.p)
 
     @cached_property
     def matrix(self) -> PrimeFieldMatrix:
-        """The echelon basis, one row per pivot in increasing column order."""
-        rows = [[0] * c + [1] + self._rows[c] for c in sorted(self._rows)]
-        data = np.array(rows, dtype=np.int64).reshape(self.rank, len(self.monomials))
+        """The echelon basis, one row per pivot."""
+        width = len(self.monomials)
+        rows = [[row.get(c, 0) for c in range(width)] for row in self._pivots.values()]
+        data = np.array(rows, dtype=np.int64).reshape(self.rank, width)
         return PrimeFieldMatrix.from_reduced(self.p, data)
 
 
@@ -261,7 +255,7 @@ def leading_monomials(slc: IdealPowerSlice) -> set[BigradedMonomial]:
     """Leading monomials of the row space: the pivots of each block's
     echelon basis."""
     n = slc.n
-    leads = (b.monomials[c] for b in slc.blocks.values() for c in b._rows)
+    leads = (b.monomials[c] for b in slc.blocks.values() for c in b._pivots)
     return {BigradedMonomial(mono[:n], mono[n:]) for mono in leads}
 
 

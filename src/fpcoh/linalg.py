@@ -2,22 +2,19 @@
 
 `PrimeFieldMatrix` stores a matrix over Z/p densely as an int64 array; p must
 be prime and below 2**31 so that a product of two residues fits in a signed
-64-bit word.  Its rank switches from dense Gaussian elimination to a
-Markowitz-style sparse elimination at DENSE_COLUMN_THRESHOLD columns.
-`chain_ranks` ranks a chain complex from sparse column lists, with no matrix.
+64-bit word.  Every F_p rank runs one sparse reduction loop, `reduce_into`:
+`chain_ranks` ranks a chain complex from sparse column lists, with no matrix,
+`PrimeFieldMatrix.rank` is `chain_ranks` on a single map, and the
+determinantal blocks feed their rows to it.  `rref_with_order` is a separate
+dense reduction with a chosen column order.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
+# No code branches on this width; it only names the wide matrices in traces.
 DENSE_COLUMN_THRESHOLD = 512
-
-# Fill ratio of the active submatrix at which sparse elimination hands the
-# remainder over to the dense routine.
-_DENSIFY_FILL_RATIO = 0.1
 
 SMITH_SIZE_LIMIT = 200
 
@@ -70,10 +67,6 @@ class PrimeFieldMatrix:
         m.p, m._data, m._rank_cache = p, data, None
         return m
 
-    @classmethod
-    def zeros(cls, p: int, rows: int, cols: int) -> "PrimeFieldMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
     @property
     def rows(self) -> int:
         return self._data.shape[0]
@@ -95,17 +88,13 @@ class PrimeFieldMatrix:
     def row_lists(self) -> list[list[int]]:
         return self._data.tolist()
 
-    def transpose(self) -> "PrimeFieldMatrix":
-        return PrimeFieldMatrix(self.p, self._data.T)
-
     def rank(self) -> int:
         if self._rank_cache is None:
-            if min(self.shape) == 0:
-                self._rank_cache = 0
-            elif self.cols >= DENSE_COLUMN_THRESHOLD:
-                self._rank_cache = _sparse_rank(self._data, self.p)
-            else:
-                self._rank_cache = _dense_rank(self._data.copy(), self.p)
+            rows, cols = np.nonzero(self._data)
+            columns = [[] for _ in range(self.cols)]
+            for r, c, x in zip(rows.tolist(), cols.tolist(), self._data[rows, cols].tolist()):
+                columns[c].append((r, x))
+            (self._rank_cache,) = chain_ranks([columns], self.p)
         return self._rank_cache
 
     def kernel_dimension(self) -> int:
@@ -123,110 +112,8 @@ class PrimeFieldMatrix:
             and bool(np.array_equal(self._data, other._data))
         )
 
-    def __hash__(self):
-        return hash((self.p, self.shape, self._data.tobytes()))
-
     def __repr__(self) -> str:
         return f"PrimeFieldMatrix(p={self.p}, shape={self.shape})"
-
-
-def _dense_rank(a: np.ndarray, p: int) -> int:
-    """Forward elimination; a is a writable int64 array already reduced mod p."""
-    m, n = a.shape
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        row = (a[r, c + 1 :] * inv) % p
-        idx = r + 1 + np.nonzero(a[r + 1 :, c])[0]
-        if idx.size:
-            # factor * row stays below 2**62 since both factors are < p < 2**31
-            a[idx, c + 1 :] = (a[idx, c + 1 :] - a[idx, c][:, None] * row) % p
-        r += 1
-    return r
-
-
-def _sparse_rank(data: np.ndarray, p: int) -> int:
-    """Markowitz-style elimination on dict-of-rows, densifying once fill grows.
-    Pivot columns come off a heap of (row count, column): a dropped count is
-    pushed at once, a count grown by fill-in when its stale entry surfaces."""
-    rows: dict[int, dict[int, int]] = {}
-    col_rows: dict[int, set[int]] = {}
-    nnz = 0
-    for i in range(data.shape[0]):
-        nz = np.nonzero(data[i])[0]
-        if nz.size:
-            rows[i] = {int(c): int(data[i, c]) for c in nz}
-            for c in nz:
-                col_rows.setdefault(int(c), set()).add(i)
-            nnz += int(nz.size)
-    heap = [(len(s), c) for c, s in col_rows.items()]
-    heapq.heapify(heap)
-
-    def dropped(col: int, s: set[int]) -> None:
-        if s:
-            heapq.heappush(heap, (len(s), col))
-        else:
-            del col_rows[col]
-
-    rank_count = 0
-    while rows and col_rows:
-        if nnz > _DENSIFY_FILL_RATIO * len(rows) * len(col_rows):
-            return rank_count + _densified_rank(rows, col_rows, p)
-        # cheapest column, then shortest row within it
-        n, c = heapq.heappop(heap)
-        while (count := len(col_rows.get(c, ()))) != n:
-            if count > n:
-                heapq.heappush(heap, (count, c))
-            n, c = heapq.heappop(heap)
-        i = min(col_rows[c], key=lambda ri: (len(rows[ri]), ri))
-        pivot = rows.pop(i)
-        inv = pow(pivot[c], -1, p)
-        scaled = {cc: (vv * inv) % p for cc, vv in pivot.items()}
-        for cc in pivot:
-            s = col_rows[cc]
-            s.discard(i)
-            dropped(cc, s)
-        nnz -= len(pivot)
-        targets = list(col_rows.get(c, ()))
-        for j in targets:
-            rj = rows[j]
-            f = rj[c]
-            for cc, vv in scaled.items():
-                new = (rj.get(cc, 0) - f * vv) % p
-                if new:
-                    if cc not in rj:
-                        nnz += 1
-                        col_rows.setdefault(cc, set()).add(j)
-                    rj[cc] = new
-                else:
-                    if cc in rj:
-                        del rj[cc]
-                        nnz -= 1
-                        s = col_rows[cc]
-                        s.discard(j)
-                        dropped(cc, s)
-            if not rj:
-                del rows[j]
-        rank_count += 1
-    return rank_count
-
-
-def _densified_rank(rows: dict[int, dict[int, int]], col_rows: dict[int, set[int]], p: int) -> int:
-    cols = sorted(col_rows)
-    col_index = {c: k for k, c in enumerate(cols)}
-    sub = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for k, row in enumerate(rows.values()):
-        for c, v in row.items():
-            sub[k, col_index[c]] = v
-    return _dense_rank(sub, p)
 
 
 def chain_ranks(columns, p: int) -> tuple[int, ...]:
@@ -240,27 +127,33 @@ def chain_ranks(columns, p: int) -> tuple[int, ...]:
     ranks = []
     cleared: dict = {}
     for cols in reversed(columns):
-        pivots: dict[int, dict[int, int]] = {}  # pivot row -> its column, scaled to 1 there
+        pivots: dict[int, dict[int, int]] = {}
         for c, col in enumerate(cols):
-            if c in cleared:
-                continue
-            v = dict(col)
-            while v:
-                low = max(v)
-                pivot = pivots.get(low)
-                if pivot is None:
-                    inv = pow(v[low], -1, p)
-                    pivots[low] = {r: x * inv % p for r, x in v.items()}
-                    break
-                f = v[low]
-                for r, x in pivot.items():
-                    if y := (v.get(r, 0) - f * x) % p:
-                        v[r] = y
-                    else:  # a zero here was a nonzero of v: f * x is a unit
-                        del v[r]
+            if c not in cleared:
+                reduce_into(dict(col), pivots, p)
         ranks.append(len(pivots))
         cleared = pivots
     return tuple(reversed(ranks))
+
+
+def reduce_into(v: dict[int, int], pivots: dict[int, dict[int, int]], p: int) -> None:
+    """Reduce the vector v, {index: nonzero residue mod p}, in place by the
+    pivots, each stored under its largest index and scaled to 1 there, and
+    keep any remainder as a new pivot.  The pivots stay an echelon basis of
+    the span fed so far, and their indices are its leading indices."""
+    while v:
+        low = max(v)
+        pivot = pivots.get(low)
+        if pivot is None:
+            inv = pow(v[low], -1, p)
+            pivots[low] = {r: x * inv % p for r, x in v.items()}
+            return
+        f = v[low]
+        for r, x in pivot.items():
+            if y := (v.get(r, 0) - f * x) % p:
+                v[r] = y
+            else:  # a zero here was a nonzero of v: f * x is a unit
+                del v[r]
 
 
 def rref_with_order(
@@ -313,10 +206,6 @@ class IntegerMatrix:
         self._rows = rows
         self._shape = (len(rows), width)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
     @property
     def rows(self) -> int:
         return self._shape[0]
@@ -335,21 +224,10 @@ class IntegerMatrix:
     def row_lists(self) -> list[list[int]]:
         return [list(r) for r in self._rows]
 
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(zip(*self._rows)) if self._rows else IntegerMatrix([])
-
-    def reduce_mod(self, p: int) -> PrimeFieldMatrix:
-        if self.rows == 0 or self.cols == 0:
-            return PrimeFieldMatrix.zeros(p, self.rows, self.cols)
-        return PrimeFieldMatrix(p, [[x % p for x in row] for row in self._rows])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
         return self._rows == other._rows and self._shape == other._shape
-
-    def __hash__(self):
-        return hash(self._rows)
 
     def __repr__(self) -> str:
         return f"IntegerMatrix(shape={self._shape})"

@@ -1,6 +1,8 @@
 """Reference helpers shared by several test files; the package itself has no
 use for them."""
 
+import numpy as np
+
 from fpcoh.characters import LaurentPolynomial
 from fpcoh.combinatorics import TwoRowTableau
 from fpcoh.determinantal import slice_characters
@@ -16,6 +18,32 @@ def tableau_sum(tableaux, n: int) -> LaurentPolynomial:
         e = t.weight(n)
         out[e] = out.get(e, 0) + 1
     return LaurentPolynomial(n, out)
+
+
+def dense_rank(a, p: int) -> int:
+    """Rank over Z/p by dense forward elimination in numpy, pivoting on the
+    first nonzero of each column: an oracle independent of
+    `linalg.reduce_into`, which every rank in the package runs."""
+    a = np.array(a, dtype=np.int64) % p
+    m, n = a.shape
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        row = (a[r, c + 1 :] * inv) % p
+        idx = r + 1 + np.nonzero(a[r + 1 :, c])[0]
+        if idx.size:
+            # factor * row stays below 2**62 since both factors are < p < 2**31
+            a[idx, c + 1 :] = (a[idx, c + 1 :] - a[idx, c][:, None] * row) % p
+        r += 1
+    return r
 
 
 def kernel_basis(m: PrimeFieldMatrix) -> list[tuple[int, ...]]:

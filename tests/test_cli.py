@@ -614,13 +614,35 @@ def test_zero_variables_is_a_parameter_error(command, capsys, tmp_path):
     assert cli.main(one_variable) == 0
 
 
+@pytest.mark.parametrize("a, b", [(1, 3), (2, -1)])
 @pytest.mark.parametrize("extra", [[], ["--q", "2"]])
-def test_schur_shape_needs_a_at_least_b(extra, capsys):
-    code = cli.main(["char", "schur", "--a", "1", "--b", "3", "--n", "3", *extra])
+def test_schur_shape_needs_a_at_least_b(extra, a, b, capsys):
+    code = cli.main(["char", "schur", "--a", str(a), "--b", str(b), "--n", "3", *extra])
     captured = capsys.readouterr()
     assert code == 1
     assert "parameter error" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, message", [
+    (["stable", "periodicity", "--w0", "1", "--d", "-1", "--prime", "2", "--r", "1"],
+     "need w0 >= 1 and d >= 0"),
+    (["stable", "periodicity", "--w0", "0", "--d", "2", "--prime", "2", "--r", "2"],
+     "need w0 >= 1 and d >= 0"),
+    (["stable", "periodicity", "--w0", "-3", "--d", "2", "--prime", "2", "--r", "2"],
+     "need w0 >= 1 and d >= 0"),
+    (["complex", "involution", "--w0", "1", "--d", "0", "--primes", "2"], "d = 0"),
+    (["complex", "involution", "--w0", "1", "--d", "-1", "--primes", "2"], "d = -1"),
+], ids=["periodicity-d--1", "periodicity-w0-0", "periodicity-w0--3", "involution-d-0",
+        "involution-d--1"])
+def test_vacuous_hook_is_a_parameter_error(command, message, capsys, tmp_path):
+    report = tmp_path / "report.json"
+    code = cli.main([*command, "--json", str(report)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "parameter error" in captured.err and message in captured.err
+    assert captured.out == ""
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("command", [

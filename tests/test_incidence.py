@@ -1,12 +1,14 @@
 """Incidence-block cohomology characters and the closed formulas for them."""
 
 import math
+import random
 from itertools import product
 
 import numpy as np
 import pytest
 
 from fpcoh.characters import LaurentPolynomial, h, nim_poly, schur2_trunc
+from fpcoh.combinatorics import compositions, decreasing_compositions
 from fpcoh.incidence import (
     CohomologyCharacterPair,
     UnsupportedRegimeError,
@@ -21,7 +23,8 @@ from fpcoh.incidence import (
     small_weights_hypothesis,
     window_hypothesis,
 )
-from helpers import kernel_basis
+from fpcoh.linalg import DENSE_COLUMN_THRESHOLD
+from helpers import dense_rank, kernel_basis
 
 
 def module_dimension(n, d, e):
@@ -96,6 +99,26 @@ def test_omega_block_matrix():
     assert mat.rank() == 2
     assert kernel_basis(mat) == [(1, 1, 1)]
     assert omega_block(3, 2, 1, (2, 2, 2), 3).rank() == 3
+
+
+def test_omega_block_ranks_match_dense_elimination():
+    """Every block either walk of `h_characters` visits on a seeded grid of
+    (n, d, e), plus one block wider than DENSE_COLUMN_THRESHOLD, against the
+    numpy oracle."""
+    rng = random.Random(12)
+    blocks = {(5, 10, 13, (6, 6, 6, 5, 5))}
+    for _ in range(24):
+        n, d, e = rng.randint(2, 5), rng.randint(0, 6), rng.randint(-1, 6)
+        for walk in (compositions, decreasing_compositions):
+            blocks |= {(n, d, e, tuple(x + 1 for x in exps))
+                       for exps in walk(d + e, (d + e,) * n)}
+    widest = 0
+    for n, d, e, m in sorted(blocks):
+        for p in (2, 3, 5):
+            mat = omega_block(n, d, e, m, p)
+            assert mat.rank() == dense_rank(mat.to_array(), p), (n, d, e, m, p)
+            widest = max(widest, mat.cols)
+    assert widest >= DENSE_COLUMN_THRESHOLD
 
 
 def test_h_characters_anchor_case():
