@@ -8,6 +8,10 @@ of the piece away from vertex 0) and sign (-1)^(number of earlier missing
 edges).  Only w_0 may be negative; binomials with negative top argument are
 the falling-factorial ones, so every construction is exact over Z or Z/p.
 
+A complex keeps its boundary as one CSC matrix of numpy arrays over all its
+cells, built by one gather from structure cached per d, and checks d∘d = 0
+on it exactly before `linalg.chain_ranks` reads its F_p ranks from it.
+
 The checks of the hook involution, the edge-contraction sequence and stable
 periodicity return a verdict status and its payload; a disagreeing payload
 carries a witness.
@@ -33,9 +37,9 @@ from .linalg import (
 )
 from .verdicts import AGREE, DISAGREE
 
-# Building and ranking a complex take about 100 bytes of peak RSS per
-# boundary nonzero (64-81 MB at d = 16, with d*2^(d-1) = 524 288 of them;
-# 183 MB for all-ones d = 18), so a 512 MiB budget allows d <= 19.
+# An all-ones complex peaks at 64 MB of RSS for d = 16 (d*2^(d-1) = 524 288
+# boundary nonzeros, 67 bytes each above the 31 MB taken before any build)
+# and 179 MB for d = 18 (66); at 100 bytes each, 512 MiB allows d <= 19.
 MAX_COMPLEX_NONZEROS = 2**29 // 100
 
 
@@ -126,24 +130,54 @@ class PoincarePolynomial:
 
 
 @lru_cache(maxsize=None)
-def _masks_by_size(d: int) -> tuple[tuple[int, ...], ...]:
+def _masks_by_size(d: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Edge subsets of 1..d as bitmasks (bit j-1 for edge j), grouped by
-    size, each group in increasing numeric order.  This is the basis order
-    of every complex matrix."""
-    groups: list[list[int]] = [[] for _ in range(d + 1)]
-    for mask in range(1 << d):
-        groups[bin(mask).count("1")].append(mask)
-    return tuple(tuple(g) for g in groups)
+    size, each group in increasing numeric order, and the offset of each
+    group.  This is the basis order of every complex matrix, and the cell
+    order of the boundary arrays."""
+    sizes = np.zeros(1, dtype=np.int8)
+    for _ in range(d):  # the sizes of 0..2^d - 1, one more bit at a time
+        sizes = np.concatenate((sizes, sizes + 1))
+    masks = np.argsort(sizes, kind="stable").astype(np.int32)
+    offsets = tuple(accumulate((math.comb(d, k) for k in range(d + 1)), initial=0))
+    return masks, offsets
 
 
-@dataclass
+@lru_cache(maxsize=None)
+def _boundary_structure(d: int) -> tuple[np.ndarray, ...]:
+    """The boundary's dependence on d alone, one entry per (cell, edge of
+    the cell), by cell in basis order, then by edge: column pointers, the
+    cell index of the face without the edge, and the slot of its signed
+    binomial in `build_complex`'s table (the run of edges holding the edge,
+    the edge, and the parity of the missing edges below it)."""
+    masks, _ = _masks_by_size(d)
+    index = np.argsort(masks).astype(np.int32)  # cell index of each mask
+    bits = masks[:, None] & (1 << np.arange(d, dtype=np.int32)) != 0
+    cell, edge = np.divmod(np.flatnonzero(bits).astype(np.int32), np.int32(d))  # edges from 0
+    indptr = np.searchsorted(cell, np.arange((1 << d) + 1)).astype(np.int32)
+    at = np.arange(len(cell), dtype=np.int32)
+    below = at - indptr[cell]  # the cell's edges below this one
+    first = (np.diff(edge, prepend=0) != 1) | (below == 0)  # entries that start a run
+    lo = edge[np.maximum.accumulate(np.where(first, at, 0))]
+    last = np.roll(first, -1)  # entries that end one
+    hi = edge[np.minimum.accumulate(np.where(last, at, len(at))[::-1])[::-1]]
+    slots = ((edge - below) % 2 * d**3 + (lo * d + edge) * d + hi).astype(np.int16)
+    return indptr, index[masks[cell] ^ (1 << edge)], slots
+
+
+@dataclass(eq=False)
 class ChainComplex:
-    """Weighted path complex; columns[k-1][c] holds the nonzero (row,
-    coefficient) pairs of column c of d_k, the map from degree k to k-1."""
+    """Weighted path complex.  Its boundary is one CSC matrix over the cells
+    of all degrees in basis order (by size, then by mask): cell c has its
+    faces, as cell indices, at rows[indptr[c]:indptr[c+1]] and their nonzero
+    coefficients at the same places of `residues` (int32 residues mod p, or
+    Python ints over Z).  `boundary(k)` is its block d_k."""
 
     weights: WeightSequence
     p: int | None
-    columns: tuple
+    indptr: np.ndarray
+    rows: np.ndarray
+    residues: np.ndarray
     _ranks: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -158,39 +192,48 @@ class ChainComplex:
     def dimensions(self) -> tuple[int, ...]:
         return tuple(math.comb(self.d, k) for k in range(self.d + 1))
 
-    def differential(self, k: int):
-        """d_k as a new IntegerMatrix over Z or PrimeFieldMatrix over Z/p."""
+    def boundary(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """d_k, from degree k to k-1, as a CSC triple (indptr, rows,
+        residues) with rows counted within degree k-1."""
         if not 1 <= k <= self.d:
             raise ValueError(f"no differential in degree {k}")
+        _, offsets = _masks_by_size(self.d)
+        start, stop = self.indptr[offsets[k]], self.indptr[offsets[k + 1]]
+        return (self.indptr[offsets[k]:offsets[k + 1] + 1] - start,
+                self.rows[start:stop] - offsets[k - 1], self.residues[start:stop])
+
+    def differential(self, k: int):
+        """d_k as a new IntegerMatrix over Z or PrimeFieldMatrix over Z/p."""
+        indptr, rows, residues = self.boundary(k)
         a = np.zeros((self.dimension(k - 1), self.dimension(k)),
                      dtype=object if self.p is None else np.int64)
-        for c, col in enumerate(self.columns[k - 1]):
-            for r, x in col:
-                a[r, c] = x
+        a[rows, np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))] = residues
         if self.p is None:
             return IntegerMatrix(a.tolist())
         return PrimeFieldMatrix.from_reduced(self.p, a)
 
     def basis(self, k: int) -> tuple[int, ...]:
-        return _masks_by_size(self.d)[k]
+        masks, offsets = _masks_by_size(self.d)
+        return tuple(masks[offsets[k]:offsets[k + 1]].tolist())
 
     def ranks(self) -> tuple[int, ...]:
         """Rank of each differential, degree 1 through d; needs a prime field."""
         if self.p is None:
             raise ValueError("rank table requires a prime field complex")
         if self._ranks is None:
-            self._ranks = chain_ranks(self.columns, self.p)
+            self._ranks = chain_ranks([self.boundary(k) for k in range(1, self.d + 1)], self.p)
         return self._ranks
 
 
 def build_complex(w, p: int | None = None) -> ChainComplex:
     """Construct the complex over Z (p=None) or over Z/p.
 
-    Each boundary is kept as its column lists: the column of a k-cell holds
-    one (row, coefficient) pair per edge it contains, reduced mod p over Z/p
-    and dropped when zero.  d_{k-1} d_k = 0 is checked exactly on these
-    lists, one column of d_k at a time, over Z or mod p; the ranks over Z/p
-    rely on it.  Sizes past MAX_COMPLEX_NONZEROS are refused up front.
+    Only the binomials of the weights are computed here, in O(d^3): one per
+    run of edges and edge in it.  One gather puts them in place, signed,
+    reduced mod p over Z/p, zeros dropped; a column holds at most one
+    nonzero per edge of its cell.  d∘d = 0 is then checked exactly on the
+    stored arrays; the ranks over Z/p rely on it.  Sizes past
+    MAX_COMPLEX_NONZEROS are refused up front.
     """
     if p is not None:
         check_modulus(p)
@@ -199,48 +242,63 @@ def build_complex(w, p: int | None = None) -> ChainComplex:
     if (nonzeros := d * 2**d // 2) > MAX_COMPLEX_NONZEROS:
         raise ValueError(f"d = {d} gives d*2^(d-1) = {nonzeros} boundary nonzeros, "
                          f"over the budget of {MAX_COMPLEX_NONZEROS}")
+    indptr, rows, slots = _boundary_structure(d)
     cum = [0, *accumulate(ws.entries)]
-    masks = _masks_by_size(d)
-    binom = lru_cache(maxsize=None)(binom_int)
-    columns = []  # columns[k-1][c]: the nonzeros of column c of d_k
-    for k in range(1, d + 1):
-        row_index = {mask: r for r, mask in enumerate(masks[k - 1])}
-        cols = []
-        for mask in masks[k]:
-            col = []
-            missing = 0  # edges below j absent from the mask: the sign exponent
-            j = 1
-            while j <= d:
-                if not (mask >> (j - 1)) & 1:
-                    missing += 1
-                    j += 1
-                    continue
-                lo = hi = j  # the run of edges lo..hi, split at each of its edges
-                while hi < d and (mask >> hi) & 1:
-                    hi += 1
-                for j in range(lo, hi + 1):
-                    c = binom(cum[hi + 1] - cum[lo - 1], cum[hi + 1] - cum[j])
-                    c = -c if missing & 1 else c
-                    if p is not None:
-                        c %= p
-                    if c:
-                        col.append((row_index[mask ^ (1 << (j - 1))], c))
-                j = hi + 1
-            cols.append(col)
-        columns.append(cols)
-    _verify_square_zero(columns, p)
-    return ChainComplex(ws, p, tuple(columns))
+    binoms: dict[tuple[int, int], int] = {}
+    table = [0] * (2 * d**3)  # (lo*d + e)*d + hi for edges lo <= e <= hi, from 0
+    for lo in range(d):
+        for hi in range(lo, d):
+            for e in range(lo, hi + 1):  # C(weight of lo..hi, weight past e)
+                key = (cum[hi + 2] - cum[lo], cum[hi + 2] - cum[e + 1])
+                if key not in binoms:
+                    c = binom_int(*key)
+                    binoms[key] = (c, -c) if p is None else (c % p, -c % p)
+                slot = (lo * d + e) * d + hi
+                table[slot], table[slot + d**3] = binoms[key]  # the second half negated
+    residues = np.array(table, dtype=object if p is None else np.int32)[slots]
+    kept = residues != 0
+    before = np.zeros(len(kept) + 1, dtype=np.int32)  # kept entries before each one
+    np.cumsum(kept, out=before[1:])
+    cx = ChainComplex(ws, p, before[indptr], rows[kept], residues[kept])
+    _verify_square_zero(cx)
+    return cx
 
 
-def _verify_square_zero(columns: list, p: int | None) -> None:
-    for k, (lower, upper) in enumerate(zip(columns, columns[1:]), 2):
-        for col in upper:
-            acc: dict[int, int] = {}
-            for r, u in col:
-                for s, v in lower[r]:
-                    acc[s] = acc.get(s, 0) + u * v
-            if any(x if p is None else x % p for x in acc.values()):
-                raise AssertionError(f"differential square is nonzero at degree {k}")
+# Products per pass of the d∘d check; it bounds the check's temporaries.
+SQUARE_CHUNK = 2**14
+
+
+def _verify_square_zero(cx: ChainComplex) -> None:
+    """Check d∘d = 0 exactly on the stored arrays: each product of an entry
+    (r, c) with an entry (s, r) is summed per (c, s), over Z or mod p, where
+    a product of residues < 2**31 fits int64 and is reduced before the sum.
+    Chunks of about SQUARE_CHUNK products end at column boundaries, so every
+    sum is whole."""
+    indptr, rows, residues, p = cx.indptr, cx.rows, cx.residues, cx.p
+    ncells = len(indptr) - 1
+    sizes = indptr[1:] - indptr[:-1]
+    step = SQUARE_CHUNK // max(1, cx.d)  # entries; each gives fewer than d products
+    c1 = 0
+    while c1 < ncells:
+        c0, c1 = c1, max(c1 + 1, int(indptr.searchsorted(indptr[c1] + step, "right")) - 1)
+        start, stop = indptr[c0], indptr[c1]
+        counts = sizes[rows[start:stop]]
+        ends = counts.cumsum()
+        if not ends.size or not ends[-1]:
+            continue
+        picked = np.arange(ends[-1]) + np.repeat(indptr[rows[start:stop]] - ends + counts, counts)
+        cols = np.repeat(np.arange(c0 * ncells, c1 * ncells, ncells), sizes[c0:c1])
+        keys = np.repeat(cols, counts) + rows[picked]
+        upper = residues[start:stop].astype(object if p is None else np.int64)
+        products = np.repeat(upper, counts) * residues[picked]
+        order = keys.argsort(kind="stable")
+        keys = keys[order]
+        heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        sums = np.add.reduceat(products[order] if p is None else products[order] % p, heads)
+        if (bad := np.flatnonzero(sums if p is None else sums % p)).size:
+            masks, _ = _masks_by_size(cx.d)
+            k = bin(masks[keys[heads[bad[0]]] // ncells]).count("1")
+            raise AssertionError(f"differential square is nonzero at degree {k}")
 
 
 def homology_dims(cx: ChainComplex) -> PoincarePolynomial:
@@ -286,6 +344,8 @@ def check_involution(w0: int, d: int, p: int) -> tuple[str, dict]:
     plus Smith invariants over Z when the matrices are small enough.  The
     witness is the first degree where the direct and shifted ranks differ,
     else the two Smith lists."""
+    if d < 0:
+        raise ValueError(f"need d >= 0, got d = {d}")
     direct = build_complex(_hook_weights(w0, d), p)
     negated = build_complex((-w0 - 2 * d,) + (1,) * d, p)
     q = min_power_exceeding(p, w0 + 2 * d)

@@ -3,10 +3,10 @@
 `PrimeFieldMatrix` stores a matrix over Z/p densely as an int64 array; p must
 be prime and below 2**31 so that a product of two residues fits in a signed
 64-bit word.  Every F_p rank runs one sparse reduction loop, `reduce_into`:
-`chain_ranks` ranks a chain complex from sparse column lists, with no matrix,
-`PrimeFieldMatrix.rank` is `chain_ranks` on a single map, and the
-determinantal blocks feed their rows to it.  `rref_with_order` is a separate
-dense reduction with a chosen column order.
+`chain_ranks` ranks a chain complex from the CSC triples (indptr, rows,
+residues) of its maps, `PrimeFieldMatrix.rank` is `chain_ranks` on the CSC
+of its nonzeros, and the determinantal blocks feed their rows to it.
+`rref_with_order` is a separate dense reduction with a chosen column order.
 """
 
 from __future__ import annotations
@@ -90,11 +90,9 @@ class PrimeFieldMatrix:
 
     def rank(self) -> int:
         if self._rank_cache is None:
-            rows, cols = np.nonzero(self._data)
-            columns = [[] for _ in range(self.cols)]
-            for r, c, x in zip(rows.tolist(), cols.tolist(), self._data[rows, cols].tolist()):
-                columns[c].append((r, x))
-            (self._rank_cache,) = chain_ranks([columns], self.p)
+            cols, rows = np.nonzero(self._data.T)
+            indptr = np.searchsorted(cols, np.arange(self.cols + 1))
+            (self._rank_cache,) = chain_ranks([(indptr, rows, self._data[rows, cols])], self.p)
         return self._rank_cache
 
     def kernel_dimension(self) -> int:
@@ -116,21 +114,23 @@ class PrimeFieldMatrix:
         return f"PrimeFieldMatrix(p={self.p}, shape={self.shape})"
 
 
-def chain_ranks(columns, p: int) -> tuple[int, ...]:
-    """Ranks over Z/p of d_1, ..., d_n, where columns[k-1][c] lists the
-    nonzero (row, residue) pairs of column c of d_k, the rows of d_k are the
-    columns of d_(k-1), and d∘d = 0.  Columns are reduced by lowest-row
-    pivots from d_n down, with clearing (Chen–Kerber, "Persistent homology
-    computation with a twist", 2011): the reduced columns of d_(k+1) are
-    cycles spanning its image, triangular on their pivot rows, so the
-    columns of d_k at those rows depend on lower ones and are skipped."""
+def chain_ranks(boundaries, p: int) -> tuple[int, ...]:
+    """Ranks over Z/p of d_1, ..., d_n, each a CSC triple (indptr, rows,
+    residues) of numpy arrays, where the rows of d_k are the columns of
+    d_(k-1) and d∘d = 0.  Columns are reduced by lowest-row pivots from d_n
+    down, with clearing (Chen–Kerber, "Persistent homology computation with
+    a twist", 2011): the reduced columns of d_(k+1) are cycles spanning its
+    image, triangular on their pivot rows, so the columns of d_k at those
+    rows depend on lower ones and are skipped."""
     ranks = []
     cleared: dict = {}
-    for cols in reversed(columns):
+    for indptr, rows, residues in reversed(boundaries):
+        bounds = indptr.tolist()
+        entries = list(zip(rows.tolist(), residues.tolist()))
         pivots: dict[int, dict[int, int]] = {}
-        for c, col in enumerate(cols):
+        for c in range(len(bounds) - 1):
             if c not in cleared:
-                reduce_into(dict(col), pivots, p)
+                reduce_into(dict(entries[bounds[c]:bounds[c + 1]]), pivots, p)
         ranks.append(len(pivots))
         cleared = pivots
     return tuple(reversed(ranks))

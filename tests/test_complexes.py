@@ -153,6 +153,20 @@ def test_boundaries_match_entry_oracle():
                 assert cx.differential(k).row_lists() == expected, (w, p, k)
 
 
+def test_boundaries_match_entry_oracle_at_the_int64_edge():
+    # residues near 2**31 make the d∘d products near 2**62
+    rng = random.Random(2**31 - 1)
+    p = 2**31 - 1
+    for d in [rng.randint(1, 9) for _ in range(10)] + [9, 9]:
+        w = (rng.randint(-30, 9),) + tuple(rng.randint(0, 5) for _ in range(d))
+        cx = build_complex(w, p)
+        matrices = _differentials(cx)
+        for k, m in enumerate(matrices, 1):
+            expected = [[x % p for x in row] for row in _oracle_boundary(w, k)]
+            assert m.row_lists() == expected, (w, k)
+        assert cx.ranks() == tuple(dense_rank(m.to_array(), p) for m in matrices), w
+
+
 def _differentials(cx):
     return [cx.differential(k) for k in range(1, cx.d + 1)]
 
@@ -168,10 +182,25 @@ def test_square_zero_check_catches_a_wrong_coefficient(monkeypatch):
         with pytest.raises(AssertionError, match="nonzero at degree"):
             build_complex(w, p)
     # with the check switched off the same wrong complex builds
-    monkeypatch.setattr(complexes, "_verify_square_zero", lambda columns, p: None)
+    monkeypatch.setattr(complexes, "_verify_square_zero", lambda cx: None)
     assert _differentials(build_complex(w)) != _differentials(honest)
     for p in (None, 2, 3, 5, 7):
         build_complex(w, p)
+
+
+def test_square_zero_check_catches_a_wrong_row():
+    for p in (None, 2, 3, 5, 7):
+        cx = build_complex((2, 1, 1, 1, 1), p)
+        _, offsets = complexes._masks_by_size(cx.d)
+        # the first column of d_3 with an entry and a row of degree 2 it misses
+        for c in range(offsets[3], offsets[4]):
+            start, stop = cx.indptr[c], cx.indptr[c + 1]
+            free = set(range(offsets[2], offsets[3])) - set(cx.rows[start:stop].tolist())
+            if start < stop and free:
+                break
+        cx.rows[start] = min(free)
+        with pytest.raises(AssertionError, match="nonzero at degree 3"):
+            complexes._verify_square_zero(cx)
 
 
 def test_ranks_match_dense_elimination():
@@ -213,11 +242,26 @@ def test_all_ones_d12_homology_stays_small():
     assert peak < 8 * 2**20, peak
 
 
+def test_all_ones_d14_homology_stays_within_80_bytes_per_nonzero():
+    d = 14
+    complexes._masks_by_size.cache_clear()  # the per-d structure counts too
+    complexes._boundary_structure.cache_clear()
+    tracemalloc.start()
+    try:
+        homology_dims(build_complex((1,) * (d + 1), 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * d * 2 ** (d - 1), peak
+
+
 def test_oversized_complex_is_refused_before_enumeration(monkeypatch):
-    monkeypatch.setattr(complexes, "_masks_by_size", None)  # any enumeration would fail
+    # any enumeration would fail
+    monkeypatch.setattr(complexes, "_masks_by_size", None)
+    monkeypatch.setattr(complexes, "_boundary_structure", None)
     with pytest.raises(ValueError, match="over the budget"):
         build_complex((1,) * 41, 2)
-    d = 16
+    d = 19
     assert d * 2 ** (d - 1) <= complexes.MAX_COMPLEX_NONZEROS
 
 
@@ -289,6 +333,11 @@ def test_involution_small_grid():
                 assert payload["agree_ranks"], (w0, d, p)
                 assert payload["shift"] == min_power_exceeding(p, w0 + 2 * d)
                 assert payload["ranks_negated"] == payload["ranks_shifted"]
+
+
+def test_involution_refuses_negative_d():
+    with pytest.raises(ValueError, match="d = -1"):
+        check_involution(1, -1, 2)
 
 
 def test_involution_smith_invariants():
