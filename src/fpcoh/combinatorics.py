@@ -100,34 +100,6 @@ def enumerate_A(p: int, d: int):
     return sorted(rec(d))
 
 
-def interval_data(w, edges, j: int) -> tuple[int, int, int]:
-    """Data for removing edge j from the edge subset J of the weighted path.
-
-    The path has vertices 0..d with weights w and edges 1..d, edge i joining
-    vertices i-1 and i.  J splits the path into the connected components of
-    its edge set; removing j in J breaks the component containing j in two.
-    Returns (total weight of that component, weight of its right piece,
-    count of edges below j missing from J).
-    """
-    w = tuple(w)
-    d = len(w) - 1
-    J = set(edges)
-    if j not in J:
-        raise ValueError("edge j must belong to the subset")
-    if not J <= set(range(1, d + 1)):
-        raise ValueError("subset must consist of edges 1..d")
-    lo = j
-    while lo - 1 in J:
-        lo -= 1
-    hi = j
-    while hi + 1 in J:
-        hi += 1
-    total = sum(w[lo - 1 : hi + 1])
-    right = sum(w[j : hi + 1])
-    sign_exponent = sum(1 for i in range(1, j) if i not in J)
-    return total, right, sign_exponent
-
-
 # ---------------------------------------------------------------------------
 # two-row tableaux
 
@@ -161,26 +133,14 @@ class TwoRowTableau:
         return tuple(counts)
 
 
-def _weakly_increasing_words(n: int, length: int, max_run: int | None = None):
-    """All weakly increasing words over 1..n, lexicographic order.  max_run
-    bounds the length of any constant run."""
-
-    word: list[int] = []
-
-    def rec(pos: int):
-        if pos == length:
-            yield tuple(word)
-            return
-        lo = word[-1] if word else 1
-        for x in range(lo, n + 1):
-            if max_run is not None and len(word) >= max_run:
-                if all(word[-k] == x for k in range(1, max_run + 1)):
-                    continue
-            word.append(x)
-            yield from rec(pos + 1)
-            word.pop()
-
-    yield from rec(0)
+def _words(n: int, length: int, cap: int) -> list[tuple[int, ...]]:
+    """Weakly increasing words over 1..n in lexicographic order, no letter
+    repeated more than cap times: their letter counts are the compositions
+    of length with parts at most cap, read in reverse order."""
+    return [
+        tuple(x for x, c in enumerate(counts, 1) for _ in range(c))
+        for counts in reversed(list(compositions(length, (cap,) * n)))
+    ]
 
 
 def enumerate_ssyt(n: int, a: int, b: int) -> list[TwoRowTableau]:
@@ -189,7 +149,7 @@ def enumerate_ssyt(n: int, a: int, b: int) -> list[TwoRowTableau]:
     if b > a or a < 0 or b < 0:
         raise ValueError("invalid shape")
     out = []
-    for u in _weakly_increasing_words(n, a):
+    for u in _words(n, a, a):
         for v in _column_strict_bottoms(n, u, b):
             out.append(TwoRowTableau(u, v))
     return out
@@ -251,8 +211,9 @@ def enumerate_pssyt(n: int, a: int, b: int, p: int) -> list[TwoRowTableau]:
     if p < 2:
         raise ValueError("p must be at least 2")
     out = []
-    for u in _weakly_increasing_words(n, a, max_run=p - 1):
-        for v in _weakly_increasing_words(n, b, max_run=p - 1):
+    bottoms = _words(n, b, p - 1)
+    for u in _words(n, a, p - 1):
+        for v in bottoms:
             if any(u[i] > v[i] for i in range(b)):
                 continue
             if all(

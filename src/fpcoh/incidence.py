@@ -6,37 +6,21 @@ around multiplication by omega = sum_i x_i y_i on spans of fractions
 x^b / y^(1+a) with |a| = d, |b| = e.  Everything is graded by the torus
 multidegree a + b + 1, so kernels and cokernels are computed one block at
 a time; characters are normalised by t_1 ... t_n (exponent m - 1 for block
-multidegree m).
+multidegree m).  A block is a 0/1 matrix kept as its column lists, and its
+rank over F_p is `linalg.reduce_into` fed those columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .characters import LaurentPolynomial, nim_poly, schur2, schur2_trunc
 from .combinatorics import compositions, decreasing_compositions, orbit
-from .linalg import PrimeFieldMatrix, check_modulus
+from .linalg import check_modulus, reduce_into
 
 
 class UnsupportedRegimeError(ValueError):
     """Raised for parameter ranges the block model does not cover."""
-
-
-@dataclass(frozen=True)
-class LocalCohElement:
-    """Basis fraction x^b / y^(1+a)."""
-
-    denominator_exponents: tuple[int, ...]
-    numerator_exponents: tuple[int, ...]
-
-    @property
-    def multidegree(self) -> tuple[int, ...]:
-        return tuple(
-            a + b + 1
-            for a, b in zip(self.denominator_exponents, self.numerator_exponents)
-        )
 
 
 @dataclass(frozen=True)
@@ -45,8 +29,9 @@ class CohomologyCharacterPair:
     h1: LaurentPolynomial
 
 
-def block_basis(n: int, d: int, e: int, m) -> list[LocalCohElement]:
-    """Basis elements with multidegree m, ordered by denominator exponents."""
+def block_basis(n: int, d: int, e: int, m) -> list[tuple[int, ...]]:
+    """Denominator exponents a, in ascending order, of the basis fractions
+    x^(m-1-a) / y^(1+a) of multidegree m."""
     m = tuple(int(x) for x in m)
     if len(m) != n:
         raise ValueError("multidegree length must be n")
@@ -56,28 +41,22 @@ def block_basis(n: int, d: int, e: int, m) -> list[LocalCohElement]:
         return []
     if sum(m) != d + e + n:
         raise ValueError("multidegree total must be d + e + n")
-    caps = tuple(x - 1 for x in m)
-    return [
-        LocalCohElement(a, tuple(c - x for c, x in zip(caps, a)))
-        for a in compositions(d, caps)
-    ]
+    return list(compositions(d, tuple(x - 1 for x in m)))
 
 
-def omega_block(n: int, d: int, e: int, m, p: int) -> PrimeFieldMatrix:
-    """Matrix of multiplication by sum_i x_i y_i from the (d, e) block to the
-    (d-1, e+1) block of multidegree m.  The term x_i y_i lowers the pole
-    order in y_i, killing the fraction when a_i = 0."""
+def omega_block(n: int, d: int, e: int, m) -> tuple[int, list[list[int]]]:
+    """Multiplication by sum_i x_i y_i from the (d, e) block to the
+    (d-1, e+1) block of multidegree m: the codomain size and, for each domain
+    fraction, the codomain rows it hits.  The term x_i y_i lowers the pole
+    order in y_i, killing the fraction when a_i = 0; the targets a - e_i are
+    distinct, so every coefficient is 1."""
     domain = block_basis(n, d, e, m)
-    codomain = block_basis(n, d - 1, e + 1, m)
-    index = {el.denominator_exponents: r for r, el in enumerate(codomain)}
-    mat = np.zeros((len(codomain), len(domain)), dtype=np.int64)
-    for c, el in enumerate(domain):
-        a = el.denominator_exponents
-        for i in range(n):
-            if a[i] >= 1:
-                target = a[:i] + (a[i] - 1,) + a[i + 1 :]
-                mat[index[target], c] += 1
-    return PrimeFieldMatrix(p, mat)
+    index = {a: r for r, a in enumerate(block_basis(n, d - 1, e + 1, m))}
+    columns = [
+        [index[a[:i] + (a[i] - 1,) + a[i + 1 :]] for i in range(n) if a[i]]
+        for a in domain
+    ]
+    return len(index), columns
 
 
 def h_characters(
@@ -103,8 +82,11 @@ def h_characters(
     h1: dict[tuple[int, ...], int] = {}
     walk = decreasing_compositions if symmetry_reduce else compositions
     for exps in walk(d + e, (d + e,) * n):
-        mat = omega_block(n, d, e, tuple(x + 1 for x in exps), p)
-        ker, coker = mat.kernel_dimension(), mat.cokernel_dimension()
+        rows, columns = omega_block(n, d, e, tuple(x + 1 for x in exps))
+        pivots: dict[int, dict[int, int]] = {}
+        for column in columns:
+            reduce_into(dict.fromkeys(column, 1), pivots, p)
+        ker, coker = len(columns) - len(pivots), rows - len(pivots)
         if not ker and not coker:
             continue
         for member in orbit(exps) if symmetry_reduce else [exps]:

@@ -1,15 +1,21 @@
 """Exact linear algebra over prime fields and over the integers.
 
-`PrimeFieldMatrix` stores a matrix over Z/p densely as an int64 array; p must
-be prime and below 2**31 so that a product of two residues fits in a signed
-64-bit word.  Every F_p rank runs one sparse reduction loop, `reduce_into`:
-`chain_ranks` ranks a chain complex from the CSC triples (indptr, rows,
-residues) of its maps, `PrimeFieldMatrix.rank` is `chain_ranks` on the CSC
-of its nonzeros, and the determinantal blocks feed their rows to it.
-`rref_with_order` is a separate dense reduction with a chosen column order.
+Every F_p rank runs one sparse reduction loop, `reduce_into`, on vectors
+stored as {index: residue} dicts: `chain_ranks` ranks a chain complex from
+the CSC triples (indptr, rows, residues) of its maps, the incidence blocks
+feed it their 0/1 columns and the determinantal blocks their rows.  The
+modulus p must be prime and below 2**31 so that a product of two residues
+fits in a signed 64-bit word; `check_modulus` remembers the moduli it has
+passed.  `PrimeFieldMatrix` stores a matrix over Z/p densely as an int64
+array, built only when a dense matrix is asked for (`differential`, a
+determinantal block's `matrix`, tests); its rank is `chain_ranks` on the CSC
+of its nonzeros.  `rref_with_order` is a separate dense reduction with a
+chosen column order.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -34,6 +40,7 @@ def is_prime(p: int) -> bool:
     return True
 
 
+@cache
 def check_modulus(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
@@ -94,12 +101,6 @@ class PrimeFieldMatrix:
             indptr = np.searchsorted(cols, np.arange(self.cols + 1))
             (self._rank_cache,) = chain_ranks([(indptr, rows, self._data[rows, cols])], self.p)
         return self._rank_cache
-
-    def kernel_dimension(self) -> int:
-        return self.cols - self.rank()
-
-    def cokernel_dimension(self) -> int:
-        return self.rows - self.rank()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PrimeFieldMatrix):

@@ -6,7 +6,8 @@ import numpy as np
 from fpcoh.characters import LaurentPolynomial
 from fpcoh.combinatorics import TwoRowTableau
 from fpcoh.determinantal import slice_characters
-from fpcoh.linalg import PrimeFieldMatrix, rref_with_order
+from fpcoh.incidence import omega_block
+from fpcoh.linalg import PrimeFieldMatrix, reduce_into, rref_with_order
 
 
 def tableau_sum(tableaux, n: int) -> LaurentPolynomial:
@@ -46,6 +47,24 @@ def dense_rank(a, p: int) -> int:
     return r
 
 
+def omega_matrix(n: int, d: int, e: int, m, p: int) -> PrimeFieldMatrix:
+    """The block `incidence.omega_block` describes, as a dense matrix over Z/p."""
+    rows, columns = omega_block(n, d, e, m)
+    a = np.zeros((rows, len(columns)), dtype=np.int64)
+    for c, column in enumerate(columns):
+        a[column, c] = 1
+    return PrimeFieldMatrix(p, a)
+
+
+def omega_rank(n: int, d: int, e: int, m, p: int) -> int:
+    """Rank of an omega block over Z/p, its columns fed to `reduce_into` as
+    `h_characters` feeds them."""
+    pivots: dict[int, dict[int, int]] = {}
+    for column in omega_block(n, d, e, m)[1]:
+        reduce_into(dict.fromkeys(column, 1), pivots, p)
+    return len(pivots)
+
+
 def kernel_basis(m: PrimeFieldMatrix) -> list[tuple[int, ...]]:
     """Basis of the right null space, one vector per free column."""
     reduced, pivots = rref_with_order(m, list(range(m.cols)))
@@ -71,3 +90,31 @@ def filtration_character(
     blockwise rank of the i-th slice minus rank of the (i+1)-st."""
     chars = slice_characters(n, a, b, [i, i + 1], truncated, p)
     return chars[i] - chars[i + 1]
+
+
+def interval_data(w, edges, j: int) -> tuple[int, int, int]:
+    """Data for removing edge j from the edge subset J of the weighted path.
+
+    The path has vertices 0..d with weights w and edges 1..d, edge i joining
+    vertices i-1 and i.  J splits the path into the connected components of
+    its edge set; removing j in J breaks the component containing j in two.
+    Returns (total weight of that component, weight of its right piece,
+    count of edges below j missing from J).
+    """
+    w = tuple(w)
+    d = len(w) - 1
+    J = set(edges)
+    if j not in J:
+        raise ValueError("edge j must belong to the subset")
+    if not J <= set(range(1, d + 1)):
+        raise ValueError("subset must consist of edges 1..d")
+    lo = j
+    while lo - 1 in J:
+        lo -= 1
+    hi = j
+    while hi + 1 in J:
+        hi += 1
+    total = sum(w[lo - 1 : hi + 1])
+    right = sum(w[j : hi + 1])
+    sign_exponent = sum(1 for i in range(1, j) if i not in J)
+    return total, right, sign_exponent

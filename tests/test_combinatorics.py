@@ -14,13 +14,13 @@ from fpcoh.combinatorics import (
     enumerate_A,
     enumerate_pssyt,
     enumerate_ssyt,
-    interval_data,
     is_p_semistandard,
     nim_sum,
     orbit,
     p_index,
     p_index_total,
 )
+from helpers import interval_data
 
 
 def is_semistandard(t):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fpcoh import complexes
+from fpcoh import complexes, linalg
 from fpcoh.complexes import (
     ChainComplex,
     PoincarePolynomial,
@@ -21,10 +21,10 @@ from fpcoh.complexes import (
     ses_dimension_check,
     stable_hook_cohomology,
 )
-from fpcoh.combinatorics import binom_int, interval_data
+from fpcoh.combinatorics import binom_int
 from fpcoh.linalg import DENSE_COLUMN_THRESHOLD, chain_ranks, matmul_mod
 from fpcoh.verdicts import AGREE
-from helpers import dense_rank
+from helpers import dense_rank, interval_data
 
 
 def test_weight_sequence_validation():
@@ -263,6 +263,23 @@ def test_oversized_complex_is_refused_before_enumeration(monkeypatch):
         build_complex((1,) * 41, 2)
     d = 19
     assert d * 2 ** (d - 1) <= complexes.MAX_COMPLEX_NONZEROS
+
+
+def test_modulus_is_checked_once_per_prime(monkeypatch):
+    calls = []
+    prime = linalg.is_prime
+    monkeypatch.setattr(linalg, "is_prime", lambda p: calls.append(p) or prime(p))
+    linalg.check_modulus.cache_clear()
+    try:
+        for w in ((1,) * 12, (3, 1, 2)):
+            build_complex(w, 2**31 - 1)
+        assert calls == [2**31 - 1]
+        with pytest.raises(ValueError, match="not prime"):
+            build_complex((1, 1), 9)
+        with pytest.raises(ValueError, match="not prime"):
+            build_complex((1, 1), 9)
+    finally:
+        linalg.check_modulus.cache_clear()
 
 
 def test_negative_head_weight_entries():

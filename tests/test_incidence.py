@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fpcoh.characters import LaurentPolynomial, h, nim_poly, schur2_trunc
-from fpcoh.combinatorics import compositions, decreasing_compositions
+from fpcoh.combinatorics import compositions
 from fpcoh.incidence import (
     CohomologyCharacterPair,
     UnsupportedRegimeError,
@@ -23,8 +23,8 @@ from fpcoh.incidence import (
     small_weights_hypothesis,
     window_hypothesis,
 )
-from fpcoh.linalg import DENSE_COLUMN_THRESHOLD
-from helpers import dense_rank, kernel_basis
+from fpcoh.linalg import DENSE_COLUMN_THRESHOLD, PrimeFieldMatrix
+from helpers import dense_rank, kernel_basis, omega_matrix, omega_rank
 
 
 def module_dimension(n, d, e):
@@ -60,17 +60,21 @@ def test_module_dimension():
 
 def test_block_basis_example():
     basis = block_basis(3, 2, 1, (2, 2, 2))
-    assert [el.denominator_exponents for el in basis] == [
+    assert basis == [
         (0, 1, 1),
         (1, 0, 1),
         (1, 1, 0),
     ]
-    assert [el.numerator_exponents for el in basis] == [
+    numerators = [tuple(x - 1 - y for x, y in zip((2, 2, 2), a)) for a in basis]
+    assert numerators == [
         (1, 0, 0),
         (0, 1, 0),
         (0, 0, 1),
     ]
-    assert all(el.multidegree == (2, 2, 2) for el in basis)
+    assert all(
+        tuple(x + y + 1 for x, y in zip(a, b)) == (2, 2, 2)
+        for a, b in zip(basis, numerators)
+    )
 
 
 def test_block_basis_totals_match_product_count():
@@ -90,35 +94,55 @@ def test_block_basis_validation():
         block_basis(2, 1, 1, (3, 2))  # wrong total
     # negative twist short-circuits before the total is checked
     assert block_basis(2, 1, -1, (2, 1)) == []
-    assert block_basis(2, 0, 0, (1, 1))[0].denominator_exponents == (0, 0)
+    assert block_basis(2, 0, 0, (1, 1)) == [(0, 0)]
 
 
 def test_omega_block_matrix():
-    mat = omega_block(3, 2, 1, (2, 2, 2), 2)
+    assert omega_block(3, 2, 1, (2, 2, 2)) == (3, [[0, 1], [0, 2], [1, 2]])
+    mat = omega_matrix(3, 2, 1, (2, 2, 2), 2)
     assert mat.to_array().tolist() == [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
-    assert mat.rank() == 2
+    assert omega_rank(3, 2, 1, (2, 2, 2), 2) == 2
     assert kernel_basis(mat) == [(1, 1, 1)]
-    assert omega_block(3, 2, 1, (2, 2, 2), 3).rank() == 3
+    assert omega_rank(3, 2, 1, (2, 2, 2), 3) == 3
 
 
 def test_omega_block_ranks_match_dense_elimination():
-    """Every block either walk of `h_characters` visits on a seeded grid of
-    (n, d, e), plus one block wider than DENSE_COLUMN_THRESHOLD, against the
-    numpy oracle."""
+    """Every block of a seeded grid of (n, d, e), as both walks of
+    `h_characters` report it, plus one block wider than
+    DENSE_COLUMN_THRESHOLD, against the numpy oracle."""
     rng = random.Random(12)
-    blocks = {(5, 10, 13, (6, 6, 6, 5, 5))}
+    cases = set()
     for _ in range(24):
-        n, d, e = rng.randint(2, 5), rng.randint(0, 6), rng.randint(-1, 6)
-        for walk in (compositions, decreasing_compositions):
-            blocks |= {(n, d, e, tuple(x + 1 for x in exps))
-                       for exps in walk(d + e, (d + e,) * n)}
-    widest = 0
-    for n, d, e, m in sorted(blocks):
+        cases.add((rng.randint(2, 5), rng.randint(0, 6), rng.randint(-1, 6)))
+    for n, d, e in sorted(cases):
         for p in (2, 3, 5):
-            mat = omega_block(n, d, e, m, p)
-            assert mat.rank() == dense_rank(mat.to_array(), p), (n, d, e, m, p)
-            widest = max(widest, mat.cols)
-    assert widest >= DENSE_COLUMN_THRESHOLD
+            pairs = [h_characters(n, d, e, p, symmetry_reduce=s) for s in (True, False)]
+            for exps in compositions(d + e, (d + e,) * n):
+                m = tuple(x + 1 for x in exps)
+                assert all(len(set(c)) == len(c) for c in omega_block(n, d, e, m)[1])
+                mat = omega_matrix(n, d, e, m, p)
+                r = dense_rank(mat.to_array(), p)
+                for pair in pairs:
+                    assert pair.h0.coefficient(exps) == mat.cols - r, (n, d, e, m, p)
+                    assert pair.h1.coefficient(exps) == mat.rows - r, (n, d, e, m, p)
+    wide = (5, 10, 13, (6, 6, 6, 5, 5))
+    mat = omega_matrix(*wide, 2)
+    assert mat.cols >= DENSE_COLUMN_THRESHOLD
+    for p in (2, 3, 5):
+        assert omega_rank(*wide, p) == dense_rank(omega_matrix(*wide, p).to_array(), p), p
+
+
+def test_h_characters_builds_no_dense_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("h_characters built a PrimeFieldMatrix")
+
+    monkeypatch.setattr(PrimeFieldMatrix, "__init__", refuse)
+    monkeypatch.setattr(PrimeFieldMatrix, "from_reduced", refuse)
+    ones = LaurentPolynomial.monomial((1, 1, 1))
+    pair = h_characters(3, 2, 1, 2)
+    assert pair.h0 == ones and pair.h1 == ones
+    full = h_characters(3, 4, 3, 3, symmetry_reduce=False)
+    assert full.h1 == h1_window_char(3, 4, 3, 3)
 
 
 def test_h_characters_anchor_case():
