@@ -5,10 +5,13 @@ conjectured formula exists, compare against it and report a Verdict per
 checked statement.  Exit codes: 0 all comparisons agree (pure evaluations
 count), 2 some comparison disagrees, 1 usage or parameter error.
 
-`sweep --config FILE` expands a declarative grid into rows and dispatches
-each row through the same parser in a process pool; report order is the
+`sweep --config FILE` expands a declarative grid into rows and runs each row
+through the same parser.  With several workers the rows go to a process pool
+in strided chunks (chunk k holds rows k, k + count, ...); report order is the
 grid's row-major order regardless of scheduling, and JSON output is
-byte-identical across worker counts.
+byte-identical across worker counts.  A killed worker breaks the pool: every
+row of a chunk not yet returned then becomes a `sweep-row` error verdict, and
+a chunk's rows return together.
 
 The parser is built once per process and shared by `main()` and every sweep
 row (pool workers fork after the build and inherit it).  It names each
@@ -506,6 +509,17 @@ def _run_row(argv: list[str]) -> list[Verdict]:
     return [Verdict("sweep-row", {"argv": list(argv)}, ERROR, {"message": message})]
 
 
+# Futures per pool worker: each future carries a pickle, a queue hop and a
+# wake-up of the parent, so small rows travel in chunks; a grid of at most
+# this many rows per worker still gets one row per future.
+_CHUNKS_PER_WORKER = 8
+
+
+def _run_rows(chunk: list[list[str]]) -> list[list[Verdict]]:
+    """The verdicts of each row of one chunk, in the chunk's order."""
+    return [_run_row(argv) for argv in chunk]
+
+
 def _crash_verdict(subject: str, argv: list[str], exc: Exception) -> Verdict:
     return Verdict(subject, {"argv": list(argv)}, ERROR,
                    {"message": f"{type(exc).__name__}: {exc}"})
@@ -521,15 +535,19 @@ def _cmd_sweep(ns):
     if workers == 1:
         for argv in rows:
             verdicts.extend(_run_row(argv))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_row, argv) for argv in rows]
-            for argv, future in zip(rows, futures):
-                try:
-                    verdicts.extend(future.result())
-                except BrokenProcessPool as exc:  # a killed worker loses only its rows
-                    verdicts.append(_crash_verdict("sweep-row", argv, exc))
-    return params, verdicts
+        return params, verdicts
+    # strided, so rows whose cost grows along a grid axis spread over all chunks
+    count = min(len(rows), _CHUNKS_PER_WORKER * workers)
+    by_row: list = [None] * len(rows)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_rows, rows[k::count]) for k in range(count)]
+        for k, future in enumerate(futures):
+            try:
+                by_row[k::count] = future.result()
+            except BrokenProcessPool as exc:  # every row not yet returned is lost
+                by_row[k::count] = [[_crash_verdict("sweep-row", argv, exc)]
+                                    for argv in rows[k::count]]
+    return params, [v for row in by_row for v in row]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, permutations
+from itertools import accumulate
 
 
 def binom_int(m: int, k: int) -> int:
@@ -23,18 +23,29 @@ def binom_int(m: int, k: int) -> int:
 
 def compositions(total: int, caps: tuple[int, ...]):
     """Weak compositions of total with 0 <= part i <= caps[i], in ascending
-    lexicographic order; none when total < 0 or total > sum(caps)."""
+    lexicographic order; none when total < 0 or total > sum(caps).  The next
+    one raises the rightmost part that can grow by one and refills the parts
+    after it, each as small as the caps after it allow."""
+    n = len(caps)
     tails = list(accumulate(reversed(caps), initial=0))[::-1]  # sums of caps[i:]
-
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == len(caps):
-            yield prefix
+    if not 0 <= total <= tails[0]:
+        return
+    parts = [0] * n
+    i, rest = -1, total  # refill the parts after i with rest
+    while True:
+        for j in range(i + 1, n):
+            v = rest - tails[j + 1]  # what the caps after j cannot hold
+            parts[j] = v = v if v > 0 else 0
+            rest -= v
+        yield tuple(parts)
+        i, rest = n - 1, 0  # rest is the sum of parts[i + 1:]
+        while i >= 0 and (rest == 0 or parts[i] == caps[i]):
+            rest += parts[i]
+            i -= 1
+        if i < 0:
             return
-        for v in range(max(0, remaining - tails[i + 1]), min(caps[i], remaining) + 1):
-            yield from rec(i + 1, remaining - v, prefix + (v,))
-
-    if 0 <= total <= tails[0]:
-        yield from rec(0, total, ())
+        parts[i] += 1
+        rest -= 1
 
 
 def decreasing_compositions(total: int, caps: tuple[int, ...]):
@@ -55,8 +66,21 @@ def decreasing_compositions(total: int, caps: tuple[int, ...]):
 
 
 def orbit(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The distinct rearrangements of parts, in ascending lexicographic order."""
-    return sorted(set(permutations(parts)))
+    """The distinct rearrangements of parts, in ascending lexicographic order:
+    next permutation from the sorted parts, so no rearrangement repeats."""
+    word, out = sorted(parts), []
+    while True:
+        out.append(tuple(word))
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = word[:i:-1]
 
 
 def nim_sum(values) -> int:
@@ -182,26 +206,6 @@ def _equal_column_rule(u: tuple[int, ...], v: tuple[int, ...], j: int, p: int) -
     while s - 1 >= 0 and v[s - 1] == x:
         s -= 1
     return (r - j + 1) + (j - s + 1) >= p
-
-
-def is_p_semistandard(t: TwoRowTableau, p: int) -> bool:
-    """Weakly increasing rows and columns, constant runs in each row of
-    length at most p-1, and the run rule at every column with equal entries."""
-    u, v = t.top, t.bottom
-    if any(u[i] > u[i + 1] for i in range(len(u) - 1)):
-        return False
-    if any(v[i] > v[i + 1] for i in range(len(v) - 1)):
-        return False
-    if any(u[i] > v[i] for i in range(len(v))):
-        return False
-    if any(u[i] == u[i + p - 1] for i in range(len(u) - p + 1)):
-        return False
-    if any(v[i] == v[i + p - 1] for i in range(len(v) - p + 1)):
-        return False
-    for j in range(len(v)):
-        if u[j] == v[j] and not _equal_column_rule(u, v, j, p):
-            return False
-    return True
 
 
 def enumerate_pssyt(n: int, a: int, b: int, p: int) -> list[TwoRowTableau]:

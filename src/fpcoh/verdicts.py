@@ -6,6 +6,11 @@ Determinism contract: the JSON document is byte-identical across repeated
 runs and across worker counts.  Wall-clock timing therefore lives only on
 the in-memory object and is never serialized; payloads may not contain
 floats.
+
+`render_json` writes exactly the bytes of the json module's dump with sorted
+keys and a two-space indent, plus a newline, without json's pure-Python
+indenting encoder.  Anything `_jsonable` never produces (a float, a tuple, a
+non-str key) raises TypeError.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 AGREE = "agree"
 DISAGREE = "disagree"
@@ -76,7 +82,45 @@ def report_document(command: str, parameters: dict, verdicts) -> dict:
 
 
 def render_json(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    out: list[str] = []
+    _render(document, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _render(value, indent: str, out: list[str]) -> None:
+    """Append the JSON text of value to out; indent is the newline and
+    spaces that start each line at value's own depth."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif kind in (dict, list) and not value:
+        out.append("{}" if kind is dict else "[]")
+    elif kind is dict:
+        if not all(isinstance(k, str) for k in value):
+            raise TypeError("JSON object keys must be strings")
+        inner, sep = indent + "  ", "{"
+        for k in sorted(value):
+            out.append(f"{sep}{inner}{_quote(k)}: ")
+            _render(value[k], inner, out)
+            sep = ","
+        out.append(indent + "}")
+    elif kind is list and all(type(x) is int for x in value):
+        inner = indent + "  "
+        out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{indent}]")
+    elif kind is list:
+        inner, sep = indent + "  ", "["
+        for x in value:
+            out.append(sep + inner)
+            _render(x, inner, out)
+            sep = ","
+        out.append(indent + "]")
+    else:
+        raise TypeError(f"cannot render {kind.__name__} as JSON")
 
 
 def exit_code(verdicts) -> int:
@@ -102,18 +146,13 @@ def dimension_rows(verdict: Verdict) -> list[dict]:
     for entry in verdict.payload.get("dimension_table", ()):
         row = {"subject": verdict.subject, "status": verdict.status}
         for k, v in verdict.parameters.items():
-            if isinstance(v, (list, tuple)):
-                v = ",".join(str(x) for x in v)
-            row[str(k)] = v
+            row[str(k)] = _compact(v) if isinstance(v, (list, tuple)) else v
         if "series" in entry:
             row["series"] = entry["series"]
         if "degree" in entry:
             row["degree"] = entry["degree"]
         if "multidegree" in entry:
-            md = entry["multidegree"]
-            if isinstance(md, (list, tuple)):
-                md = ",".join(str(x) for x in md)
-            row["multidegree"] = md
+            row["multidegree"] = _compact(entry["multidegree"])
         row["dimension"] = entry["dimension"]
         rows.append(row)
     return rows

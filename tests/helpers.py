@@ -1,10 +1,12 @@
 """Reference helpers shared by several test files; the package itself has no
 use for them."""
 
+from itertools import accumulate
+
 import numpy as np
 
 from fpcoh.characters import LaurentPolynomial
-from fpcoh.combinatorics import TwoRowTableau
+from fpcoh.combinatorics import TwoRowTableau, _equal_column_rule
 from fpcoh.determinantal import slice_characters
 from fpcoh.incidence import omega_block
 from fpcoh.linalg import PrimeFieldMatrix, reduce_into, rref_with_order
@@ -118,3 +120,41 @@ def interval_data(w, edges, j: int) -> tuple[int, int, int]:
     right = sum(w[j : hi + 1])
     sign_exponent = sum(1 for i in range(1, j) if i not in J)
     return total, right, sign_exponent
+
+
+def recursive_compositions(total: int, caps: tuple[int, ...]):
+    """Weak compositions of total with part i at most caps[i], in ascending
+    lexicographic order, by one recursive generator frame per part: the
+    oracle for the one-loop `combinatorics.compositions`."""
+    tails = list(accumulate(reversed(caps), initial=0))[::-1]  # sums of caps[i:]
+
+    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
+        if i == len(caps):
+            yield prefix
+            return
+        for v in range(max(0, remaining - tails[i + 1]), min(caps[i], remaining) + 1):
+            yield from rec(i + 1, remaining - v, prefix + (v,))
+
+    if 0 <= total <= tails[0]:
+        yield from rec(0, total, ())
+
+
+def is_p_semistandard(t: TwoRowTableau, p: int) -> bool:
+    """Weakly increasing rows and columns, constant runs in each row of
+    length at most p-1, and the run rule at every column with equal entries."""
+    u, v = t.top, t.bottom
+    if any(u[i] > u[i + 1] for i in range(len(u) - 1)):
+        return False
+    if any(v[i] > v[i + 1] for i in range(len(v) - 1)):
+        return False
+    if any(u[i] > v[i] for i in range(len(v))):
+        return False
+    if any(u[i] == u[i + p - 1] for i in range(len(u) - p + 1)):
+        return False
+    if any(v[i] == v[i + p - 1] for i in range(len(v) - p + 1)):
+        return False
+    for j in range(len(v)):
+        if u[j] == v[j] and not _equal_column_rule(u, v, j, p):
+            return False
+    return True
+

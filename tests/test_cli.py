@@ -493,6 +493,88 @@ def test_killed_pool_worker_costs_only_its_rows(tmp_path, capsys, monkeypatch):
     assert verdicts[4]["payload"]["message"].startswith("BrokenProcessPool: ")
 
 
+def _mixed_grid(tmp_path):
+    """71 rows of every kind: agreeing, erroring (a < b), and a failed
+    comparison outside its hypothesis (the negative control, exit 2); the
+    theorem rows give two verdicts each."""
+    config = {"runs": [
+        {"command": "complex theorem", "d": [1, 2, 3, 4, 5, 6], "primes": "2,3"},
+        {"command": "char schur", "a": list(range(10)), "b": [0, 1, 2, 3], "n": 2},
+        {"command": "char nim", "m": [1, 2, 3, 4, 5, 6], "n": [2, 3]},
+        {"command": "incidence chars", "n": 3, "d": [1, 2], "e": [0, 1, 2], "prime": 2},
+        {"command": "complex homology", "weights": ["1,1,1", "2,1,1", "-9,1,1"],
+         "prime": [2, 3]},
+        {"command": "det filtration", "n": 3, "a": 1, "b": 1, "i": 0, "prime": 2,
+         "compare": True},
+    ]}
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps(config))
+    return cfg, len(cli.expand_config(config))
+
+
+def test_sweep_json_is_byte_identical_across_chunked_worker_counts(tmp_path, capsys):
+    cfg, rows = _mixed_grid(tmp_path)
+    assert rows == 71  # over 8 rows per future at 2 and 3 workers
+    documents, codes = [], []
+    for workers in ("1", "2", "3"):
+        out_path = tmp_path / f"mixed-{workers}.json"
+        codes.append(cli.main(["sweep", "--config", str(cfg), "--parallel", workers,
+                               "--json", str(out_path)]))
+        documents.append(out_path.read_bytes())
+    capsys.readouterr()
+    assert codes == [2, 2, 2]
+    assert documents[0] == documents[1] == documents[2]
+    verdicts = json.loads(documents[0])["verdicts"]
+    statuses = {v["status"] for v in verdicts}
+    assert statuses == {AGREE, ERROR, OUTSIDE}
+    assert len(verdicts) == rows + 6  # the theorem rows give two verdicts each
+
+
+def test_killed_worker_loses_its_whole_chunk_in_grid_order(tmp_path, capsys, monkeypatch):
+    nim_poly = cli.nim_poly
+
+    def killed(m, n):
+        if m == 5:
+            time.sleep(0.5)  # the other worker finishes every other chunk first
+            os._exit(3)
+        return nim_poly(m, n)
+
+    config = {"runs": [
+        {"command": "complex theorem", "d": [1, 2, 3, 4, 5, 6], "primes": "2"},
+        {"command": "char schur", "a": [2, 3, 4, 5, 6, 7, 8, 9], "b": [0, 1, 2], "n": 2},
+        {"command": "char nim", "m": [1, 2, 3, 4, 5, 6, 7, 8], "n": 2},
+    ]}
+    cfg = tmp_path / "chunks.json"
+    cfg.write_text(json.dumps(config))
+    rows = cli.expand_config(config)
+    assert len(rows) == 38
+    reference = tmp_path / "reference.json"
+    assert cli.main(["sweep", "--config", str(cfg), "--parallel", "1",
+                     "--json", str(reference)]) == 0
+    monkeypatch.setattr(cli, "nim_poly", killed)  # forked workers inherit it
+    out_path = tmp_path / "chunks-report.json"
+    code = cli.main(["sweep", "--config", str(cfg), "--parallel", "2",
+                     "--json", str(out_path)])
+    capsys.readouterr()
+    assert code == 1
+    verdicts = json.loads(out_path.read_text())["verdicts"]
+    expected = json.loads(reference.read_text())["verdicts"]
+    assert len(verdicts) == len(rows)
+    # 2 workers make 16 chunks; the row with m = 5 is row 34, in the chunk
+    # of rows 2, 18 and 34, whose verdicts never came back
+    count = 16
+    lost = set(range(34 % count, len(rows), count))
+    assert lost == {2, 18, 34}
+    for i, (argv, got, want) in enumerate(zip(rows, verdicts, expected)):
+        if i in lost:
+            assert got["subject"] == "sweep-row"
+            assert got["status"] == ERROR
+            assert got["parameters"]["argv"] == argv
+            assert got["payload"]["message"].startswith("BrokenProcessPool: ")
+        else:
+            assert got == want, i
+
+
 def test_sweep_rows_build_no_parser(tmp_path, capsys, monkeypatch):
     cli.build_parser()  # the one build of this process
     added = []
@@ -688,6 +770,63 @@ def test_render_json_stable():
     text = render_json(doc)
     assert text.endswith("\n")
     assert text == render_json(json.loads(text))  # round trip is stable
+
+
+def _oracle(document) -> str:
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+def test_render_json_matches_json_dumps_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(),
+        st.integers(min_value=2**64), st.integers(max_value=-2**64),
+        st.text(), st.text(alphabet=st.characters(max_codepoint=0x9f)),
+        st.text(alphabet="é€😀\x00\x1f\x7f\\\"\n\t\u2028"),
+    )
+    documents = st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5),
+            st.lists(st.integers(), max_size=5),
+            st.dictionaries(st.text(max_size=4), inner, max_size=5),
+        ),
+        max_leaves=20,
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(documents)
+    def check(document):
+        assert render_json(document) == _oracle(document)
+
+    check()
+
+
+def test_render_json_matches_json_dumps_on_reports(tmp_path, capsys):
+    out_path = tmp_path / "classical.json"
+    assert cli.main(["det", "filtration", "--n", "6", "--a", "5", "--b", "4",
+                     "--i", "2", "--prime", "2", "--classical", "--compare",
+                     "--json", str(out_path)]) == 0
+    text = out_path.read_text()
+    assert len(text) > 1_000_000
+    assert text == _oracle(json.loads(text))
+    cfg, _ = _mixed_grid(tmp_path)
+    out_path = tmp_path / "sweep.json"
+    assert cli.main(["sweep", "--config", str(cfg), "--parallel", "2",
+                     "--json", str(out_path)]) == 2
+    capsys.readouterr()
+    text = out_path.read_text()
+    assert text == _oracle(json.loads(text))
+
+
+@pytest.mark.parametrize("document", [
+    {"x": 1.5}, {"x": [1, 2.0]}, {"x": (1, 2)}, {1: "x"}, {"x": {(1, 2): 3}},
+    {"x": object()},
+])
+def test_render_json_refuses_what_jsonable_never_produces(document):
+    with pytest.raises(TypeError):
+        render_json(document)
 
 
 def test_human_lines_witness_note():

@@ -14,13 +14,12 @@ from fpcoh.combinatorics import (
     enumerate_A,
     enumerate_pssyt,
     enumerate_ssyt,
-    is_p_semistandard,
     nim_sum,
     orbit,
     p_index,
     p_index_total,
 )
-from helpers import interval_data
+from helpers import interval_data, is_p_semistandard, recursive_compositions
 
 
 def is_semistandard(t):
@@ -97,6 +96,33 @@ def test_compositions_property():
         assert list(compositions(total, caps)) == filtered_product(total, caps)
 
     check()
+
+
+def test_compositions_match_recursive_oracle():
+    # beyond the sizes filtered_product can list: up to 8 parts, caps up to 7
+    capses = [(), (0,), (4, 0, 2, 3), (0, 0, 0), (7,), (2, 2, 2, 2, 2, 2, 2, 2)]
+    rng = random.Random(12)
+    capses += [tuple(rng.randint(0, 7) for _ in range(rng.randint(1, 8))) for _ in range(60)]
+    for caps in capses:
+        for total in range(-1, 10):
+            assert list(compositions(total, caps)) == list(
+                recursive_compositions(total, caps)), (total, caps)
+    for _ in range(20):  # totals near the top of the range as well
+        caps = tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 7)))
+        total = rng.randint(sum(caps) - 3, sum(caps) + 1)
+        assert list(compositions(total, caps)) == list(
+            recursive_compositions(total, caps)), (total, caps)
+
+
+def test_orbit_is_the_sorted_distinct_permutations():
+    for n in range(7):
+        for parts in product(range(3), repeat=n):
+            assert orbit(parts) == sorted(set(permutations(parts))), parts
+    rng = random.Random(8)
+    for _ in range(10):
+        parts = tuple(rng.randint(-2, 3) for _ in range(8))
+        assert orbit(parts) == sorted(set(permutations(parts))), parts
+    assert orbit((5, 5, 5)) == [(5, 5, 5)]
 
 
 def test_orbit_walk_expands_to_compositions():
