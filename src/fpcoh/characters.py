@@ -7,9 +7,6 @@ integers.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
-
 from .combinatorics import compositions, nim_sum
 
 
@@ -133,21 +130,6 @@ class LaurentPolynomial:
             self.nvars,
             {tuple(q * x for x in e): c for e, c in self._terms.items()},
         )
-
-    def is_symmetric(self) -> bool:
-        """True when invariant under all permutations of the variables."""
-        groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        for e, c in self._terms.items():
-            groups.setdefault(tuple(sorted(e, reverse=True)), {})[e] = c
-        for key, members in groups.items():
-            if len(set(members.values())) != 1:
-                return False
-            perms = math.factorial(self.nvars)
-            for mult in Counter(key).values():
-                perms //= math.factorial(mult)
-            if len(members) != perms:
-                return False
-        return True
 
     def to_records(self) -> list[dict]:
         return [

@@ -104,11 +104,13 @@ def _timed(subject: str, parameters: dict, build) -> Verdict:
     return Verdict(subject, parameters, status, payload, seconds=time.perf_counter() - t0)
 
 
-def _char_summary(f: LaurentPolynomial) -> str:
-    text = str(f)
-    if len(text) > 120:
-        return f"<{len(f.terms())} terms, dimension {f.dimension()}>"
-    return text
+def _char_summary(f: LaurentPolynomial, count: int) -> str:
+    """f as text, or its term count and dimension when the text would pass
+    120 characters; k terms print in at least 5k - 4, so 25 or more never
+    need formatting."""
+    if count < 25 and len(text := str(f)) <= 120:
+        return text
+    return f"<{count} terms, dimension {f.dimension()}>"
 
 
 def _char_witness(computed: LaurentPolynomial, expected: LaurentPolynomial) -> dict:
@@ -120,11 +122,19 @@ def _char_witness(computed: LaurentPolynomial, expected: LaurentPolynomial) -> d
     }
 
 
-def _char_table(series: str, f: LaurentPolynomial) -> list[dict]:
-    return [
-        {"series": series, "multidegree": list(exps), "dimension": coeff}
-        for exps, coeff in f.terms()
-    ]
+def _character(series: str, f: LaurentPolynomial) -> tuple[list, list, str]:
+    """f's records, its dimension-table rows (sharing the records' exponent
+    lists) and its summary, from one sorted pass over its terms."""
+    records = f.to_records()
+    table = [{"series": series, "multidegree": r["exponents"], "dimension": r["coeff"]}
+             for r in records]
+    return records, table, _char_summary(f, len(records))
+
+
+def _character_payload(series: str, f: LaurentPolynomial) -> dict:
+    records, table, summary = _character(series, f)
+    return {"character": records, "dimension": f.dimension(), "summary": summary,
+            "dimension_table": table}
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +254,15 @@ def _cmd_incidence_chars(ns):
 
     def build():
         pair = h_characters(ns.n, ns.d, ns.e, ns.prime, symmetry_reduce=not ns.no_symmetry)
+        h0, h0_table, h0_text = _character("h0", pair.h0)
+        h1, h1_table, h1_text = _character("h1", pair.h1)
         payload = {
-            "h0": pair.h0.to_records(),
-            "h1": pair.h1.to_records(),
+            "h0": h0,
+            "h1": h1,
             "h0_dimension": pair.h0.dimension(),
             "h1_dimension": pair.h1.dimension(),
-            "summary": f"h0 = {_char_summary(pair.h0)}; h1 = {_char_summary(pair.h1)}",
-            "dimension_table": _char_table("h0", pair.h0) + _char_table("h1", pair.h1),
+            "summary": f"h0 = {h0_text}; h1 = {h1_text}",
+            "dimension_table": h0_table + h1_table,
         }
         if not ns.compare:
             return AGREE, payload
@@ -296,12 +308,13 @@ def _cmd_det_filtration(ns):
             ns.n, ns.a, ns.b, [ns.i, ns.i + 1], truncated, ns.prime
         )
         quotient = slices[ns.i] - slices[ns.i + 1]
+        records, table, summary = _character("filtration-quotient", quotient)
         payload = {
-            "quotient": quotient.to_records(),
+            "quotient": records,
             "quotient_dimension": quotient.dimension(),
             "slice_dimension": slices[ns.i].dimension(),
-            "summary": _char_summary(quotient),
-            "dimension_table": _char_table("filtration-quotient", quotient),
+            "summary": summary,
+            "dimension_table": table,
         }
         if not ns.compare:
             return AGREE, payload
@@ -334,13 +347,7 @@ def _cmd_char_nim(ns):
     params = {"m": ns.m, "n": ns.n}
 
     def build():
-        f = nim_poly(ns.m, ns.n)
-        return AGREE, {
-            "character": f.to_records(),
-            "dimension": f.dimension(),
-            "summary": _char_summary(f),
-            "dimension_table": _char_table("nim", f),
-        }
+        return AGREE, _character_payload("nim", nim_poly(ns.m, ns.n))
 
     return params, [_timed("nim-character", params, build)]
 
@@ -359,12 +366,7 @@ def _cmd_char_schur(ns):
             f = schur2(ns.a, ns.b, ns.n)
         else:
             f = schur2_trunc(ns.a, ns.b, ns.q, ns.n)
-        return AGREE, {
-            "character": f.to_records(),
-            "dimension": f.dimension(),
-            "summary": _char_summary(f),
-            "dimension_table": _char_table("schur", f),
-        }
+        return AGREE, _character_payload("schur", f)
 
     return params, [_timed("schur-character", params, build)]
 

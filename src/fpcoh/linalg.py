@@ -42,10 +42,11 @@ def is_prime(p: int) -> bool:
 
 @cache
 def check_modulus(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+    # the bound first: trial division takes minutes or more on a huge p
     if p >= 2**31:
         raise ValueError("modulus must be below 2**31")
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
 
 
 class PrimeFieldMatrix:

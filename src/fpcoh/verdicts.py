@@ -7,10 +7,12 @@ runs and across worker counts.  Wall-clock timing therefore lives only on
 the in-memory object and is never serialized; payloads may not contain
 floats.
 
-`render_json` writes exactly the bytes of the json module's dump with sorted
-keys and a two-space indent, plus a newline, without json's pure-Python
-indenting encoder.  Anything `_jsonable` never produces (a float, a tuple, a
-non-str key) raises TypeError.
+Handlers build parameters and payloads JSON-ready (str-keyed dicts, lists,
+str, int, bool and None), and the document passes them through as they are.
+`render_json` is the one gate: it writes exactly the bytes of the json
+module's dump with sorted keys and a two-space indent, plus a newline,
+without json's pure-Python indenting encoder, and raises TypeError on
+anything else (a float, a tuple, a non-str key).
 """
 
 from __future__ import annotations
@@ -28,27 +30,6 @@ ERROR = "error"
 _STATUSES = (AGREE, DISAGREE, OUTSIDE, ERROR)
 
 
-def _jsonable(value):
-    """Plain JSON value with tuples turned into lists; floats are rejected
-    so serialized output cannot depend on timing or platform rounding."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, float):
-        raise TypeError("floats are not allowed in verdict payloads")
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        out = {}
-        for k, v in value.items():
-            if isinstance(k, tuple):
-                k = ",".join(str(x) for x in k)
-            elif not isinstance(k, str):
-                k = str(k)
-            out[k] = _jsonable(v)
-        return out
-    raise TypeError(f"cannot serialize {type(value).__name__} in a payload")
-
-
 @dataclass
 class Verdict:
     subject: str
@@ -64,9 +45,9 @@ class Verdict:
     def to_json_dict(self) -> dict:
         return {
             "subject": self.subject,
-            "parameters": _jsonable(self.parameters),
+            "parameters": self.parameters,
             "status": self.status,
-            "payload": _jsonable(self.payload),
+            "payload": self.payload,
         }
 
 
@@ -76,7 +57,7 @@ def report_document(command: str, parameters: dict, verdicts) -> dict:
     return {
         "version": __version__,
         "command": command,
-        "parameters": _jsonable(parameters),
+        "parameters": parameters,
         "verdicts": [v.to_json_dict() for v in verdicts],
     }
 
@@ -182,7 +163,7 @@ def human_lines(verdicts) -> list[str]:
         params = " ".join(f"{k}={_compact(val)}" for k, val in v.parameters.items())
         note = ""
         if v.status == DISAGREE and "witness" in v.payload:
-            note = f"  witness: {json.dumps(_jsonable(v.payload['witness']), sort_keys=True)}"
+            note = f"  witness: {json.dumps(v.payload['witness'], sort_keys=True)}"
         elif v.status == OUTSIDE and "comparison_agrees" in v.payload:
             note = f"  comparison_agrees: {v.payload['comparison_agrees']}"
         elif v.status == ERROR and "message" in v.payload:

@@ -1,6 +1,8 @@
 """Reference helpers shared by several test files; the package itself has no
 use for them."""
 
+import math
+from collections import Counter
 from itertools import accumulate
 
 import numpy as np
@@ -158,3 +160,44 @@ def is_p_semistandard(t: TwoRowTableau, p: int) -> bool:
             return False
     return True
 
+
+
+def is_symmetric(f: LaurentPolynomial) -> bool:
+    """True when f is invariant under all permutations of its variables: the
+    oracle for the S_n orbit reduction in `incidence.h_characters`."""
+    groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for e, c in f.terms():
+        groups.setdefault(tuple(sorted(e, reverse=True)), {})[e] = c
+    for key, members in groups.items():
+        if len(set(members.values())) != 1:
+            return False
+        perms = math.factorial(f.nvars)
+        for mult in Counter(key).values():
+            perms //= math.factorial(mult)
+        if len(members) != perms:
+            return False
+    return True
+
+
+def str_length_summary(f: LaurentPolynomial) -> str:
+    """f as text, or its term count and dimension when the text passes 120
+    characters, decided by formatting f: the oracle for `cli._char_summary`."""
+    text = str(f)
+    if len(text) > 120:
+        return f"<{len(f.terms())} terms, dimension {f.dimension()}>"
+    return text
+
+
+def assert_json_ready(value, path: str = "document") -> None:
+    """Fail unless value holds only str keys and dict, list, str, int, bool
+    and None values, which is all a report document may hold."""
+    if value is None or type(value) in (str, int, bool):
+        return
+    if type(value) is list:
+        for k, x in enumerate(value):
+            assert_json_ready(x, f"{path}[{k}]")
+        return
+    assert type(value) is dict, f"{path} is a {type(value).__name__}"
+    for k, x in value.items():
+        assert type(k) is str, f"{path} has the {type(k).__name__} key {k!r}"
+        assert_json_ready(x, f"{path}[{k!r}]")

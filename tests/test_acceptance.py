@@ -39,6 +39,7 @@ from fpcoh.verdicts import AGREE
 from helpers import (
     dense_rank,
     filtration_character,
+    is_symmetric,
     kernel_basis,
     omega_matrix,
     omega_rank,
@@ -302,7 +303,7 @@ def test_criterion_13():
         schur2_trunc(4, 1, 3, 3),
         nim_poly(2, 3),
     ):
-        assert f.is_symmetric()
+        assert is_symmetric(f)
     # blockwise Euler identity, recomputed outside the engine
     n, d, e, p = 3, 3, 2, 2
     def all_multidegrees(k, total):

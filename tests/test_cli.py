@@ -3,25 +3,27 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 
 import pytest
 
-from fpcoh import cli
+from fpcoh import cli, linalg
+from fpcoh.characters import LaurentPolynomial
 from fpcoh.verdicts import (
     AGREE,
     DISAGREE,
     ERROR,
     OUTSIDE,
     Verdict,
-    _jsonable,
     exit_code,
     human_lines,
     render_json,
     report_document,
 )
+from helpers import assert_json_ready, str_length_summary
 
 
 def test_homology_run(capsys):
@@ -753,15 +755,13 @@ def test_exit_code_rules():
 def test_verdict_validation_and_serialization():
     with pytest.raises(ValueError):
         Verdict("s", {}, "maybe")
-    v = Verdict("s", {"p": 2}, AGREE, {"table": {(1, 2): 3}}, seconds=1.5)
+    v = Verdict("s", {"p": 2}, AGREE, {"table": [{"degree": 1, "dimension": 3}]},
+                seconds=1.5)
     d = v.to_json_dict()
-    assert d["payload"] == {"table": {"1,2": 3}}
+    assert d == {"subject": "s", "parameters": {"p": 2}, "status": AGREE,
+                 "payload": {"table": [{"degree": 1, "dimension": 3}]}}
+    assert d["payload"] is v.payload  # passed through, not copied
     assert "seconds" not in d
-    with pytest.raises(TypeError):
-        _jsonable(1.5)
-    with pytest.raises(TypeError):
-        _jsonable({"x": object()})
-    assert _jsonable({"k": (True, None, 3)}) == {"k": [True, None, 3]}
 
 
 def test_render_json_stable():
@@ -827,6 +827,130 @@ def test_render_json_matches_json_dumps_on_reports(tmp_path, capsys):
 def test_render_json_refuses_what_jsonable_never_produces(document):
     with pytest.raises(TypeError):
         render_json(document)
+
+
+# One argv per leaf command, with the options that change a payload's shape.
+_EVERY_LEAF = [
+    ["complex", "homology", "--weights", "2,1,1", "--prime", "3"],
+    ["complex", "theorem", "--d", "3", "--primes", "2,3"],
+    ["complex", "involution", "--w0", "1", "--d", "2", "--primes", "2,3"],
+    ["complex", "ses-check", "--weights", "2,1,1,1", "--split", "1", "--prime", "3"],
+    ["stable", "hook", "--w0", "1", "--d", "3", "--prime", "3"],
+    ["stable", "periodicity", "--w0", "2", "--d", "3", "--prime", "2", "--r", "2"],
+    ["incidence", "chars", "--n", "3", "--d", "2", "--e", "1", "--prime", "2",
+     "--compare", "h1-theorem"],
+    ["incidence", "chars", "--n", "3", "--d", "2", "--e", "1", "--prime", "2",
+     "--no-symmetry"],
+    ["det", "filtration", "--n", "3", "--a", "2", "--b", "1", "--i", "1", "--prime", "2",
+     "--compare"],
+    ["det", "filtration", "--n", "3", "--a", "1", "--b", "1", "--i", "0", "--prime", "2",
+     "--classical", "--compare"],
+    ["det", "lead-terms", "--n", "3", "--a", "3", "--b", "1", "--prime", "2"],
+    ["char", "nim", "--m", "2", "--n", "3"],
+    ["char", "schur", "--a", "4", "--b", "2", "--n", "3", "--q", "3"],
+]
+
+
+def _checked_documents(monkeypatch) -> list:
+    """Route `main`'s render through a check that the document is JSON-ready
+    and renders as json.dumps does; returns the documents it saw."""
+    seen = []
+
+    def checked(document):
+        assert_json_ready(document)
+        text = render_json(document)
+        assert text == _oracle(document)
+        seen.append(document)
+        return text
+
+    monkeypatch.setattr(cli, "render_json", checked)
+    return seen
+
+
+@pytest.mark.parametrize("argv", _EVERY_LEAF, ids=lambda argv: "-".join(
+    argv[:2] + [a[2:] for a in argv if a in ("--no-symmetry", "--classical", "--compare")]))
+def test_every_leaf_builds_a_json_ready_document(argv, tmp_path, capsys, monkeypatch):
+    seen = _checked_documents(monkeypatch)
+    assert cli.main([*argv, "--json", str(tmp_path / "report.json")]) in (0, 2)
+    capsys.readouterr()
+    assert len(seen) == 1 and seen[0]["verdicts"]
+
+
+def test_sweep_and_disagreement_documents_are_json_ready(tmp_path, capsys, monkeypatch):
+    seen = _checked_documents(monkeypatch)
+    config = {"runs": [
+        {"command": "char nim", "m": 1},  # no --n: a usage-error row
+        {"command": "incidence chars", "n": 3, "d": 2, "e": -5, "prime": 2},
+        {"command": "char schur", "a": [2, 3], "b": 1, "n": 2},
+    ]}
+    cfg = tmp_path / "rows.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["sweep", "--config", str(cfg), "--parallel", "1",
+                     "--json", str(tmp_path / "sweep.json")]) == 1
+    statuses = [v["status"] for v in seen[0]["verdicts"]]
+    assert statuses == [ERROR, ERROR, AGREE, AGREE]
+
+    exact = cli.h1_window_char
+    monkeypatch.setattr(cli, "h1_window_char",
+                        lambda *args: exact(*args) + LaurentPolynomial.monomial((1, 0, 0)))
+    assert cli.main(["incidence", "chars", "--n", "3", "--d", "2", "--e", "1",
+                     "--prime", "2", "--compare", "h1-theorem",
+                     "--json", str(tmp_path / "disagree.json")]) == 2
+    capsys.readouterr()
+    (verdict,) = seen[1]["verdicts"]
+    assert verdict["status"] == DISAGREE
+    assert verdict["payload"]["witness"]["exponents"] == [1, 0, 0]
+
+
+def _shortest_terms(nvars: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of degree at most 2, shortest printed first: the
+    constant, then t1 ... t9, then t10 ..., then squares and products."""
+    unit = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    vectors = {tuple(map(sum, zip(a, b))) for a in unit for b in unit} | set(unit)
+    vectors.add((0,) * nvars)
+    return sorted(vectors, key=lambda e: (len(str(LaurentPolynomial.monomial(e))), e))
+
+
+def test_char_summary_decides_by_term_count_as_str_length_did(monkeypatch):
+    rng = random.Random(13)
+    pool = _shortest_terms(24)
+    cases = []
+    for count in list(range(1, 41)) + [24, 24, 25, 25]:
+        for coeffs in ((1,), (1, -1), (1, -1, 2)):
+            terms = {e: rng.choice(coeffs) for e in pool[:count]}
+            cases.append((LaurentPolynomial(24, terms), count))
+    expected = [str_length_summary(f) for f, _ in cases]
+    # at most 22 of these terms fit in 120 characters: 1 + t1 + ... + t21
+    fits = {count for (_, count), text in zip(cases, expected) if not text.startswith("<")}
+    assert max(fits) == 22
+    for (f, count), text in zip(cases, expected):
+        if count < 25:
+            assert cli._char_summary(f, count) == text
+    with monkeypatch.context() as m:
+        m.setattr(LaurentPolynomial, "__str__", lambda self: pytest.fail("formatted"))
+        for (f, count), text in zip(cases, expected):
+            if count >= 25:
+                assert cli._char_summary(f, count) == text
+
+
+def test_huge_prime_is_refused_without_trial_division(capsys, monkeypatch):
+    prime = linalg.is_prime
+
+    def bounded(p):
+        assert p < 2**31, "trial division of a huge modulus"
+        return prime(p)
+
+    monkeypatch.setattr(linalg, "is_prime", bounded)
+    linalg.check_modulus.cache_clear()
+    try:
+        code = cli.main(["complex", "homology", "--weights", "1,1",
+                         "--prime", str(2**61 - 1)])
+    finally:
+        linalg.check_modulus.cache_clear()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "modulus must be below 2**31" in captured.err
+    assert captured.out == ""
 
 
 def test_human_lines_witness_note():
