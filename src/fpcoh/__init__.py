@@ -34,7 +34,6 @@ from .complexes import (
     stable_hook_cohomology,
 )
 from .determinantal import (
-    BigradedMonomial,
     IdealPowerSlice,
     check_lead_terms,
     ideal_power_slice,

@@ -11,7 +11,8 @@ from .combinatorics import compositions, nim_sum
 
 
 class LaurentPolynomial:
-    """Integer Laurent polynomial in n variables, stored sparsely."""
+    """Integer Laurent polynomial in n variables, stored sparsely.  `terms`
+    is {exponent tuple: int}, taken as given; zero coefficients are dropped."""
 
     __slots__ = ("nvars", "_terms")
 
@@ -19,16 +20,10 @@ class LaurentPolynomial:
         if nvars < 1:
             raise ValueError("need at least one variable")
         self.nvars = nvars
-        clean: dict[tuple[int, ...], int] = {}
-        if terms:
-            for exps, coeff in dict(terms).items():
-                e = tuple(int(x) for x in exps)
-                if len(e) != nvars:
-                    raise ValueError("exponent vector length mismatch")
-                c = int(coeff)
-                if c:
-                    clean[e] = c
-        self._terms = clean
+        terms = terms or {}
+        if set(map(len, terms)) - {nvars}:
+            raise ValueError("exponent vector length mismatch")
+        self._terms = {e: c for e, c in terms.items() if c}
 
     @classmethod
     def zero(cls, nvars: int) -> "LaurentPolynomial":

@@ -12,8 +12,9 @@ Every slice rank comes from one elimination pass (`_eliminate`).  Since
 I^(i+1) lies in I^i, it feeds the generators of the requested powers,
 highest power first and grouped by torus multidegree, into one incremental
 row echelon per block with pivots in term order, and records the block
-ranks after each power.  A block whose rank reaches its column count is
-saturated and takes no further generators.  Truncated, monomials with an
+ranks after each power.  A block lists its own columns, the bidegree-(a, b)
+monomials of its multidegree.  A block whose rank reaches its column count
+is saturated and takes no further generators.  Truncated, monomials with an
 exponent >= p are dropped before expansion and expanded terms after.
 Permuting the n columns of the matrix sends each minor to a minor up to
 sign and fixes the p-th powers, so every slice is S_n-stable: rank characters
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
-from operator import add, itemgetter, sub
+from operator import add, sub
 
 import numpy as np
 
@@ -44,23 +45,6 @@ from .linalg import PrimeFieldMatrix, check_modulus, reduce_into
 from .verdicts import AGREE, DISAGREE, OUTSIDE
 
 Monomial = tuple  # exponent tuple of length 2n
-
-
-@dataclass(frozen=True)
-class BigradedMonomial:
-    x_exponents: tuple[int, ...]
-    y_exponents: tuple[int, ...]
-
-    @property
-    def bidegree(self) -> tuple[int, int]:
-        return (sum(self.x_exponents), sum(self.y_exponents))
-
-    @property
-    def multidegree(self) -> tuple[int, ...]:
-        return tuple(a + b for a, b in zip(self.x_exponents, self.y_exponents))
-
-    def key(self) -> Monomial:
-        return self.x_exponents + self.y_exponents
 
 
 def minor_pairs(n: int) -> list[tuple[int, int]]:
@@ -98,19 +82,23 @@ def _code(exponents, base: int) -> int:
 
 class _Block:
     """Row echelon form over Z/p of the multidegree-m block.  Its columns
-    are its monomials, that is its power-0 generator specs, in increasing
-    term order, so the largest column of a row is its leading monomial; an
-    x-monomial fixes a monomial within the block, so columns are found by
-    the code of their x-exponents, and multiplying by an x-monomial adds its
-    code.  Rows are reduced by `linalg.reduce_into` and stored under their
-    largest column, scaled to 1 there; those columns are the leading
-    monomials of the span."""
+    are listed from m: the monomials x + (m - x) with |x| = a and every
+    exponent at most cap, in ascending x, which is increasing term order,
+    so the largest column of a row is its leading monomial.  Columns are
+    found by the code of their x-exponents, so multiplying by an x-monomial
+    adds its code.  Rows are reduced by `linalg.reduce_into` and stored
+    under their largest column, scaled to 1 there; those columns are the
+    leading monomials of the span."""
 
-    def __init__(self, m: tuple[int, ...], monomial_specs: list, p: int) -> None:
-        specs = sorted(monomial_specs, key=itemgetter(2))
-        self.monomials = [x + tuple(map(sub, m, x)) for _, _, x in specs]
+    def __init__(self, m: tuple[int, ...], a: int, cap: int, p: int) -> None:
+        # x and y = m - x within the caps: lo <= x <= hi, none if lo > hi
+        lo = [max(0, e - cap) for e in m]
+        widths = [min(e, cap) - k for e, k in zip(m, lo)]
+        shifted = compositions(a - sum(lo), widths) if min(widths) >= 0 else ()
+        xs = [tuple(map(add, lo, x)) for x in shifted]
+        self.monomials = [x + tuple(map(sub, m, x)) for x in xs]
         self.p = p
-        self._index = {code: c for c, (_, code, _) in enumerate(specs)}
+        self._index = {_code(x, a + 1): c for c, x in enumerate(xs)}
         self._pivots: dict[int, dict[int, int]] = {}  # leading column -> row
 
     @property
@@ -143,25 +131,10 @@ class _Block:
 
 @dataclass
 class IdealPowerSlice:
-    """Echelon basis of the bidegree-(a, b) slice of the i-th ideal power,
-    split into torus multidegree blocks of nonzero rank.  With
-    truncated=True everything is taken in the quotient by p-th powers of
-    the variables."""
+    """Echelon basis of the bidegree-(a, b) slice of an ideal power, split
+    into torus multidegree blocks of nonzero rank."""
 
-    n: int
-    a: int
-    b: int
-    power: int
-    truncated: bool
-    p: int
     blocks: dict[tuple[int, ...], _Block]
-
-    def multidegrees(self) -> list[tuple[int, ...]]:
-        return sorted(self.blocks)
-
-    def block_rank(self, m) -> int:
-        block = self.blocks.get(tuple(m))
-        return block.rank if block else 0
 
     def dimension(self) -> int:
         return sum(b.rank for b in self.blocks.values())
@@ -169,9 +142,9 @@ class IdealPowerSlice:
 
 def _generator_specs(n: int, a: int, b: int, i: int, truncated: bool, p: int, multidegrees):
     """The i-th power's generators in bidegree (a, b) in the given
-    multidegrees, as {multidegree: [(minors, code of the x-monomial,
-    x-monomial)]}, nothing expanded.  A multidegree is the minors' weight (how
-    often each column occurs) plus x + y, so it fixes the y-monomial."""
+    multidegrees, as {multidegree: [(minors, code of the x-monomial)]},
+    nothing expanded.  A multidegree is the minors' weight (how often each
+    column occurs) plus x + y, so it fixes the y-monomial."""
     if a < i or b < i:
         return {}
     caps = (p - 1 if truncated else a + b,) * n
@@ -180,17 +153,17 @@ def _generator_specs(n: int, a: int, b: int, i: int, truncated: bool, p: int, mu
     for x in compositions(a - i, caps):
         code = _code(x, a + 1)
         for y in ys:
-            shifts.setdefault(tuple(map(add, x, y)), []).append((code, x))
+            shifts.setdefault(tuple(map(add, x, y)), []).append(code)
     by_weight: dict[tuple[int, ...], list] = {}
     for minors in combinations_with_replacement(minor_pairs(n), i):
         weight = tuple(sum(k in pair for pair in minors) for k in range(n))
         by_weight.setdefault(weight, []).append(minors)
     groups: dict[tuple[int, ...], list] = {m: [] for m in multidegrees}
     for weight, products in by_weight.items():
-        for xy, xs in shifts.items():
+        for xy, codes in shifts.items():
             specs = groups.get(tuple(map(add, weight, xy)))
             if specs is not None:
-                specs += [(minors, code, x) for minors in products for code, x in xs]
+                specs += [(minors, code) for minors in products for code in codes]
     return {m: specs for m, specs in groups.items() if specs}
 
 
@@ -207,9 +180,9 @@ def _eliminate(n: int, a: int, b: int, powers, truncated: bool, p: int, walk):
         raise ValueError("need at least one variable")
     check_modulus(p)
     zero = (0,) * n
-    # truncated, a multidegree entry above 2(p - 1) leaves its block no columns
-    multidegrees = list(walk(a + b, (2 * (p - 1) if truncated else a + b,) * n))
-    monomials = _generator_specs(n, a, b, 0, truncated, p, multidegrees)
+    cap = p - 1 if truncated else a + b
+    # a multidegree entry above 2 cap leaves its block no columns
+    multidegrees = list(walk(a + b, (2 * cap,) * n))
     products: dict[tuple, list[tuple[int, int]]] = {}
     blocks: dict[tuple[int, ...], _Block] = {}
     ranks = {}
@@ -217,8 +190,8 @@ def _eliminate(n: int, a: int, b: int, powers, truncated: bool, p: int, walk):
         for m, specs in _generator_specs(n, a, b, i, truncated, p, multidegrees).items():
             block = blocks.get(m)
             if block is None:
-                block = blocks[m] = _Block(m, monomials.get(m, []), p)
-            for minors, shift, _ in specs:
+                block = blocks[m] = _Block(m, a, cap, p)
+            for minors, shift in specs:
                 if block.saturated():
                     break
                 if minors not in products:
@@ -234,11 +207,10 @@ def _eliminate(n: int, a: int, b: int, powers, truncated: bool, p: int, walk):
 def ideal_power_slice(
     n: int, a: int, b: int, i: int, truncated: bool, p: int
 ) -> IdealPowerSlice:
+    """The i-th power's slice in bidegree (a, b); with truncated=True in
+    the quotient by p-th powers of the variables."""
     blocks, _ = _eliminate(n, a, b, [i], truncated, p, compositions)
-    return IdealPowerSlice(
-        n=n, a=a, b=b, power=i, truncated=truncated, p=p,
-        blocks={m: block for m, block in blocks.items() if block.rank},
-    )
+    return IdealPowerSlice({m: block for m, block in blocks.items() if block.rank})
 
 
 def slice_characters(
@@ -251,19 +223,17 @@ def slice_characters(
             for i, by_m in ranks.items()}
 
 
-def leading_monomials(slc: IdealPowerSlice) -> set[BigradedMonomial]:
+def leading_monomials(slc: IdealPowerSlice) -> set[Monomial]:
     """Leading monomials of the row space: the pivots of each block's
     echelon basis."""
-    n = slc.n
-    leads = (b.monomials[c] for b in slc.blocks.values() for c in b._pivots)
-    return {BigradedMonomial(mono[:n], mono[n:]) for mono in leads}
+    return {b.monomials[c] for b in slc.blocks.values() for c in b._pivots}
 
 
 # ---------------------------------------------------------------------------
 # tableau side
 
 
-def tableau_monomial(t: TwoRowTableau, n: int) -> BigradedMonomial:
+def tableau_monomial(t: TwoRowTableau, n: int) -> Monomial:
     """x_(u_1)...x_(u_a) y_(v_1)...y_(v_b) for the tableau with rows u, v."""
     x = [0] * n
     y = [0] * n
@@ -275,7 +245,7 @@ def tableau_monomial(t: TwoRowTableau, n: int) -> BigradedMonomial:
         if val > n:
             raise ValueError("entry exceeds variable count")
         y[val - 1] += 1
-    return BigradedMonomial(tuple(x), tuple(y))
+    return tuple(x + y)
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +259,10 @@ def check_lead_terms(n: int, a: int, b: int, p: int) -> tuple[str, dict]:
     it the comparison is reported as comparison_agrees, inside it the
     witness is the first missing monomial."""
     slc = ideal_power_slice(n, a, b, b, True, p)
-    pivots = {(mono.x_exponents, mono.y_exponents) for mono in leading_monomials(slc)}
-    expected = {
-        (mono.x_exponents, mono.y_exponents)
-        for mono in (tableau_monomial(t, n) for t in enumerate_pssyt(n, a, b, p))
-    }
-    missing = [list(map(list, m)) for m in sorted(expected - pivots)]
+    pivots = leading_monomials(slc)
+    expected = {tableau_monomial(t, n) for t in enumerate_pssyt(n, a, b, p)}
+    # every x has length n, so x + y tuples sort as the (x, y) pairs do
+    missing = [[list(m[:n]), list(m[n:])] for m in sorted(expected - pivots)]
     payload = {
         "hypothesis_met": a - b >= p - 1,
         "expected_count": len(expected),

@@ -8,7 +8,7 @@ from itertools import accumulate
 import numpy as np
 
 from fpcoh.characters import LaurentPolynomial
-from fpcoh.combinatorics import TwoRowTableau, _equal_column_rule
+from fpcoh.combinatorics import TwoRowTableau, _equal_column_rule, compositions
 from fpcoh.determinantal import slice_characters
 from fpcoh.incidence import omega_block
 from fpcoh.linalg import PrimeFieldMatrix, reduce_into, rref_with_order
@@ -94,6 +94,19 @@ def filtration_character(
     blockwise rank of the i-th slice minus rank of the (i+1)-st."""
     chars = slice_characters(n, a, b, [i, i + 1], truncated, p)
     return chars[i] - chars[i + 1]
+
+
+def product_block_columns(n: int, a: int, b: int, cap: int) -> dict:
+    """{multidegree: sorted monomials x + y} over the whole product of the
+    x in degree a and the y in degree b with every exponent at most cap,
+    grouped by x + y: the columns of every determinantal block at once, an
+    oracle for the columns each block lists from its own multidegree."""
+    ys = list(compositions(b, (cap,) * n))
+    out: dict[tuple[int, ...], list] = {}
+    for x in compositions(a, (cap,) * n):
+        for y in ys:
+            out.setdefault(tuple(map(sum, zip(x, y))), []).append(x + y)
+    return {m: sorted(monos) for m, monos in out.items()}
 
 
 def interval_data(w, edges, j: int) -> tuple[int, int, int]:

@@ -201,6 +201,32 @@ def test_lead_terms_missing_monomial(prime, status, extra, tmp_path, capsys, mon
     assert {k: payload[k] for k in ("witness", "comparison_agrees") if k in payload} == extra
 
 
+@pytest.mark.parametrize("n, a, b, p", [(3, 3, 1, 2), (4, 4, 2, 3)])
+def test_lead_terms_missing_list_is_sorted_as_xy_pairs(n, a, b, p, tmp_path, capsys,
+                                                       monkeypatch):
+    # with no leading monomials every tableau monomial is missing; the list
+    # keeps the order of the (x, y) exponent pairs
+    from fpcoh import determinantal
+    from fpcoh.combinatorics import enumerate_pssyt
+
+    monkeypatch.setattr(determinantal, "leading_monomials", lambda slc: set())
+    pairs = sorted(
+        (tuple(t.top.count(k) for k in range(1, n + 1)),
+         tuple(t.bottom.count(k) for k in range(1, n + 1)))
+        for t in enumerate_pssyt(n, a, b, p)
+    )
+    want = [[list(x), list(y)] for x, y in pairs]
+    code, verdict = _single_verdict(
+        ["det", "lead-terms", "--n", str(n), "--a", str(a), "--b", str(b),
+         "--prime", str(p)], tmp_path, capsys)
+    assert code == 2
+    assert verdict["status"] == DISAGREE
+    assert len(want) > 1
+    assert verdict["payload"]["missing"] == want
+    assert verdict["payload"]["witness"] == {"missing_monomial": want[0]}
+    assert verdict["payload"]["pivot_count"] == 0
+
+
 def run_module(*args):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     return subprocess.run([sys.executable, "-m", "fpcoh", *args], capture_output=True,

@@ -15,7 +15,6 @@ from fpcoh.combinatorics import (
     enumerate_ssyt,
 )
 from fpcoh.determinantal import (
-    BigradedMonomial,
     check_lead_terms,
     expand_minor_product,
     ideal_power_slice,
@@ -26,14 +25,7 @@ from fpcoh.determinantal import (
 )
 from fpcoh.linalg import PrimeFieldMatrix, rref_with_order
 from fpcoh.verdicts import AGREE, OUTSIDE
-from helpers import filtration_character
-
-
-def test_bigraded_monomial():
-    m = BigradedMonomial((2, 0, 1), (0, 1, 0))
-    assert m.bidegree == (3, 1)
-    assert m.multidegree == (2, 1, 1)
-    assert m.key() == (2, 0, 1, 0, 1, 0)
+from helpers import filtration_character, product_block_columns
 
 
 def test_minor_pairs():
@@ -118,7 +110,7 @@ def test_slices_nest():
             stacked = np.vstack(
                 [outer.blocks[m].matrix.to_array(), block.matrix.to_array()]
             )
-            assert PrimeFieldMatrix(p, stacked).rank() == outer.block_rank(m), m
+            assert PrimeFieldMatrix(p, stacked).rank() == outer.blocks[m].rank, m
 
 
 def test_leading_monomial_count_is_rank():
@@ -129,7 +121,7 @@ def test_leading_monomial_count_is_rank():
 
 def test_pivots_invariant_under_row_shuffle():
     slc = ideal_power_slice(3, 2, 2, 1, False, 2)
-    m = next(iter(slc.multidegrees()))
+    m = min(slc.blocks)
     block = slc.blocks[m]
     a = block.matrix.to_array()
     _, pivots = rref_with_order(block.matrix, list(range(a.shape[1])))
@@ -166,9 +158,7 @@ def rbar_character(n, a, b, p):
 
 def test_tableau_monomial_and_errors():
     t = TwoRowTableau((1, 1, 2), (2, 3))
-    mono = tableau_monomial(t, 3)
-    assert mono.x_exponents == (2, 1, 0)
-    assert mono.y_exponents == (0, 1, 1)
+    assert tableau_monomial(t, 3) == (2, 1, 0, 0, 1, 1)
     with pytest.raises(ValueError):
         tableau_monomial(TwoRowTableau((1, 4), (2,)), 3)
 
@@ -180,7 +170,7 @@ def test_tableau_product_lead_terms_classical():
             for b in range(0, min(a, 2) + 1):
                 for t in enumerate_ssyt(n, a, b):
                     row = tableau_product(t, n)
-                    assert max(row) == tableau_monomial(t, n).key(), t
+                    assert max(row) == tableau_monomial(t, n), t
 
 
 def test_tableau_product_needs_increasing_columns():
@@ -295,7 +285,7 @@ def assert_pass_matches_oracle(n, a, b, truncated, p):
         leads = set()
         for columns, mat in oracle.values():
             _, pivots = rref_with_order(mat, list(range(mat.cols)))
-            leads |= {BigradedMonomial(columns[c][:n], columns[c][n:]) for c in pivots}
+            leads |= {columns[c] for c in pivots}
         slc = ideal_power_slice(n, a, b, i, truncated, p)
         assert leading_monomials(slc) == leads, (n, a, b, i, truncated, p)
     if truncated and b <= a:
@@ -369,13 +359,40 @@ def test_pass_expands_once_and_never_feeds_a_saturated_block(monkeypatch):
         assert len(fed_when_saturated) < generators
 
 
+def test_block_columns_match_the_product_of_monomials():
+    # each block lists its columns from its multidegree; the oracle is the
+    # whole x * y product grouped by multidegree
+    from fpcoh.determinantal import _Block
+
+    rng = random.Random(14)
+    cases = [
+        (rng.randint(1, 5), rng.randint(0, 4), rng.randint(0, 4), truncated, p)
+        for p in (2, 3, 5)
+        for truncated in (False, True)
+        for _ in range(5)
+    ]
+    shifted = empty = 0
+    for n, a, b, truncated, p in cases:
+        cap = p - 1 if truncated else a + b
+        want = product_block_columns(n, a, b, cap)
+        for i in range(min(a, b) + 1):
+            for m, block in ideal_power_slice(n, a, b, i, truncated, p).blocks.items():
+                assert block.monomials == want[m], (n, a, b, truncated, p, i, m)
+        for m in compositions(a + b, (a + b,) * n):
+            columns = _Block(m, a, cap, p).monomials
+            assert columns == want.get(m, []), (n, a, b, truncated, p, m)
+            shifted += max(m) > cap and bool(columns)  # some x_k starts above 0
+            empty += max(m) > 2 * cap
+    assert shifted and empty
+
+
 def full_scan_characters(n, a, b, powers, truncated, p):
     """{i: rank character of the i-th slice} with every multidegree block
     reduced, as the leading-monomial slices are."""
     out = {}
     for i in powers:
         slc = ideal_power_slice(n, a, b, i, truncated, p)
-        out[i] = LaurentPolynomial(n, {m: slc.block_rank(m) for m in slc.multidegrees()})
+        out[i] = LaurentPolynomial(n, {m: block.rank for m, block in slc.blocks.items()})
     return out
 
 
@@ -402,9 +419,9 @@ def test_rank_pass_builds_one_block_per_orbit(monkeypatch):
     built = []
     real_init = determinantal._Block.__init__
 
-    def init(block, m, specs, p):
+    def init(block, m, a, cap, p):
         built.append(m)
-        real_init(block, m, specs, p)
+        real_init(block, m, a, cap, p)
 
     monkeypatch.setattr(determinantal._Block, "__init__", init)
     # (5, 4, 4): 18 orbits of 495 multidegrees, of which I^2 meets 16 and 470

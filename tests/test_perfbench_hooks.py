@@ -29,3 +29,27 @@ def test_tracer_hooks_install_and_uninstall(monkeypatch):
         t.uninstall()
     assert all(a is not b for a, b in zip(before, during))
     assert all(a is b for a, b in zip(before, entry_points()))
+
+
+def test_tracer_keeps_the_lead_term_slice(monkeypatch, capsys):
+    # the slice hook reads the slice's blocks, their echelon matrices and its
+    # dimension; a change to any of them shows here, not only in a traced run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    n, a, b, p = 3, 3, 1, 2
+    t = tracer.Tracer()
+    try:
+        t.install()
+        code = cli.main(["det", "lead-terms", "--n", str(n), "--a", str(a),
+                         "--b", str(b), "--prime", str(p)])
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    metrics = t.layer_metrics()
+    slc = determinantal.ideal_power_slice(n, a, b, b, True, p)
+    dimension = len(determinantal.leading_monomials(slc))  # one per echelon row
+    assert metrics["determinantal.gen_rows"] == dimension > 0
+    assert metrics["determinantal.slice_dim"] == dimension
+    assert metrics["determinantal.slices"] == 1
