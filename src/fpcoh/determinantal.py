@@ -17,11 +17,14 @@ monomials of its multidegree.  A block whose rank reaches its column count
 is saturated and takes no further generators.  Truncated, monomials with an
 exponent >= p are dropped before expansion and expanded terms after.
 Permuting the n columns of the matrix sends each minor to a minor up to
-sign and fixes the p-th powers, so every slice is S_n-stable: rank characters
-(`slice_characters`) reduce one block per S_n orbit of multidegrees.
-Leading monomials (`ideal_power_slice`) need every block, because the term
-order is not symmetric.  `check_lead_terms` compares them with the
-p-semistandard tableau monomials and returns a verdict status and payload.
+sign and fixes the p-th powers, so every slice is S_n-stable and the pass
+reduces one block per S_n orbit of multidegrees: rank characters
+(`slice_characters`) copy its rank to the orbit.  The term order is not
+symmetric, so for leading monomials (`ideal_power_slice`) each orbit member
+gets the representative's echelon basis permuted and re-echelonised in the
+member's own column order; the pivot set of a span does not depend on the
+basis fed.  `check_lead_terms` compares them with the p-semistandard tableau
+monomials and returns a verdict status and payload.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 import numpy as np
 
@@ -120,6 +123,30 @@ class _Block:
                 v[c] = coeff
         reduce_into(v, self._pivots, self.p)
 
+    def carried(self, o: tuple[int, ...]) -> _Block:
+        """The block of o, a rearrangement of this block's weakly decreasing
+        multidegree m.  Permuting the variables by pi, where o_k = m_pi(k),
+        maps this block's span onto o's.  So o's columns are these with x
+        and y permuted, then sorted, and its echelon basis is these rows,
+        renamed, reduced again.  The new block takes no generators."""
+        n = len(o)
+        pi = [0] * n  # a stable sort of o's positions by decreasing part
+        for j, k in enumerate(sorted(range(n), key=o.__getitem__, reverse=True)):
+            pi[k] = j
+        moved = list(map(itemgetter(*pi, *(n + j for j in pi)), self.monomials))
+        order = sorted(range(len(moved)), key=moved.__getitem__)
+        member = _Block.__new__(_Block)
+        member.monomials = [moved[c] for c in order]
+        member.p = self.p
+        if self.saturated():  # every column is a pivot
+            member._pivots = {c: {c: 1} for c in range(len(order))}
+            return member
+        rename = {c: new for new, c in enumerate(order)}
+        member._pivots = {}
+        for row in self._pivots.values():
+            reduce_into({rename[c]: x for c, x in row.items()}, member._pivots, self.p)
+        return member
+
     @cached_property
     def matrix(self) -> PrimeFieldMatrix:
         """The echelon basis, one row per pivot."""
@@ -167,10 +194,9 @@ def _generator_specs(n: int, a: int, b: int, i: int, truncated: bool, p: int, mu
     return {m: specs for m, specs in groups.items() if specs}
 
 
-def _eliminate(n: int, a: int, b: int, powers, truncated: bool, p: int, walk):
+def _eliminate(n: int, a: int, b: int, powers, truncated: bool, p: int):
     """The one elimination pass over the given powers, highest first, over
-    the multidegrees walk(a + b, caps) yields: `compositions` for all,
-    `decreasing_compositions` for one per orbit.  Returns the blocks and
+    one weakly decreasing multidegree per S_n orbit.  Returns the blocks and
     {power: {multidegree: rank}}.  A minor product is expanded once, when a
     block that is not saturated first needs it."""
     powers = sorted(set(powers), reverse=True)
@@ -182,7 +208,7 @@ def _eliminate(n: int, a: int, b: int, powers, truncated: bool, p: int, walk):
     zero = (0,) * n
     cap = p - 1 if truncated else a + b
     # a multidegree entry above 2 cap leaves its block no columns
-    multidegrees = list(walk(a + b, (2 * cap,) * n))
+    multidegrees = list(decreasing_compositions(a + b, (2 * cap,) * n))
     products: dict[tuple, list[tuple[int, int]]] = {}
     blocks: dict[tuple[int, ...], _Block] = {}
     ranks = {}
@@ -208,9 +234,13 @@ def ideal_power_slice(
     n: int, a: int, b: int, i: int, truncated: bool, p: int
 ) -> IdealPowerSlice:
     """The i-th power's slice in bidegree (a, b); with truncated=True in
-    the quotient by p-th powers of the variables."""
-    blocks, _ = _eliminate(n, a, b, [i], truncated, p, compositions)
-    return IdealPowerSlice({m: block for m, block in blocks.items() if block.rank})
+    the quotient by p-th powers of the variables.  Only the orbit
+    representatives are eliminated; each carries its basis to its orbit."""
+    blocks, _ = _eliminate(n, a, b, [i], truncated, p)
+    return IdealPowerSlice({
+        o: block if o == m else block.carried(o)
+        for m, block in blocks.items() if block.rank for o in orbit(m)
+    })
 
 
 def slice_characters(
@@ -218,7 +248,7 @@ def slice_characters(
 ) -> dict[int, LaurentPolynomial]:
     """{i: blockwise rank character of the i-th slice} for every requested
     power, from one pass; a representative's rank holds on its orbit."""
-    _, ranks = _eliminate(n, a, b, powers, truncated, p, decreasing_compositions)
+    _, ranks = _eliminate(n, a, b, powers, truncated, p)
     return {i: LaurentPolynomial(n, {o: r for m, r in by_m.items() for o in orbit(m)})
             for i, by_m in ranks.items()}
 

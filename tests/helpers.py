@@ -9,7 +9,14 @@ import numpy as np
 
 from fpcoh.characters import LaurentPolynomial
 from fpcoh.combinatorics import TwoRowTableau, _equal_column_rule, compositions
-from fpcoh.determinantal import slice_characters
+from fpcoh.determinantal import (
+    IdealPowerSlice,
+    _Block,
+    _code,
+    _generator_specs,
+    expand_minor_product,
+    slice_characters,
+)
 from fpcoh.incidence import omega_block
 from fpcoh.linalg import PrimeFieldMatrix, reduce_into, rref_with_order
 
@@ -107,6 +114,51 @@ def product_block_columns(n: int, a: int, b: int, cap: int) -> dict:
         for y in ys:
             out.setdefault(tuple(map(sum, zip(x, y))), []).append(x + y)
     return {m: sorted(monos) for m, monos in out.items()}
+
+
+def full_scan_slice(n: int, a: int, b: int, i: int, truncated: bool, p: int) -> IdealPowerSlice:
+    """The i-th power's slice in bidegree (a, b) with every multidegree
+    block eliminated from its own generators, each one fed: the oracle for
+    `ideal_power_slice`, which eliminates one block per S_n orbit and
+    carries its basis to the rest of the orbit."""
+    cap = p - 1 if truncated else a + b
+    multidegrees = list(compositions(a + b, (2 * cap,) * n))
+    zero = (0,) * n
+    products: dict[tuple, list[tuple[int, int]]] = {}
+    blocks = {}
+    for m, specs in _generator_specs(n, a, b, i, truncated, p, multidegrees).items():
+        block = _Block(m, a, cap, p)
+        for minors, shift in specs:
+            if minors not in products:
+                expansion = expand_minor_product(n, minors, zero, zero).items()
+                products[minors] = [
+                    (_code(mono[:n], a + 1), c % p) for mono, c in expansion if c % p
+                ]
+            block.add(shift, products[minors])
+        if block.rank:
+            blocks[m] = block
+    return IdealPowerSlice(blocks)
+
+
+def classical_leading_monomials(n: int, a: int, b: int, i: int) -> set[tuple[int, ...]]:
+    """The leading monomials of the classical I^i in bidegree (a, b), in
+    any characteristic, by the closed form: in(I^i) = in(I)^i for the
+    maximal minors of a 2 x n matrix (Conca, JPAA 1997), and the leading
+    term of a minor is x_u y_v with u < v.  So x^alpha y^beta is one iff it
+    holds i disjoint pairs x_u y_v, u < v; a greedy pass over v counts them,
+    matching y_v against the x's seen before v."""
+    out = set()
+    ys = list(compositions(b, (b,) * n))
+    for x in compositions(a, (a,) * n):
+        for y in ys:
+            seen = pairs = 0
+            for xv, yv in zip(x, y):
+                matched = min(seen, yv)
+                pairs += matched
+                seen += xv - matched
+            if pairs >= i:
+                out.add(x + y)
+    return out
 
 
 def interval_data(w, edges, j: int) -> tuple[int, int, int]:

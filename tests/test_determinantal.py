@@ -13,6 +13,7 @@ from fpcoh.combinatorics import (
     decreasing_compositions,
     enumerate_pssyt,
     enumerate_ssyt,
+    orbit,
 )
 from fpcoh.determinantal import (
     check_lead_terms,
@@ -25,7 +26,12 @@ from fpcoh.determinantal import (
 )
 from fpcoh.linalg import PrimeFieldMatrix, rref_with_order
 from fpcoh.verdicts import AGREE, OUTSIDE
-from helpers import filtration_character, product_block_columns
+from helpers import (
+    classical_leading_monomials,
+    filtration_character,
+    full_scan_slice,
+    product_block_columns,
+)
 
 
 def test_minor_pairs():
@@ -388,17 +394,18 @@ def test_block_columns_match_the_product_of_monomials():
 
 def full_scan_characters(n, a, b, powers, truncated, p):
     """{i: rank character of the i-th slice} with every multidegree block
-    reduced, as the leading-monomial slices are."""
+    reduced on its own."""
     out = {}
     for i in powers:
-        slc = ideal_power_slice(n, a, b, i, truncated, p)
+        slc = full_scan_slice(n, a, b, i, truncated, p)
         out[i] = LaurentPolynomial(n, {m: block.rank for m, block in slc.blocks.items()})
     return out
 
 
 def test_orbit_pass_matches_full_scan_beyond_the_oracle():
     # n = 5, 6 lie beyond the matrix oracle above; the full scan reduces
-    # every block, the rank pass one per S_n orbit
+    # every block, the pass one per S_n orbit, and the leading monomials
+    # are carried from it to the rest of the orbit
     rng = random.Random(11)
     cases = [
         (n, rng.randint(2, 3), rng.randint(1, 2), truncated, p)
@@ -411,19 +418,32 @@ def test_orbit_pass_matches_full_scan_beyond_the_oracle():
         want = full_scan_characters(n, a, b, powers, truncated, p)
         got = slice_characters(n, a, b, powers, truncated, p)
         assert got == want, (n, a, b, truncated, p)
+        for i in powers:
+            scan = full_scan_slice(n, a, b, i, truncated, p)
+            slc = ideal_power_slice(n, a, b, i, truncated, p)
+            assert slc.blocks.keys() == scan.blocks.keys(), (n, a, b, i, truncated, p)
+            assert leading_monomials(slc) == leading_monomials(scan), (n, a, b, i, truncated, p)
 
 
 def test_rank_pass_builds_one_block_per_orbit(monkeypatch):
     from fpcoh import determinantal
 
-    built = []
+    built, fed = [], set()
     real_init = determinantal._Block.__init__
+    real_add = determinantal._Block.add
 
     def init(block, m, a, cap, p):
         built.append(m)
         real_init(block, m, a, cap, p)
 
+    def add(block, shift, terms):
+        mono = block.monomials[0]  # a fed block has columns: it is not saturated
+        half = len(mono) // 2
+        fed.add(tuple(x + y for x, y in zip(mono[:half], mono[half:])))
+        real_add(block, shift, terms)
+
     monkeypatch.setattr(determinantal._Block, "__init__", init)
+    monkeypatch.setattr(determinantal._Block, "add", add)
     # (5, 4, 4): 18 orbits of 495 multidegrees, of which I^2 meets 16 and 470
     for n, a, b, powers, truncated, p, orbits, blocks in (
         (5, 4, 4, [2, 3], False, 2, 16, 470),
@@ -433,12 +453,60 @@ def test_rank_pass_builds_one_block_per_orbit(monkeypatch):
         built.clear()
         slice_characters(n, a, b, powers, truncated, p)
         reps = list(built)
-        built.clear()
-        for i in powers:
-            ideal_power_slice(n, a, b, i, truncated, p)
-        every = set(built)
         assert len(reps) == len(set(reps)), (n, a, b)
+        assert all(list(m) == sorted(m, reverse=True) for m in reps), (n, a, b)
+        every = set()
+        for i in powers:
+            built.clear()
+            fed.clear()
+            slc = ideal_power_slice(n, a, b, i, truncated, p)
+            # generators go to representatives only; every multidegree of
+            # nonzero rank still has its block
+            assert fed and fed <= set(built) <= set(reps), (n, a, b, i)
+            ranked = {m for m in built if m in slc.blocks}
+            assert set(slc.blocks) == {o for m in ranked for o in orbit(m)}, (n, a, b, i)
+            every |= set(slc.blocks)
         assert set(reps) == {tuple(sorted(m, reverse=True)) for m in every}, (n, a, b)
         assert len(every) > len(reps)
         if orbits is not None:
             assert (len(reps), len(every)) == (orbits, blocks)
+
+
+def closed_form_mismatches(cases):
+    """The cases (n, a, b, i, p) whose classical leading monomials differ
+    from the closed form; each one's classical rank character must match
+    the closed form's count per multidegree."""
+    from fpcoh import determinantal
+
+    out = []
+    for n, a, b, i, p in cases:
+        want = classical_leading_monomials(n, a, b, i)
+        if determinantal.leading_monomials(ideal_power_slice(n, a, b, i, False, p)) != want:
+            out.append((n, a, b, i, p))
+        counts = {}
+        for mono in want:
+            m = tuple(x + y for x, y in zip(mono[:n], mono[n:]))
+            counts[m] = counts.get(m, 0) + 1
+        assert slice_characters(n, a, b, [i], False, p)[i] == LaurentPolynomial(n, counts)
+    return out
+
+
+def test_classical_leading_monomials_match_the_closed_form(monkeypatch):
+    # in(I^i) = in(I)^i for maximal minors reaches n = 6 and 7, beyond the
+    # dense oracle; reading the pivots off the wrong end must fail it
+    from fpcoh import determinantal
+
+    rng = random.Random(15)
+    cases = [(n, a, b, 0, 2) for n, a, b in ((6, 1, 1), (7, 1, 0))]
+    for n in (6, 7):
+        for _ in range(3):
+            a, b = rng.randint(2, 4), rng.randint(1, 3)
+            cases.append((n, a, b, rng.randint(1, min(a, b)), rng.choice((2, 3, 5))))
+    cases.append((6, 2, 2, 3, 2))  # above min(a, b): empty
+    assert closed_form_mismatches(cases) == []
+
+    def reversed_pivots(slc):
+        return {b.monomials[-1 - c] for b in slc.blocks.values() for c in b._pivots}
+
+    monkeypatch.setattr(determinantal, "leading_monomials", reversed_pivots)
+    assert closed_form_mismatches(cases)
