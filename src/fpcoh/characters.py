@@ -7,6 +7,8 @@ integers.
 
 from __future__ import annotations
 
+from operator import add
+
 from .combinatorics import compositions, nim_sum
 
 
@@ -97,7 +99,7 @@ class LaurentPolynomial:
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
         return LaurentPolynomial(self.nvars, out)
 

@@ -9,13 +9,20 @@ monomials share total degree, so ties are broken by plain lexicographic
 comparison of those tuples.
 
 Every slice rank comes from one elimination pass (`_eliminate`).  Since
-I^(i+1) lies in I^i, it feeds the generators of the requested powers,
-highest power first and grouped by torus multidegree, into one incremental
-row echelon per block with pivots in term order, and records the block
-ranks after each power.  A block lists its own columns, the bidegree-(a, b)
-monomials of its multidegree.  A block whose rank reaches its column count
-is saturated and takes no further generators.  Truncated, monomials with an
-exponent >= p are dropped before expansion and expanded terms after.
+I^(i+1) lies in I^i, it feeds the requested powers, highest first, into one
+incremental row echelon per torus multidegree block with pivots in term
+order, and records the block ranks after each power.  A block lists its own
+columns, the bidegree-(a, b) monomials of its multidegree; one whose rank
+reaches its column count is saturated and takes no further rows.  For the
+maximal minors of a 2 x n matrix, in(I^i) = in(I)^i (Conca, JPAA 1997), and
+the leading term of the minor (u, v) is x_u y_v.  So a column leads in I^i
+iff it holds i disjoint pairs x_u y_v with u < v, and the product of i such
+minors times the rest of the column leads with the column.  One such row
+per column spans the classical block, as their leading monomials are
+distinct and as many as its dimension; a lower power feeds only the columns
+the power above it left out.  The truncated block is the image of the
+classical one, so the same rows span it; a row whose monomial factor has an
+exponent >= p vanishes there, and expanded terms outside the columns drop.
 Permuting the n columns of the matrix sends each minor to a minor up to
 sign and fixes the p-th powers, so every slice is S_n-stable and the pass
 reduces one block per S_n orbit of multidegrees: rank characters
@@ -31,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
 from operator import add, itemgetter, sub
 
 import numpy as np
@@ -48,11 +54,6 @@ from .linalg import PrimeFieldMatrix, check_modulus, reduce_into
 from .verdicts import AGREE, DISAGREE, OUTSIDE
 
 Monomial = tuple  # exponent tuple of length 2n
-
-
-def minor_pairs(n: int) -> list[tuple[int, int]]:
-    """Index pairs (u, v), u < v, of the 2x2 minors x_u y_v - x_v y_u (0-based)."""
-    return list(combinations(range(n), 2))
 
 
 def expand_minor_product(
@@ -167,31 +168,27 @@ class IdealPowerSlice:
         return sum(b.rank for b in self.blocks.values())
 
 
-def _generator_specs(n: int, a: int, b: int, i: int, truncated: bool, p: int, multidegrees):
-    """The i-th power's generators in bidegree (a, b) in the given
-    multidegrees, as {multidegree: [(minors, code of the x-monomial)]},
-    nothing expanded.  A multidegree is the minors' weight (how often each
-    column occurs) plus x + y, so it fixes the y-monomial."""
-    if a < i or b < i:
-        return {}
-    caps = (p - 1 if truncated else a + b,) * n
-    ys = list(compositions(b - i, caps))
-    shifts: dict[tuple[int, ...], list] = {}
-    for x in compositions(a - i, caps):
-        code = _code(x, a + 1)
-        for y in ys:
-            shifts.setdefault(tuple(map(add, x, y)), []).append(code)
-    by_weight: dict[tuple[int, ...], list] = {}
-    for minors in combinations_with_replacement(minor_pairs(n), i):
-        weight = tuple(sum(k in pair for pair in minors) for k in range(n))
-        by_weight.setdefault(weight, []).append(minors)
-    groups: dict[tuple[int, ...], list] = {m: [] for m in multidegrees}
-    for weight, products in by_weight.items():
-        for xy, codes in shifts.items():
-            specs = groups.get(tuple(map(add, weight, xy)))
-            if specs is not None:
-                specs += [(minors, code) for minors in products for code in codes]
-    return {m: specs for m, specs in groups.items() if specs}
+def _lead_generators(m: tuple[int, ...], a: int, i: int, above: int, cap: int):
+    """The rows power i feeds block m: for each classical column x + (m - x)
+    in which a greedy pass, matching y_v against the x's seen before v,
+    finds k pairs x_u y_v with i <= k < above, the first i minors (u, v),
+    sorted, and the code of the remaining x-monomial; skips a column whose
+    remaining monomial has an exponent above cap, as its row vanishes."""
+    n = len(m)
+    for x in compositions(a, m):
+        pairs, unmatched = [], []
+        for v, xv in enumerate(x):
+            for _ in range(min(len(unmatched), m[v] - xv)):
+                pairs.append((unmatched.pop(), v))
+            unmatched += [v] * xv
+        if not i <= len(pairs) < above:
+            continue
+        rest = [*x, *map(sub, m, x)]
+        for u, v in pairs[:i]:
+            rest[u] -= 1
+            rest[n + v] -= 1
+        if max(rest) <= cap:
+            yield tuple(sorted(pairs[:i])), _code(rest[:n], a + 1)
 
 
 def _eliminate(n: int, a: int, b: int, powers, truncated: bool, p: int):
@@ -212,12 +209,13 @@ def _eliminate(n: int, a: int, b: int, powers, truncated: bool, p: int):
     products: dict[tuple, list[tuple[int, int]]] = {}
     blocks: dict[tuple[int, ...], _Block] = {}
     ranks = {}
+    above = a + b + 1  # every column holds at most min(a, b) pairs
     for i in powers:
-        for m, specs in _generator_specs(n, a, b, i, truncated, p, multidegrees).items():
+        for m in multidegrees:
             block = blocks.get(m)
-            if block is None:
-                block = blocks[m] = _Block(m, a, cap, p)
-            for minors, shift in specs:
+            for minors, shift in _lead_generators(m, a, i, above, cap):
+                if block is None:
+                    block = blocks[m] = _Block(m, a, cap, p)
                 if block.saturated():
                     break
                 if minors not in products:
@@ -227,6 +225,7 @@ def _eliminate(n: int, a: int, b: int, powers, truncated: bool, p: int):
                     ]
                 block.add(shift, products[minors])
         ranks[i] = {m: blk.rank for m, blk in blocks.items()}
+        above = i
     return blocks, ranks
 
 

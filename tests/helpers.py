@@ -3,7 +3,7 @@ use for them."""
 
 import math
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from fpcoh.determinantal import (
     IdealPowerSlice,
     _Block,
     _code,
-    _generator_specs,
     expand_minor_product,
     slice_characters,
 )
@@ -56,6 +55,23 @@ def dense_rank(a, p: int) -> int:
             a[idx, c + 1 :] = (a[idx, c + 1 :] - a[idx, c][:, None] * row) % p
         r += 1
     return r
+
+
+def trial_division_is_prime(p: int) -> bool:
+    """Primality by trial division with the odd numbers up to sqrt(p): the
+    oracle for the Miller-Rabin `linalg.is_prime`."""
+    if p < 2:
+        return False
+    if p < 4:
+        return True
+    if p % 2 == 0:
+        return False
+    f = 3
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 2
+    return True
 
 
 def omega_matrix(n: int, d: int, e: int, m, p: int) -> PrimeFieldMatrix:
@@ -116,17 +132,51 @@ def product_block_columns(n: int, a: int, b: int, cap: int) -> dict:
     return {m: sorted(monos) for m, monos in out.items()}
 
 
+def minor_pairs(n: int) -> list[tuple[int, int]]:
+    """Index pairs (u, v), u < v, of the 2x2 minors x_u y_v - x_v y_u (0-based)."""
+    return list(combinations(range(n), 2))
+
+
+def generator_specs(n: int, a: int, b: int, i: int, truncated: bool, p: int, multidegrees):
+    """Every generator of the i-th power in bidegree (a, b) in the given
+    multidegrees, as {multidegree: [(minors, code of the x-monomial)]},
+    nothing expanded: each product of i minors times each monomial.  A
+    multidegree is the minors' weight (how often each column occurs) plus
+    x + y, so it fixes the y-monomial."""
+    if a < i or b < i:
+        return {}
+    caps = (p - 1 if truncated else a + b,) * n
+    ys = list(compositions(b - i, caps))
+    shifts: dict[tuple[int, ...], list] = {}
+    for x in compositions(a - i, caps):
+        code = _code(x, a + 1)
+        for y in ys:
+            shifts.setdefault(tuple(map(sum, zip(x, y))), []).append(code)
+    by_weight: dict[tuple[int, ...], list] = {}
+    for minors in combinations_with_replacement(minor_pairs(n), i):
+        weight = tuple(sum(k in pair for pair in minors) for k in range(n))
+        by_weight.setdefault(weight, []).append(minors)
+    groups: dict[tuple[int, ...], list] = {m: [] for m in multidegrees}
+    for weight, products in by_weight.items():
+        for xy, codes in shifts.items():
+            specs = groups.get(tuple(map(sum, zip(weight, xy))))
+            if specs is not None:
+                specs += [(minors, code) for minors in products for code in codes]
+    return {m: specs for m, specs in groups.items() if specs}
+
+
 def full_scan_slice(n: int, a: int, b: int, i: int, truncated: bool, p: int) -> IdealPowerSlice:
     """The i-th power's slice in bidegree (a, b) with every multidegree
-    block eliminated from its own generators, each one fed: the oracle for
-    `ideal_power_slice`, which eliminates one block per S_n orbit and
-    carries its basis to the rest of the orbit."""
+    block eliminated from every one of its generators: the oracle for
+    `ideal_power_slice`, which eliminates one block per S_n orbit from one
+    generator per classical leading monomial and carries its basis to the
+    rest of the orbit."""
     cap = p - 1 if truncated else a + b
     multidegrees = list(compositions(a + b, (2 * cap,) * n))
     zero = (0,) * n
     products: dict[tuple, list[tuple[int, int]]] = {}
     blocks = {}
-    for m, specs in _generator_specs(n, a, b, i, truncated, p, multidegrees).items():
+    for m, specs in generator_specs(n, a, b, i, truncated, p, multidegrees).items():
         block = _Block(m, a, cap, p)
         for minors, shift in specs:
             if minors not in products:

@@ -20,7 +20,6 @@ from fpcoh.determinantal import (
     expand_minor_product,
     ideal_power_slice,
     leading_monomials,
-    minor_pairs,
     slice_characters,
     tableau_monomial,
 )
@@ -30,6 +29,8 @@ from helpers import (
     classical_leading_monomials,
     filtration_character,
     full_scan_slice,
+    generator_specs,
+    minor_pairs,
     product_block_columns,
 )
 
@@ -358,7 +359,7 @@ def test_pass_expands_once_and_never_feeds_a_saturated_block(monkeypatch):
         generators = sum(
             len(specs)
             for i in range(b + 2)
-            for specs in determinantal._generator_specs(n, a, b, i, True, p, reps).values()
+            for specs in generator_specs(n, a, b, i, True, p, reps).values()
         )
         assert len(expanded) == len(set(expanded))
         assert fed_when_saturated and not any(fed_when_saturated)
@@ -423,6 +424,46 @@ def test_orbit_pass_matches_full_scan_beyond_the_oracle():
             slc = ideal_power_slice(n, a, b, i, truncated, p)
             assert slc.blocks.keys() == scan.blocks.keys(), (n, a, b, i, truncated, p)
             assert leading_monomials(slc) == leading_monomials(scan), (n, a, b, i, truncated, p)
+
+
+def test_truncated_pass_matches_full_scan_across_power_gaps():
+    # the truncated slice has no closed form; power lists with gaps make a
+    # lower power feed only the columns the power above it left out
+    for (a, b), p, powers in product(((3, 3), (4, 3)), (2, 3), ([0, 2, 3], [1, 3])):
+        want = full_scan_characters(6, a, b, powers, True, p)
+        assert slice_characters(6, a, b, powers, True, p) == want, (a, b, p, powers)
+    for (a, b), p, i in product(((3, 3), (4, 3)), (2, 3), (1, 2, 3)):
+        scan = full_scan_slice(6, a, b, i, True, p)
+        slc = ideal_power_slice(6, a, b, i, True, p)
+        assert slc.blocks.keys() == scan.blocks.keys(), (a, b, i, p)
+        assert leading_monomials(slc) == leading_monomials(scan), (a, b, i, p)
+
+
+def test_classical_pass_feeds_only_rows_that_raise_the_rank(monkeypatch):
+    # in(I^i) = in(I)^i: each generator's leading monomial is a column the
+    # block's span does not lead with yet, so every row fed is kept
+    from fpcoh import determinantal
+
+    gains = []
+    real_add = determinantal._Block.add
+
+    def add(block, shift, terms):
+        rank = block.rank
+        real_add(block, shift, terms)
+        gains.append(block.rank - rank)
+
+    monkeypatch.setattr(determinantal._Block, "add", add)
+    rng = random.Random(16)
+    cases = [(6, 3, 3, [0, 1, 2, 3], 2), (5, 4, 3, [1, 3], 3)]
+    for _ in range(12):
+        n, a, b = rng.randint(2, 6), rng.randint(1, 4), rng.randint(1, 3)
+        powers = rng.sample(range(min(a, b) + 2), rng.randint(1, min(a, b) + 1))
+        cases.append((n, a, b, powers, rng.choice((2, 3, 5))))
+    for n, a, b, powers, p in cases:
+        gains.clear()
+        blocks, _ = determinantal._eliminate(n, a, b, powers, False, p)
+        assert set(gains) <= {1}, (n, a, b, powers, p)
+        assert len(gains) == sum(block.rank for block in blocks.values()), (n, a, b, powers, p)
 
 
 def test_rank_pass_builds_one_block_per_orbit(monkeypatch):

@@ -16,7 +16,7 @@ from fpcoh.linalg import (
     rref_with_order,
     smith_invariants,
 )
-from helpers import dense_rank, kernel_basis
+from helpers import dense_rank, kernel_basis, trial_division_is_prime
 
 
 def reference_rank(rows, p):
@@ -77,6 +77,19 @@ def test_is_prime():
     assert not is_prime(1)
     assert not is_prime(0)
     assert is_prime(2_147_483_647)
+
+
+def test_is_prime_matches_trial_division():
+    # exact below 3 215 031 751; the composite 25 326 001 passes the bases
+    # 2, 3 and 5, and 46 337**2 is the largest square of a prime below 2**31
+    assert [q for q in range(10**5) if is_prime(q)] == [
+        q for q in range(10**5) if trial_division_is_prime(q)]
+    rng = random.Random(16)
+    near = [2**31 - 1 - rng.randrange(10**6) for _ in range(300)]
+    for q in near + [25_326_001, 46_337**2, 2**31 - 1]:
+        assert is_prime(q) == trial_division_is_prime(q), q
+    assert not is_prime(25_326_001)
+    assert sum(map(is_prime, near)) > 5
 
 
 def test_matrix_validation():
