@@ -11,7 +11,6 @@ from .characters import (
     schur2_trunc,
 )
 from .combinatorics import (
-    TwoRowTableau,
     binom_int,
     enumerate_A,
     enumerate_pssyt,
@@ -23,7 +22,6 @@ from .combinatorics import (
 from .complexes import (
     ChainComplex,
     PoincarePolynomial,
-    WeightSequence,
     build_complex,
     check_involution,
     check_stable_periodicity_hook,
@@ -51,7 +49,6 @@ from .incidence import (
     omega_block,
 )
 from .linalg import (
-    IntegerMatrix,
     PrimeFieldMatrix,
     matmul_mod,
     smith_invariants,

@@ -169,6 +169,8 @@ def _cmd_complex_homology(ns):
 
 
 def _cmd_complex_theorem(ns):
+    if ns.d < 0:
+        raise ValueError(f"need d >= 0, got d = {ns.d}")
     params = {"d": ns.d, "primes": list(ns.primes)}
     verdicts = []
     for p in ns.primes:
@@ -504,7 +506,7 @@ def _run_row(argv: list[str]) -> list[Verdict]:
     except SystemExit:
         return [Verdict("sweep-row", {"argv": list(argv)}, ERROR,
                         {"message": sink.getvalue().strip() or "usage error"})]
-    except (ValueError, UnsupportedRegimeError) as exc:
+    except ValueError as exc:  # UnsupportedRegimeError included
         message = str(exc)
     except Exception as exc:  # a failed check in one row must not end the sweep
         return [_crash_verdict("sweep-row", argv, exc)]

@@ -1,9 +1,11 @@
-"""Binomial arithmetic, digit combinatorics, and two-row tableaux."""
+"""Binomial arithmetic, digit combinatorics, and two-row tableaux.
+
+A two-row tableau is the pair (u, v) of its top and bottom words, tuples of
+letters 1..n; the enumerators list them in lexicographic order on (u, v)."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 
@@ -127,34 +129,7 @@ def enumerate_A(p: int, d: int):
 # ---------------------------------------------------------------------------
 # two-row tableaux
 
-
-@dataclass(frozen=True, order=True)
-class TwoRowTableau:
-    """Filling of a two-row shape (a, b): top word u of length a >= b,
-    bottom word v of length b."""
-
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "top", tuple(int(x) for x in self.top))
-        object.__setattr__(self, "bottom", tuple(int(x) for x in self.bottom))
-        if len(self.bottom) > len(self.top):
-            raise ValueError("bottom row longer than top row")
-        if any(x < 1 for x in self.top + self.bottom):
-            raise ValueError("entries must be positive integers")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.top), len(self.bottom))
-
-    def weight(self, n: int) -> tuple[int, ...]:
-        counts = [0] * n
-        for x in self.top + self.bottom:
-            if x > n:
-                raise ValueError(f"entry {x} exceeds alphabet size {n}")
-            counts[x - 1] += 1
-        return tuple(counts)
+Tableau = tuple  # (u, v): top word of length a, bottom word of length b <= a
 
 
 def _words(n: int, length: int, cap: int) -> list[tuple[int, ...]]:
@@ -167,32 +142,15 @@ def _words(n: int, length: int, cap: int) -> list[tuple[int, ...]]:
     ]
 
 
-def enumerate_ssyt(n: int, a: int, b: int) -> list[TwoRowTableau]:
-    """Semistandard fillings of shape (a, b) with entries in 1..n: weakly
-    increasing rows, strictly increasing columns.  Lexicographic on (u, v)."""
+def enumerate_ssyt(n: int, a: int, b: int) -> list[Tableau]:
+    """Semistandard fillings (u, v) of shape (a, b) with entries in 1..n:
+    weakly increasing rows, strictly increasing columns.  Lexicographic on
+    (u, v).  They are the (a + 2)-semistandard ones: no row has room for a
+    run of a + 1 letters, the run cap, and the runs around an equal column
+    hold at most a + 1 < a + 2 letters, so no column may be equal."""
     if b > a or a < 0 or b < 0:
         raise ValueError("invalid shape")
-    out = []
-    for u in _words(n, a, a):
-        for v in _column_strict_bottoms(n, u, b):
-            out.append(TwoRowTableau(u, v))
-    return out
-
-
-def _column_strict_bottoms(n: int, u: tuple[int, ...], b: int):
-    word: list[int] = []
-
-    def rec(pos: int):
-        if pos == b:
-            yield tuple(word)
-            return
-        lo = max(word[-1] if word else 1, u[pos] + 1)
-        for x in range(lo, n + 1):
-            word.append(x)
-            yield from rec(pos + 1)
-            word.pop()
-
-    yield from rec(0)
+    return enumerate_pssyt(n, a, b, a + 2)
 
 
 def _equal_column_rule(u: tuple[int, ...], v: tuple[int, ...], j: int, p: int) -> bool:
@@ -208,8 +166,8 @@ def _equal_column_rule(u: tuple[int, ...], v: tuple[int, ...], j: int, p: int) -
     return (r - j + 1) + (j - s + 1) >= p
 
 
-def enumerate_pssyt(n: int, a: int, b: int, p: int) -> list[TwoRowTableau]:
-    """p-semistandard fillings of shape (a, b), lexicographic on (u, v)."""
+def enumerate_pssyt(n: int, a: int, b: int, p: int) -> list[Tableau]:
+    """p-semistandard fillings (u, v) of shape (a, b), lexicographic on (u, v)."""
     if b > a or a < 0 or b < 0:
         raise ValueError("invalid shape")
     if p < 2:
@@ -223,5 +181,5 @@ def enumerate_pssyt(n: int, a: int, b: int, p: int) -> list[TwoRowTableau]:
             if all(
                 u[j] != v[j] or _equal_column_rule(u, v, j, p) for j in range(b)
             ):
-                out.append(TwoRowTableau(u, v))
+                out.append((u, v))
     return out

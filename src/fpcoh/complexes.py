@@ -1,16 +1,19 @@
 """Chain complexes attached to weighted path graphs, and their homology.
 
-The path has vertices 0..d carrying integer weights (w_0, ..., w_d) and
-edges 1..d.  Degree k of the complex is spanned by the k-element edge
-subsets; the differential drops one edge at a time, with coefficient the
-binomial coefficient of the split component (total weight over the weight
-of the piece away from vertex 0) and sign (-1)^(number of earlier missing
-edges).  Only w_0 may be negative; binomials with negative top argument are
-the falling-factorial ones, so every construction is exact over Z or Z/p.
+The path has vertices 0..d carrying integer weights, the tuple
+(w_0, ..., w_d), and edges 1..d.  Degree k of the complex is spanned by the
+k-element edge subsets; the differential drops one edge at a time, with
+coefficient the binomial coefficient of the split component (total weight
+over the weight of the piece away from vertex 0) and sign (-1)^(number of
+earlier missing edges).  Only w_0 may be negative; binomials with negative
+top argument are the falling-factorial ones, so every construction is exact
+over Z or Z/p.
 
 A complex keeps its boundary as one CSC matrix of numpy arrays over all its
 cells, built by one gather from structure cached per d, and checks d∘d = 0
 on it exactly before `linalg.chain_ranks` reads its F_p ranks from it.
+`differential(k)` gives d_k densely as row lists, which
+`linalg.smith_invariants` takes over Z.
 
 The checks of the hook involution, the edge-contraction sequence and stable
 periodicity return a verdict status and its payload; a disagreeing payload
@@ -27,14 +30,7 @@ from itertools import accumulate
 import numpy as np
 
 from .combinatorics import binom_int
-from .linalg import (
-    SMITH_SIZE_LIMIT,
-    IntegerMatrix,
-    PrimeFieldMatrix,
-    chain_ranks,
-    check_modulus,
-    smith_invariants,
-)
+from .linalg import SMITH_SIZE_LIMIT, chain_ranks, check_modulus, smith_invariants
 from .verdicts import AGREE, DISAGREE
 
 # An all-ones complex peaks at 64 MB of RSS for d = 16 (d*2^(d-1) = 524 288
@@ -43,44 +39,14 @@ from .verdicts import AGREE, DISAGREE
 MAX_COMPLEX_NONZEROS = 2**29 // 100
 
 
-@dataclass(frozen=True)
-class WeightSequence:
-    """Vertex weights of the path; entries after the first must be >= 0."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        entries = tuple(int(x) for x in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if not entries:
-            raise ValueError("weight sequence is empty")
-        if any(x < 0 for x in entries[1:]):
-            raise ValueError("only the leading weight may be negative")
-
-    @classmethod
-    def of(cls, w) -> "WeightSequence":
-        if isinstance(w, WeightSequence):
-            return w
-        return cls(tuple(w))
-
-    @property
-    def d(self) -> int:
-        return len(self.entries) - 1
-
-    def total(self) -> int:
-        return sum(self.entries)
-
-    def tail_total(self) -> int:
-        return sum(self.entries[1:])
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
+def _weights(w) -> tuple[int, ...]:
+    """The vertex weights as a tuple; entries after the first must be >= 0."""
+    w = tuple(int(x) for x in w)
+    if not w:
+        raise ValueError("weight sequence is empty")
+    if any(x < 0 for x in w[1:]):
+        raise ValueError("only the leading weight may be negative")
+    return w
 
 
 @dataclass(frozen=True)
@@ -173,7 +139,7 @@ class ChainComplex:
     coefficients at the same places of `residues` (int32 residues mod p, or
     Python ints over Z).  `boundary(k)` is its block d_k."""
 
-    weights: WeightSequence
+    weights: tuple[int, ...]
     p: int | None
     indptr: np.ndarray
     rows: np.ndarray
@@ -182,7 +148,7 @@ class ChainComplex:
 
     @property
     def d(self) -> int:
-        return self.weights.d
+        return len(self.weights) - 1
 
     def dimension(self, k: int) -> int:
         if 0 <= k <= self.d:
@@ -202,15 +168,12 @@ class ChainComplex:
         return (self.indptr[offsets[k]:offsets[k + 1] + 1] - start,
                 self.rows[start:stop] - offsets[k - 1], self.residues[start:stop])
 
-    def differential(self, k: int):
-        """d_k as a new IntegerMatrix over Z or PrimeFieldMatrix over Z/p."""
+    def differential(self, k: int) -> list[list[int]]:
+        """d_k as dense row lists: integers over Z, residues over Z/p."""
         indptr, rows, residues = self.boundary(k)
-        a = np.zeros((self.dimension(k - 1), self.dimension(k)),
-                     dtype=object if self.p is None else np.int64)
+        a = np.zeros((self.dimension(k - 1), self.dimension(k)), dtype=residues.dtype)
         a[rows, np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))] = residues
-        if self.p is None:
-            return IntegerMatrix(a.tolist())
-        return PrimeFieldMatrix.from_reduced(self.p, a)
+        return a.tolist()
 
     def basis(self, k: int) -> tuple[int, ...]:
         masks, offsets = _masks_by_size(self.d)
@@ -237,13 +200,13 @@ def build_complex(w, p: int | None = None) -> ChainComplex:
     """
     if p is not None:
         check_modulus(p)
-    ws = WeightSequence.of(w)
-    d = ws.d
+    w = _weights(w)
+    d = len(w) - 1
     if (nonzeros := d * 2**d // 2) > MAX_COMPLEX_NONZEROS:
         raise ValueError(f"d = {d} gives d*2^(d-1) = {nonzeros} boundary nonzeros, "
                          f"over the budget of {MAX_COMPLEX_NONZEROS}")
     indptr, rows, slots = _boundary_structure(d)
-    cum = [0, *accumulate(ws.entries)]
+    cum = [0, *accumulate(w)]
     binoms: dict[tuple[int, int], int] = {}
     table = [0] * (2 * d**3)  # (lo*d + e)*d + hi for edges lo <= e <= hi, from 0
     for lo in range(d):
@@ -259,7 +222,7 @@ def build_complex(w, p: int | None = None) -> ChainComplex:
     kept = residues != 0
     before = np.zeros(len(kept) + 1, dtype=np.int32)  # kept entries before each one
     np.cumsum(kept, out=before[1:])
-    cx = ChainComplex(ws, p, before[indptr], rows[kept], residues[kept])
+    cx = ChainComplex(w, p, before[indptr], rows[kept], residues[kept])
     _verify_square_zero(cx)
     return cx
 
@@ -386,21 +349,18 @@ def ses_dimension_check(w, split: int, p: int) -> tuple[str, dict]:
     contracted complex shifted up by one.  The witness is the first failing
     dimension row, then the first failing subadditivity row, else the Euler
     characteristics."""
-    ws = WeightSequence.of(w)
-    d = ws.d
+    w = _weights(w)
+    d = len(w) - 1
     if not 0 <= split < d:
         raise ValueError("split index must satisfy 0 <= split < d")
-    left = ws.entries[: split + 1]
-    right = ws.entries[split + 1 :]
-    merged = ws.entries[:split] + (
-        ws.entries[split] + ws.entries[split + 1],
-    ) + ws.entries[split + 2 :]
+    left, right = w[: split + 1], w[split + 1 :]
+    merged = w[:split] + (w[split] + w[split + 1],) + w[split + 2 :]
 
     d1, d2 = len(left) - 1, len(right) - 1
     h_left = homology_dims(build_complex(left, p)).coefficients
     h_right = homology_dims(build_complex(right, p)).coefficients
     h_merged = homology_dims(build_complex(merged, p)).coefficients
-    h_total = homology_dims(build_complex(ws, p)).coefficients
+    h_total = homology_dims(build_complex(w, p)).coefficients
 
     dim_rows = []
     for k in range(d + 1):

@@ -44,7 +44,7 @@ import numpy as np
 
 from .characters import LaurentPolynomial
 from .combinatorics import (
-    TwoRowTableau,
+    Tableau,
     compositions,
     decreasing_compositions,
     enumerate_pssyt,
@@ -262,18 +262,17 @@ def leading_monomials(slc: IdealPowerSlice) -> set[Monomial]:
 # tableau side
 
 
-def tableau_monomial(t: TwoRowTableau, n: int) -> Monomial:
-    """x_(u_1)...x_(u_a) y_(v_1)...y_(v_b) for the tableau with rows u, v."""
-    x = [0] * n
-    y = [0] * n
-    for val in t.top:
-        if val > n:
-            raise ValueError("entry exceeds variable count")
-        x[val - 1] += 1
-    for val in t.bottom:
-        if val > n:
-            raise ValueError("entry exceeds variable count")
-        y[val - 1] += 1
+def tableau_monomial(t: Tableau, n: int) -> Monomial:
+    """x_(u_1)...x_(u_a) y_(v_1)...y_(v_b) for the tableau (u, v)."""
+    u, v = t
+    x, y = [0] * n, [0] * n
+    try:
+        for k in u:
+            x[k - 1] += 1
+        for k in v:
+            y[k - 1] += 1
+    except IndexError:
+        raise ValueError("entry exceeds variable count") from None
     return tuple(x + y)
 
 

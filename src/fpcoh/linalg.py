@@ -7,10 +7,11 @@ feed it their 0/1 columns and the determinantal blocks their rows.  The
 modulus p must be prime and below 2**31 so that a product of two residues
 fits in a signed 64-bit word; `check_modulus` remembers the moduli it has
 passed.  `PrimeFieldMatrix` stores a matrix over Z/p densely as an int64
-array, built only when a dense matrix is asked for (`differential`, a
-determinantal block's `matrix`, tests); its rank is `chain_ranks` on the CSC
-of its nonzeros.  `rref_with_order` is a separate dense reduction with a
-chosen column order.
+array, built only when a dense matrix is asked for (a determinantal block's
+`matrix`, tests); its rank is `chain_ranks` on the CSC of its nonzeros.
+`rref_with_order` is a separate dense reduction with a chosen column order.
+
+Over Z, `smith_invariants` takes a matrix as its list of rows.
 """
 
 from __future__ import annotations
@@ -191,58 +192,18 @@ def rref_with_order(
     return PrimeFieldMatrix(p, a), pivots
 
 
-class IntegerMatrix:
-    """Immutable matrix over Z with arbitrary-precision entries."""
-
-    __slots__ = ("_rows", "_shape")
-
-    def __init__(self, entries) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
-        self._rows = rows
-        self._shape = (len(rows), width)
-
-    @property
-    def rows(self) -> int:
-        return self._shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    def entry(self, i: int, j: int) -> int:
-        return self._rows[i][j]
-
-    def row_lists(self) -> list[list[int]]:
-        return [list(r) for r in self._rows]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
-        return self._rows == other._rows and self._shape == other._shape
-
-    def __repr__(self) -> str:
-        return f"IntegerMatrix(shape={self._shape})"
-
-
-def smith_invariants(m: IntegerMatrix) -> tuple[int, ...]:
-    """Diagonal of the Smith normal form: non-negative, each dividing the next,
-    zeros trailing. Refuses matrices larger than SMITH_SIZE_LIMIT per side."""
-    if m.rows > SMITH_SIZE_LIMIT or m.cols > SMITH_SIZE_LIMIT:
+def smith_invariants(rows) -> tuple[int, ...]:
+    """Diagonal of the Smith normal form of the integer matrix with the given
+    rows: non-negative, each dividing the next, zeros trailing.  Refuses
+    ragged rows and matrices larger than SMITH_SIZE_LIMIT per side."""
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    if any(len(row) != nc for row in rows):
+        raise ValueError("ragged rows")
+    if nr > SMITH_SIZE_LIMIT or nc > SMITH_SIZE_LIMIT:
         raise ValueError(
             f"smith_invariants limited to {SMITH_SIZE_LIMIT}x{SMITH_SIZE_LIMIT} matrices"
         )
-    a = m.row_lists()
-    nr, nc = m.rows, m.cols
+    a = [[int(x) for x in row] for row in rows]  # reduced in place
     size = min(nr, nc)
     invariants: list[int] = []
     t = 0

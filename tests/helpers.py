@@ -8,7 +8,7 @@ from itertools import accumulate, combinations, combinations_with_replacement
 import numpy as np
 
 from fpcoh.characters import LaurentPolynomial
-from fpcoh.combinatorics import TwoRowTableau, _equal_column_rule, compositions
+from fpcoh.combinatorics import _equal_column_rule, compositions
 from fpcoh.determinantal import (
     IdealPowerSlice,
     _Block,
@@ -21,12 +21,13 @@ from fpcoh.linalg import PrimeFieldMatrix, reduce_into, rref_with_order
 
 
 def tableau_sum(tableaux, n: int) -> LaurentPolynomial:
-    """Sum of the content monomials t^T of the given two-row tableaux."""
+    """Sum of the content monomials t^T of the given two-row tableaux (u, v)
+    with entries in 1..n."""
     out: dict[tuple[int, ...], int] = {}
-    for t in tableaux:
-        if not isinstance(t, TwoRowTableau):
-            raise TypeError("expected TwoRowTableau instances")
-        e = t.weight(n)
+    for u, v in tableaux:
+        if not set(u + v) <= set(range(1, n + 1)):
+            raise ValueError(f"entries of {(u, v)} outside 1..{n}")
+        e = tuple((u + v).count(k) for k in range(1, n + 1))
         out[e] = out.get(e, 0) + 1
     return LaurentPolynomial(n, out)
 
@@ -256,10 +257,11 @@ def recursive_compositions(total: int, caps: tuple[int, ...]):
         yield from rec(0, total, ())
 
 
-def is_p_semistandard(t: TwoRowTableau, p: int) -> bool:
-    """Weakly increasing rows and columns, constant runs in each row of
-    length at most p-1, and the run rule at every column with equal entries."""
-    u, v = t.top, t.bottom
+def is_p_semistandard(t, p: int) -> bool:
+    """Whether the tableau (u, v) has weakly increasing rows and columns,
+    constant runs in each row of length at most p-1, and the run rule at
+    every column with equal entries."""
+    u, v = t
     if any(u[i] > u[i + 1] for i in range(len(u) - 1)):
         return False
     if any(v[i] > v[i + 1] for i in range(len(v) - 1)):

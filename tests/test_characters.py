@@ -14,7 +14,7 @@ from fpcoh.characters import (
     schur2,
     schur2_trunc,
 )
-from fpcoh.combinatorics import TwoRowTableau, enumerate_pssyt, enumerate_ssyt, nim_sum
+from fpcoh.combinatorics import enumerate_pssyt, enumerate_ssyt, nim_sum
 from helpers import is_symmetric, tableau_sum
 
 
@@ -178,11 +178,12 @@ def test_nim_poly_coefficients_are_all_one():
             assert is_symmetric(nim_poly(m, n))
 
 
-def test_tableau_sum_type_checks():
-    with pytest.raises(TypeError):
-        tableau_sum([(1, 2)], 2)
-    t = TwoRowTableau((1,), ())
-    assert tableau_sum([t], 2) == LaurentPolynomial(2, {(1, 0): 1})
+def test_tableau_sum_counts_letters():
+    assert tableau_sum([((1,), ())], 2) == LaurentPolynomial(2, {(1, 0): 1})
+    assert tableau_sum([((1, 2), (2,)), ((1, 1), (2,))], 2) == LaurentPolynomial(
+        2, {(1, 2): 1, (2, 1): 1})
+    with pytest.raises(ValueError):
+        tableau_sum([((1, 3), (2,))], 2)
 
 
 def test_records_are_sorted_and_stable():

@@ -129,7 +129,7 @@ def test_involution_rank_mismatch_witness(tmp_path, capsys, monkeypatch):
 def test_involution_smith_mismatch_witness(tmp_path, capsys, monkeypatch):
     from fpcoh import complexes
 
-    monkeypatch.setattr(complexes, "smith_invariants", lambda m: (m.entry(0, 0),))
+    monkeypatch.setattr(complexes, "smith_invariants", lambda rows: (rows[0][0],))
     code, verdict = _single_verdict(
         ["complex", "involution", "--w0", "1", "--d", "2", "--primes", "2"], tmp_path, capsys)
     assert code == 2
@@ -186,11 +186,10 @@ def test_periodicity_first_differing_degree_witness(tmp_path, capsys, monkeypatc
 ])
 def test_lead_terms_missing_monomial(prime, status, extra, tmp_path, capsys, monkeypatch):
     from fpcoh import determinantal
-    from fpcoh.combinatorics import TwoRowTableau
 
     exact = determinantal.enumerate_pssyt
     monkeypatch.setattr(determinantal, "enumerate_pssyt",
-                        lambda *args: exact(*args) + [TwoRowTableau((1, 1), (1,))])
+                        lambda *args: exact(*args) + [((1, 1), (1,))])
     code, verdict = _single_verdict(
         ["det", "lead-terms", "--n", "3", "--a", "2", "--b", "1", "--prime", prime],
         tmp_path, capsys)
@@ -211,9 +210,9 @@ def test_lead_terms_missing_list_is_sorted_as_xy_pairs(n, a, b, p, tmp_path, cap
 
     monkeypatch.setattr(determinantal, "leading_monomials", lambda slc: set())
     pairs = sorted(
-        (tuple(t.top.count(k) for k in range(1, n + 1)),
-         tuple(t.bottom.count(k) for k in range(1, n + 1)))
-        for t in enumerate_pssyt(n, a, b, p)
+        (tuple(u.count(k) for k in range(1, n + 1)),
+         tuple(v.count(k) for k in range(1, n + 1)))
+        for u, v in enumerate_pssyt(n, a, b, p)
     )
     want = [[list(x), list(y)] for x, y in pairs]
     code, verdict = _single_verdict(
@@ -743,8 +742,9 @@ def test_schur_shape_needs_a_at_least_b(extra, a, b, capsys):
      "need w0 >= 1 and d >= 0"),
     (["complex", "involution", "--w0", "1", "--d", "0", "--primes", "2"], "d = 0"),
     (["complex", "involution", "--w0", "1", "--d", "-1", "--primes", "2"], "d = -1"),
+    (["complex", "theorem", "--d", "-1", "--primes", "2"], "need d >= 0, got d = -1"),
 ], ids=["periodicity-d--1", "periodicity-w0-0", "periodicity-w0--3", "involution-d-0",
-        "involution-d--1"])
+        "involution-d--1", "theorem-d--1"])
 def test_vacuous_hook_is_a_parameter_error(command, message, capsys, tmp_path):
     report = tmp_path / "report.json"
     code = cli.main([*command, "--json", str(report)])

@@ -11,7 +11,8 @@ from fpcoh import complexes, linalg
 from fpcoh.complexes import (
     ChainComplex,
     PoincarePolynomial,
-    WeightSequence,
+    _hook_weights,
+    _weights,
     build_complex,
     check_involution,
     check_stable_periodicity_hook,
@@ -22,22 +23,21 @@ from fpcoh.complexes import (
     stable_hook_cohomology,
 )
 from fpcoh.combinatorics import binom_int
-from fpcoh.linalg import DENSE_COLUMN_THRESHOLD, chain_ranks, matmul_mod
+from fpcoh.linalg import DENSE_COLUMN_THRESHOLD, chain_ranks, matmul_mod, smith_invariants
 from fpcoh.verdicts import AGREE
 from helpers import dense_rank, interval_data
 
 
 def test_weight_sequence_validation():
-    WeightSequence.of((1, 1, 1))
-    WeightSequence.of((-5, 1, 1))
-    with pytest.raises(ValueError):
-        WeightSequence.of((1, -1, 1))  # only the leading weight may be negative
-    with pytest.raises(ValueError):
-        WeightSequence.of(())
-    ws = WeightSequence.of((2, 1, 1, 1))
-    assert ws.d == 3
-    assert ws.total() == 5
-    assert ws.tail_total() == 3
+    assert _weights([1, 1, 1]) == (1, 1, 1)
+    assert _weights((-5, 1, 1)) == (-5, 1, 1)
+    with pytest.raises(ValueError, match="only the leading weight may be negative"):
+        _weights((1, -1, 1))
+    with pytest.raises(ValueError, match="weight sequence is empty"):
+        _weights(())
+    cx = build_complex([2, 1, 1, 1])
+    assert cx.weights == (2, 1, 1, 1)
+    assert cx.d == 3
 
 
 def test_poincare_polynomial_equality_ignores_trailing_zeros():
@@ -51,16 +51,16 @@ def test_poincare_polynomial_equality_ignores_trailing_zeros():
 def test_unit_weights_integer_matrices():
     cx = build_complex((1, 1, 1, 1))
     assert cx.dimensions() == (1, 3, 3, 1)
-    assert cx.differential(1).row_lists() == [[2, -2, 2]]
-    assert cx.differential(2).row_lists() == [[3, -2, 0], [3, 0, -3], [0, 2, -3]]
-    assert cx.differential(3).row_lists() == [[4], [6], [4]]
+    assert cx.differential(1) == [[2, -2, 2]]
+    assert cx.differential(2) == [[3, -2, 0], [3, 0, -3], [0, 2, -3]]
+    assert cx.differential(3) == [[4], [6], [4]]
 
 
 def test_unit_weights_reversed_basis_presentation():
     # flipping both basis orders gives the same complex written
     # top-degree-first; a fixed reference presentation of the middle map
     cx = build_complex((1, 1, 1, 1))
-    rows = cx.differential(2).row_lists()
+    rows = cx.differential(2)
     flipped = [list(reversed(r)) for r in reversed(rows)]
     assert flipped == [[-3, 2, 0], [-3, 0, 3], [0, -2, 3]]
 
@@ -103,8 +103,8 @@ def test_square_zero_on_random_weights():
         p = rng.choice([2, 3, 5, 7])
         cx = build_complex(w, p)  # build_complex checks d∘d = 0 internally
         for k in range(2, d + 1):
-            a = cx.differential(k - 1).to_array()
-            b = cx.differential(k).to_array()
+            a = np.array(cx.differential(k - 1))
+            b = np.array(cx.differential(k))
             assert not matmul_mod(a, b, p).any(), (w, p, k)
 
 
@@ -115,8 +115,8 @@ def test_square_zero_over_integers():
         w = (rng.randint(-6, 6),) + tuple(rng.randint(0, 3) for _ in range(d))
         cx = build_complex(w)
         for k in range(2, d + 1):
-            a = cx.differential(k - 1).row_lists()
-            b = cx.differential(k).row_lists()
+            a = cx.differential(k - 1)
+            b = cx.differential(k)
             prod = [
                 [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
                 for i in range(len(a))
@@ -150,7 +150,7 @@ def test_boundaries_match_entry_oracle():
                 expected = _oracle_boundary(w, k)
                 if p is not None:
                     expected = [[x % p for x in row] for row in expected]
-                assert cx.differential(k).row_lists() == expected, (w, p, k)
+                assert cx.differential(k) == expected, (w, p, k)
 
 
 def test_boundaries_match_entry_oracle_at_the_int64_edge():
@@ -163,8 +163,8 @@ def test_boundaries_match_entry_oracle_at_the_int64_edge():
         matrices = _differentials(cx)
         for k, m in enumerate(matrices, 1):
             expected = [[x % p for x in row] for row in _oracle_boundary(w, k)]
-            assert m.row_lists() == expected, (w, k)
-        assert cx.ranks() == tuple(dense_rank(m.to_array(), p) for m in matrices), w
+            assert m == expected, (w, k)
+        assert cx.ranks() == tuple(dense_rank(m, p) for m in matrices), w
 
 
 def _differentials(cx):
@@ -210,7 +210,7 @@ def test_ranks_match_dense_elimination():
         w = (rng.randint(-12, 8),) + tuple(rng.randint(0, 4) for _ in range(d))
         p = rng.choice([2, 3, 5, 7, 97])
         cx = build_complex(w, p)
-        expected = tuple(dense_rank(m.to_array(), p) for m in _differentials(cx))
+        expected = tuple(dense_rank(m, p) for m in _differentials(cx))
         assert cx.ranks() == expected, (w, p)
 
 
@@ -218,8 +218,8 @@ def test_ranks_match_dense_elimination():
 def test_all_ones_wide_ranks_match_dense_elimination(p):
     cx = build_complex((1,) * 13, p)
     matrices = _differentials(cx)
-    assert max(m.cols for m in matrices) >= DENSE_COLUMN_THRESHOLD
-    assert cx.ranks() == tuple(dense_rank(m.to_array(), p) for m in matrices)
+    assert max(len(m[0]) for m in matrices) >= DENSE_COLUMN_THRESHOLD
+    assert cx.ranks() == tuple(dense_rank(m, p) for m in matrices)
 
 
 def test_ranks_run_once_per_complex(monkeypatch):
@@ -285,9 +285,33 @@ def test_modulus_is_checked_once_per_prime(monkeypatch):
 def test_negative_head_weight_entries():
     # binomials with negative tops appear verbatim in the matrices
     cx = build_complex((-3, 1))
-    assert cx.differential(1).row_lists() == [[-2]]  # C(-2, 1)
+    assert cx.differential(1) == [[-2]]  # C(-2, 1)
     cx = build_complex((-3, 2))
-    assert cx.differential(1).row_lists() == [[math.comb(2, 2)]]  # C(-1,2) = +1
+    assert cx.differential(1) == [[math.comb(2, 2)]]  # C(-1,2) = +1
+
+
+def test_build_complex_refuses_exactly_bad_weights():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(st.integers(-6, 6), max_size=6))
+    def check(w):
+        try:
+            cx = build_complex(w, 3)
+        except ValueError as exc:
+            message = str(exc)
+        else:
+            assert cx.weights == tuple(w)
+            message = None
+        if not w:
+            assert message == "weight sequence is empty"
+        elif min(w[1:], default=0) < 0:
+            assert message == "only the leading weight may be negative"
+        else:
+            assert message is None
+
+    check()
 
 
 def test_rank_requires_prime_field():
@@ -299,11 +323,10 @@ def test_rank_requires_prime_field():
 def lucas_reduce(w, p):
     """Strip powers of p from the leading weight while some p^r exceeds the
     tail sum, largest power first.  Homology over Z/p is unchanged."""
-    ws = WeightSequence.of(w)
-    if ws.entries[0] < 0:
+    head, *rest = w
+    if head < 0:
         raise ValueError("leading weight must be non-negative for reduction")
-    head = ws.entries[0]
-    tail = ws.tail_total()
+    tail = sum(rest)
     while head > tail and head > 0:
         q = 1
         while q * p <= head:
@@ -311,7 +334,7 @@ def lucas_reduce(w, p):
         if q <= tail:
             break
         head -= q
-    return WeightSequence((head,) + ws.entries[1:])
+    return (head, *rest)
 
 
 def test_lucas_reduce_hand_cases():
@@ -355,6 +378,36 @@ def test_involution_small_grid():
 def test_involution_refuses_negative_d():
     with pytest.raises(ValueError, match="d = -1"):
         check_involution(1, -1, 2)
+
+
+def test_hook_smith_invariants_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    for d in range(1, 7):
+        for w0 in range(-2 * d - 4, 5):  # the negated partners -w0 - 2d as well
+            cx = build_complex(_hook_weights(w0, d))
+            for k in range(1, d + 1):
+                rows = cx.differential(k)
+                snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+                want = tuple(abs(int(snf[i, i])) for i in range(min(snf.shape)))
+                assert smith_invariants(rows) == want, (w0, d, k)
+
+
+def test_ranks_match_sympy_over_prime_fields():
+    pytest.importorskip("sympy")
+    from sympy import GF, ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(5)
+    for _ in range(60):
+        d = rng.randint(1, 6)
+        w = (rng.randint(-10, 8),) + tuple(rng.randint(0, 4) for _ in range(d))
+        p = rng.choice([2, 3, 5, 7, 2**31 - 1])
+        cx = build_complex(w, p)
+        want = tuple(DomainMatrix.from_list(cx.differential(k), ZZ).convert_to(GF(p)).rank()
+                     for k in range(1, d + 1))
+        assert cx.ranks() == want, (w, p)
 
 
 def test_involution_smith_invariants():

@@ -8,7 +8,6 @@ import pytest
 
 from fpcoh.characters import LaurentPolynomial, h, h_trunc, schur2, schur2_trunc
 from fpcoh.combinatorics import (
-    TwoRowTableau,
     compositions,
     decreasing_compositions,
     enumerate_pssyt,
@@ -144,15 +143,16 @@ def tableau_product(t, n):
     """Expansion of the product of column minors times leftover top-row
     variables attached to the tableau: minor (u_i, v_i) per full column,
     then x_(u_i) for the single-box columns."""
-    b = len(t.bottom)
+    top, bottom = t
+    b = len(bottom)
     minors = []
     for i in range(b):
-        u, v = t.top[i], t.bottom[i]
+        u, v = top[i], bottom[i]
         if u >= v:
             raise ValueError("column minors need strictly increasing columns")
         minors.append((u - 1, v - 1))
     x = [0] * n
-    for val in t.top[b:]:
+    for val in top[b:]:
         x[val - 1] += 1
     return expand_minor_product(n, minors, tuple(x), (0,) * n)
 
@@ -164,10 +164,12 @@ def rbar_character(n, a, b, p):
 
 
 def test_tableau_monomial_and_errors():
-    t = TwoRowTableau((1, 1, 2), (2, 3))
+    t = ((1, 1, 2), (2, 3))
     assert tableau_monomial(t, 3) == (2, 1, 0, 0, 1, 1)
-    with pytest.raises(ValueError):
-        tableau_monomial(TwoRowTableau((1, 4), (2,)), 3)
+    with pytest.raises(ValueError, match="exceeds variable count"):
+        tableau_monomial(((1, 4), (2,)), 3)
+    with pytest.raises(ValueError, match="exceeds variable count"):
+        tableau_monomial(((1, 1), (4,)), 3)
 
 
 def test_tableau_product_lead_terms_classical():
@@ -182,7 +184,7 @@ def test_tableau_product_lead_terms_classical():
 
 def test_tableau_product_needs_increasing_columns():
     with pytest.raises(ValueError):
-        tableau_product(TwoRowTableau((1, 1), (1,)), 2)
+        tableau_product(((1, 1), (1,)), 2)
 
 
 def test_rbar_character_values():

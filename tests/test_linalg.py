@@ -9,7 +9,6 @@ import pytest
 
 from fpcoh.linalg import (
     DENSE_COLUMN_THRESHOLD,
-    IntegerMatrix,
     PrimeFieldMatrix,
     is_prime,
     matmul_mod,
@@ -232,18 +231,28 @@ def test_matmul_mod_against_python_ints():
             assert got[i, j] == want
 
 
-def test_integer_matrix_basics():
-    m = IntegerMatrix([[0] * 3] * 2)
-    assert m.row_lists() == [[0, 0, 0], [0, 0, 0]]
-    m = IntegerMatrix(((1, -2), (0, 4)))
-    assert m.shape == (2, 2) and m.entry(0, 1) == -2
-
-
 def test_smith_hand_cases():
-    assert smith_invariants(IntegerMatrix(((2, 0), (0, 3)))) == (1, 6)
-    assert smith_invariants(IntegerMatrix(((4, 6), (6, 9)))) == (1, 0)
-    assert smith_invariants(IntegerMatrix(((0, 0), (0, 0)))) == (0, 0)
-    assert smith_invariants(IntegerMatrix(((6,),))) == (6,)
+    assert smith_invariants([[2, 0], [0, 3]]) == (1, 6)
+    assert smith_invariants(((4, 6), (6, 9))) == (1, 0)
+    assert smith_invariants([[0, 0], [0, 0]]) == (0, 0)
+    assert smith_invariants([[6]]) == (6,)
+    assert smith_invariants([[0] * 3] * 2) == (0, 0)
+
+
+def test_smith_degenerate_inputs():
+    assert smith_invariants([]) == ()
+    assert smith_invariants([[]]) == ()
+    assert smith_invariants([[], []]) == ()
+    with pytest.raises(ValueError, match="ragged rows"):
+        smith_invariants([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged rows"):
+        smith_invariants([[], [1]])
+
+
+def test_smith_leaves_the_callers_rows_alone():
+    rows = [[4, 6], [6, 9]]
+    assert smith_invariants(rows) == (1, 0)
+    assert rows == [[4, 6], [6, 9]]
 
 
 def test_smith_matches_determinant_divisors():
@@ -251,7 +260,7 @@ def test_smith_matches_determinant_divisors():
     for _ in range(40):
         nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
         rows = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(nrows)]
-        inv = smith_invariants(IntegerMatrix(tuple(map(tuple, rows))))
+        inv = smith_invariants(rows)
         assert len(inv) == min(nrows, ncols)
         # divisibility chain, zeros trailing
         for a, b in zip(inv, inv[1:]):
@@ -265,10 +274,25 @@ def test_smith_matches_determinant_divisors():
             assert prod == determinant_divisor(rows, k)
 
 
+def test_smith_matches_sympy_on_random_matrices():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(300)
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        scale = rng.choice([1, 2, 6])  # a common factor makes the invariants larger
+        rows = [[scale * rng.randint(-5, 5) for _ in range(ncols)] for _ in range(nrows)]
+        snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+        want = tuple(abs(int(snf[i, i])) for i in range(min(nrows, ncols)))
+        assert smith_invariants(rows) == want, rows
+
+
 def test_smith_size_limit():
-    big = IntegerMatrix([[0, 0]] * 201)
-    with pytest.raises(ValueError):
-        smith_invariants(big)
+    with pytest.raises(ValueError, match="limited to"):
+        smith_invariants([[0, 0]] * 201)
+    with pytest.raises(ValueError, match="limited to"):
+        smith_invariants([[0] * 201])
 
 
 def test_constructor_copies_the_callers_array():
