@@ -31,23 +31,11 @@ class LaurentPolynomial:
     def zero(cls, nvars: int) -> "LaurentPolynomial":
         return cls(nvars)
 
-    @classmethod
-    def one(cls, nvars: int) -> "LaurentPolynomial":
-        return cls(nvars, {(0,) * nvars: 1})
-
-    @classmethod
-    def monomial(cls, exps, coeff: int = 1) -> "LaurentPolynomial":
-        e = tuple(int(x) for x in exps)
-        return cls(len(e), {e: coeff})
-
     def terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self._terms.items())
 
     def coefficient(self, exps) -> int:
         return self._terms.get(tuple(int(x) for x in exps), 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)

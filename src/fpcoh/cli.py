@@ -36,7 +36,6 @@ from itertools import product
 
 from .characters import LaurentPolynomial, nim_poly, schur2, schur2_trunc
 from .complexes import (
-    PoincarePolynomial,
     build_complex,
     check_involution,
     check_stable_periodicity_hook,
@@ -82,11 +81,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_list(text: str) -> list[int]:
     try:
-        if values := [int(x) for x in text.split(",") if x.strip() != ""]:
-            return values
+        return [int(x) for x in text.split(",")]
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -102,6 +100,16 @@ def _timed(subject: str, parameters: dict, build) -> Verdict:
     t0 = time.perf_counter()
     status, payload = build()
     return Verdict(subject, parameters, status, payload, seconds=time.perf_counter() - t0)
+
+
+def _homology_summary(dims: tuple[int, ...]) -> str:
+    """dims as a polynomial in t, e.g. "1 + 2*t^2"; "0" when all vanish."""
+    parts = []
+    for i, c in enumerate(dims):
+        t = "t" if i == 1 else f"t^{i}"
+        if c:
+            parts.append(str(c) if i == 0 else t if c == 1 else f"{c}*{t}")
+    return " + ".join(parts) or "0"
 
 
 def _char_summary(f: LaurentPolynomial, count: int) -> str:
@@ -153,14 +161,14 @@ def _cmd_complex_homology(ns):
             for k in range(cx.d + 1)
         ]
         table += [
-            {"series": "homology", "degree": k, "dimension": hom.coefficient(k)}
+            {"series": "homology", "degree": k, "dimension": hom[k]}
             for k in range(cx.d + 1)
         ]
         payload = {
             "dimensions": list(cx.dimensions()),
             "ranks": list(cx.ranks()),
-            "homology": list(hom.coefficients),
-            "summary": str(hom),
+            "homology": list(hom),
+            "summary": _homology_summary(hom),
             "dimension_table": table,
         }
         return AGREE, payload
@@ -180,22 +188,14 @@ def _cmd_complex_theorem(ns):
             brute = homology_dims(build_complex((1,) * (ns.d + 1), p))
             formula = poincare_formula_all_ones(ns.d, p)
             payload = {
-                "brute": list(brute.coefficients),
-                "formula": list(formula.coefficients),
-                "summary": str(formula),
+                "brute": list(brute),
+                "formula": list(formula),
+                "summary": _homology_summary(formula),
             }
             if brute == formula:
                 return AGREE, payload
-            k = next(
-                i
-                for i in range(ns.d + 1)
-                if brute.coefficient(i) != formula.coefficient(i)
-            )
-            payload["witness"] = {
-                "degree": k,
-                "computed": brute.coefficient(k),
-                "expected": formula.coefficient(k),
-            }
+            k = next(k for k, (x, y) in enumerate(zip(brute, formula)) if x != y)
+            payload["witness"] = {"degree": k, "computed": brute[k], "expected": formula[k]}
             return DISAGREE, payload
 
         verdicts.append(_timed("all-ones-homology-formula", vparams, build))
@@ -461,14 +461,15 @@ def expand_config(config: dict) -> list[list[str]]:
     into argv rows.  A list value is a sweep axis; scalars pass through.
     Valued flags become one "--key=value" token, so "--weights=-9,1,1" is
     never read as two flags.  A grid with no rows is refused."""
-    if not isinstance(config, dict) or "runs" not in config:
+    if not isinstance(config, dict) or not isinstance(config.get("runs"), list):
         raise ValueError('sweep config must be an object with a "runs" list')
     rows = []
     for run in config["runs"]:
-        if "command" not in run:
-            raise ValueError('every run needs a "command" entry')
+        if not isinstance(run, dict) or "command" not in run:
+            raise ValueError('every run must be an object with a "command" entry')
         command = run["command"]
-        if not isinstance(command, str) or command.split()[0] == "sweep":
+        words = command.split() if isinstance(command, str) else []
+        if not words or words[0] == "sweep":
             raise ValueError(f"bad run command {command!r}")
         axes = []
         for key, value in run.items():
@@ -479,7 +480,7 @@ def expand_config(config: dict) -> list[list[str]]:
                 raise ValueError(f"empty sweep axis {key!r}")
             axes.append((key, values))
         for combo in product(*(vals for _, vals in axes)):
-            argv = command.split()
+            argv = list(words)
             for (key, _), value in zip(axes, combo):
                 flag = f"--{key}"
                 if value is True:
@@ -534,7 +535,7 @@ def _cmd_sweep(ns):
         config = json.load(fh)
     rows = expand_config(config)
     params = {"config": os.path.basename(ns.config), "rows": len(rows)}
-    workers = min(ns.parallel or os.cpu_count(), len(rows))
+    workers = min(ns.parallel or os.cpu_count() or 1, len(rows))
     verdicts: list[Verdict] = []
     if workers == 1:
         for argv in rows:

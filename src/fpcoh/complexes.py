@@ -13,7 +13,9 @@ A complex keeps its boundary as one CSC matrix of numpy arrays over all its
 cells, built by one gather from structure cached per d, and checks d∘d = 0
 on it exactly before `linalg.chain_ranks` reads its F_p ranks from it.
 `differential(k)` gives d_k densely as row lists, which
-`linalg.smith_invariants` takes over Z.
+`linalg.smith_invariants` takes over Z.  `homology_dims` gives the F_p
+homology as a plain tuple (dim H_0, ..., dim H_d), one entry per degree, as
+does the closed form `poincare_formula_all_ones`.
 
 The checks of the hook involution, the edge-contraction sequence and stable
 periodicity return a verdict status and its payload; a disagreeing payload
@@ -47,52 +49,6 @@ def _weights(w) -> tuple[int, ...]:
     if any(x < 0 for x in w[1:]):
         raise ValueError("only the leading weight may be negative")
     return w
-
-
-@dataclass(frozen=True)
-class PoincarePolynomial:
-    """Homology dimensions as coefficients of powers of t."""
-
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients", tuple(int(c) for c in self.coefficients)
-        )
-
-    def coefficient(self, i: int) -> int:
-        if 0 <= i < len(self.coefficients):
-            return self.coefficients[i]
-        return 0
-
-    def total(self) -> int:
-        return sum(self.coefficients)
-
-    def stripped(self) -> tuple[int, ...]:
-        coeffs = list(self.coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return tuple(coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PoincarePolynomial):
-            return NotImplemented
-        return self.stripped() == other.stripped()
-
-    def __hash__(self):
-        return hash(self.stripped())
-
-    def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coefficients):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                t = "t" if i == 1 else f"t^{i}"
-                parts.append(t if c == 1 else f"{c}*{t}")
-        return " + ".join(parts) if parts else "0"
 
 
 @lru_cache(maxsize=None)
@@ -174,10 +130,6 @@ class ChainComplex:
         a = np.zeros((self.dimension(k - 1), self.dimension(k)), dtype=residues.dtype)
         a[rows, np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))] = residues
         return a.tolist()
-
-    def basis(self, k: int) -> tuple[int, ...]:
-        masks, offsets = _masks_by_size(self.d)
-        return tuple(masks[offsets[k]:offsets[k + 1]].tolist())
 
     def ranks(self) -> tuple[int, ...]:
         """Rank of each differential, degree 1 through d; needs a prime field."""
@@ -264,18 +216,19 @@ def _verify_square_zero(cx: ChainComplex) -> None:
             raise AssertionError(f"differential square is nonzero at degree {k}")
 
 
-def homology_dims(cx: ChainComplex) -> PoincarePolynomial:
-    """dim H_i = dim C_i - rank d_i - rank d_{i+1}, with d_0 = d_{d+1} = 0."""
+def homology_dims(cx: ChainComplex) -> tuple[int, ...]:
+    """(dim H_0, ..., dim H_d), where dim H_i = dim C_i - rank d_i - rank
+    d_{i+1}, with d_0 = d_{d+1} = 0."""
     if cx.p is None:
         raise ValueError("homology dimensions are computed over a prime field")
     ranks = [0] + list(cx.ranks()) + [0]
-    coeffs = [cx.dimension(i) - ranks[i] - ranks[i + 1] for i in range(cx.d + 1)]
-    if any(c < 0 for c in coeffs):
+    dims = tuple(cx.dimension(i) - ranks[i] - ranks[i + 1] for i in range(cx.d + 1))
+    if any(c < 0 for c in dims):
         raise AssertionError("negative homology dimension; rank computation broken")
-    return PoincarePolynomial(tuple(coeffs))
+    return dims
 
 
-def poincare_formula_all_ones(d: int, p: int) -> PoincarePolynomial:
+def poincare_formula_all_ones(d: int, p: int) -> tuple[int, ...]:
     """Closed form for the homology of the all-ones complex on d edges:
     one class in degree d+1-|alpha|_p per digit tuple alpha of d+1."""
     from .combinatorics import enumerate_A, p_index_total
@@ -283,7 +236,7 @@ def poincare_formula_all_ones(d: int, p: int) -> PoincarePolynomial:
     coeffs = [0] * (d + 1)
     for alpha in enumerate_A(p, d + 1):
         coeffs[d + 1 - p_index_total(alpha, p)] += 1
-    return PoincarePolynomial(tuple(coeffs))
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +310,10 @@ def ses_dimension_check(w, split: int, p: int) -> tuple[str, dict]:
     merged = w[:split] + (w[split] + w[split + 1],) + w[split + 2 :]
 
     d1, d2 = len(left) - 1, len(right) - 1
-    h_left = homology_dims(build_complex(left, p)).coefficients
-    h_right = homology_dims(build_complex(right, p)).coefficients
-    h_merged = homology_dims(build_complex(merged, p)).coefficients
-    h_total = homology_dims(build_complex(w, p)).coefficients
+    h_left = homology_dims(build_complex(left, p))
+    h_right = homology_dims(build_complex(right, p))
+    h_merged = homology_dims(build_complex(merged, p))
+    h_total = homology_dims(build_complex(w, p))
 
     dim_rows = []
     for k in range(d + 1):
@@ -418,7 +371,7 @@ def stable_hook_cohomology(w0: int, d: int, p: int) -> dict[int, int]:
     cohomological degree j holds homology degree d + w0 - j of the complex."""
     if w0 < 1 or d < 0:
         raise ValueError("need w0 >= 1 and d >= 0")
-    hdims = homology_dims(build_complex(_hook_weights(w0, d), p)).coefficients
+    hdims = homology_dims(build_complex(_hook_weights(w0, d), p))
     return {d + w0 - i: hdims[i] for i in range(d, -1, -1)}
 
 
@@ -435,11 +388,9 @@ def check_stable_periodicity_hook(w0: int, d: int, p: int, r: int) -> tuple[str,
         raise ValueError(f"period p^r = {q} must exceed d = {d}")
     base = homology_dims(build_complex(_hook_weights(w0, d), p))
     shifted = homology_dims(build_complex(_hook_weights(w0 + q, d), p))
-    payload = {"q": q, "base": list(base.coefficients), "shifted": list(shifted.coefficients)}
+    payload = {"q": q, "base": list(base), "shifted": list(shifted)}
     if base == shifted:
         return AGREE, payload
-    k = next(i for i in range(max(len(base.coefficients), len(shifted.coefficients)))
-             if base.coefficient(i) != shifted.coefficient(i))
-    payload["witness"] = {"degree": k, "base": base.coefficient(k),
-                          "shifted": shifted.coefficient(k)}
+    k = next(k for k, (x, y) in enumerate(zip(base, shifted)) if x != y)
+    payload["witness"] = {"degree": k, "base": base[k], "shifted": shifted[k]}
     return DISAGREE, payload

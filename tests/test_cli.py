@@ -34,6 +34,13 @@ def test_homology_run(capsys):
     assert "1 + t + t^2 + t^3" in out
 
 
+def test_homology_summary_text():
+    assert cli._homology_summary((1, 0, 2)) == "1 + 2*t^2"
+    assert cli._homology_summary((0, 1, 0, 3)) == "t + 3*t^3"
+    assert cli._homology_summary((0, 0)) == "0"
+    assert cli._homology_summary(()) == "0"
+
+
 def test_theorem_multiple_primes(capsys):
     code = cli.main(["complex", "theorem", "--d", "4", "--primes", "2,3,5"])
     out = capsys.readouterr().out
@@ -148,7 +155,7 @@ def test_ses_check_failing_row_witness(tmp_path, capsys, monkeypatch):
         h = exact(cx)
         if cx.d < 3:
             return h
-        return complexes.PoincarePolynomial(tuple(c + 10 for c in h.coefficients))
+        return tuple(c + 10 for c in h)
 
     monkeypatch.setattr(complexes, "homology_dims", inflated)
     code, verdict = _single_verdict(
@@ -169,7 +176,7 @@ def test_periodicity_first_differing_degree_witness(tmp_path, capsys, monkeypatc
         h = exact(cx)
         if cx.weights[0] == 1:
             return h
-        return complexes.PoincarePolynomial(tuple(c + 1 for c in h.coefficients))
+        return tuple(c + 1 for c in h)
 
     monkeypatch.setattr(complexes, "homology_dims", shifted_up)
     code, verdict = _single_verdict(
@@ -238,22 +245,35 @@ def test_python_dash_m_fpcoh_help_exits_zero():
     assert done.stdout.startswith("usage: fpcoh")
 
 
+def test_importing_the_package_root_loads_no_module():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import sys, fpcoh; print(fpcoh.__version__, "
+             "sorted(m for m in ('numpy', 'fpcoh.complexes', 'fpcoh.cli') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0.1.0 []\n"
+
+
 def test_python_dash_m_fpcoh_usage_error_exits_one():
     done = run_module("det", "filtration", "--n", "3")
     assert done.returncode == 1
     assert "error: the following arguments are required" in done.stderr
 
 
-def test_usage_errors_exit_one():
+def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["bogus"])
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         cli.main(["complex", "homology", "--weights", "1,1"])
     assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["complex", "homology", "--weights", "1,x", "--prime", "2"])
-    assert exc.value.code == 1
+    for weights in ("1,x", "1,,2", "1,2,", ","):  # an empty field is not skipped
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["complex", "homology", "--weights", weights, "--prime", "2"])
+        assert exc.value.code == 1
+        assert f"expected comma-separated integers, got {weights!r}" in capsys.readouterr().err
 
 
 def test_regime_error_exits_one(capsys):
@@ -381,6 +401,10 @@ def test_sweep_expansion_flags_and_errors():
         cli.expand_config({"runs": [{"command": "char nim", "m": []}]})
     with pytest.raises(ValueError):
         cli.expand_config({"notruns": []})
+    for config in ({"runs": {"command": "char nim"}}, {"runs": [1]},
+                   {"runs": [{"command": ""}]}, {"runs": [{"command": "  "}]}):
+        with pytest.raises(ValueError):
+            cli.expand_config(config)
 
 
 def _write_sweep_config(tmp_path):
@@ -415,6 +439,19 @@ def test_sweep_runs_and_is_deterministic_across_workers(tmp_path, capsys):
     assert len(doc["verdicts"]) == 3 * 2 + 2
     assert doc["verdicts"][0]["parameters"] == {"d": 2, "prime": 2}
     assert doc["verdicts"][-1]["parameters"]["d"] == 3
+
+
+def test_sweep_without_a_known_cpu_count_runs_every_row(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    config = {"runs": [{"command": "char nim", "m": [1, 2], "n": 2}]}
+    cfg = tmp_path / "cpus.json"
+    cfg.write_text(json.dumps(config))
+    out_path = tmp_path / "cpus-report.json"
+    code = cli.main(["sweep", "--config", str(cfg), "--json", str(out_path)])
+    capsys.readouterr()
+    assert code == 0
+    verdicts = json.loads(out_path.read_text())["verdicts"]
+    assert [v["parameters"] for v in verdicts] == [{"m": 1, "n": 2}, {"m": 2, "n": 2}]
 
 
 def test_sweep_row_failure_becomes_error_verdict(tmp_path, capsys):
@@ -918,7 +955,7 @@ def test_sweep_and_disagreement_documents_are_json_ready(tmp_path, capsys, monke
 
     exact = cli.h1_window_char
     monkeypatch.setattr(cli, "h1_window_char",
-                        lambda *args: exact(*args) + LaurentPolynomial.monomial((1, 0, 0)))
+                        lambda *args: exact(*args) + LaurentPolynomial(3, {(1, 0, 0): 1}))
     assert cli.main(["incidence", "chars", "--n", "3", "--d", "2", "--e", "1",
                      "--prime", "2", "--compare", "h1-theorem",
                      "--json", str(tmp_path / "disagree.json")]) == 2
@@ -934,7 +971,7 @@ def _shortest_terms(nvars: int) -> list[tuple[int, ...]]:
     unit = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
     vectors = {tuple(map(sum, zip(a, b))) for a in unit for b in unit} | set(unit)
     vectors.add((0,) * nvars)
-    return sorted(vectors, key=lambda e: (len(str(LaurentPolynomial.monomial(e))), e))
+    return sorted(vectors, key=lambda e: (len(str(LaurentPolynomial(nvars, {e: 1}))), e))
 
 
 def test_char_summary_decides_by_term_count_as_str_length_did(monkeypatch):

@@ -138,7 +138,7 @@ def test_h_characters_builds_no_dense_matrix(monkeypatch):
 
     monkeypatch.setattr(PrimeFieldMatrix, "__init__", refuse)
     monkeypatch.setattr(PrimeFieldMatrix, "from_reduced", refuse)
-    ones = LaurentPolynomial.monomial((1, 1, 1))
+    ones = LaurentPolynomial(3, {(1, 1, 1): 1})
     pair = h_characters(3, 2, 1, 2)
     assert pair.h0 == ones and pair.h1 == ones
     full = h_characters(3, 4, 3, 3, symmetry_reduce=False)
@@ -146,7 +146,7 @@ def test_h_characters_builds_no_dense_matrix(monkeypatch):
 
 
 def test_h_characters_anchor_case():
-    ones = LaurentPolynomial.monomial((1, 1, 1))
+    ones = LaurentPolynomial(3, {(1, 1, 1): 1})
     pair = h_characters(3, 2, 1, 2)
     assert pair.h0 == ones
     assert pair.h1 == ones
@@ -178,7 +178,7 @@ def test_block_family_character():
         for m in multidegrees(n, d + e + n):
             count = len(block_basis(n, d, e, m))
             if count:
-                total = total + count * LaurentPolynomial.monomial(m)
+                total = total + LaurentPolynomial(n, {m: count})
         assert total == rbar_like_character(n, d, e), (n, d, e)
 
 

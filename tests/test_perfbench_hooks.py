@@ -53,3 +53,23 @@ def test_tracer_keeps_the_lead_term_slice(monkeypatch, capsys):
     assert metrics["determinantal.gen_rows"] == dimension > 0
     assert metrics["determinantal.slice_dim"] == dimension
     assert metrics["determinantal.slices"] == 1
+
+
+def test_tracer_counts_one_homology_build(monkeypatch, capsys):
+    # the build hook reads the returned complex's d; the homology hook wraps
+    # homology_dims where cli imported it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    t = tracer.Tracer()
+    try:
+        t.install()
+        code = cli.main(["complex", "homology", "--weights", "1,1,1,1", "--prime", "2"])
+    finally:
+        t.uninstall()
+    assert "1 + t + t^2 + t^3" in capsys.readouterr().out
+    assert code == 0
+    metrics = t.layer_metrics()
+    assert metrics["complexes.build_calls"] == 1
+    assert metrics["complexes.cells"] == 2**3
+    assert metrics["complexes.homology_s"] > 0
