@@ -475,6 +475,8 @@ def expand_config(config: dict) -> list[list[str]]:
         for key, value in run.items():
             if key == "command":
                 continue
+            if key in ("json", "csv"):
+                raise ValueError(f"{key!r} is a report flag of the sweep itself, not of a row")
             values = value if isinstance(value, list) else [value]
             if not values:
                 raise ValueError(f"empty sweep axis {key!r}")
@@ -531,8 +533,11 @@ def _crash_verdict(subject: str, argv: list[str], exc: Exception) -> Verdict:
 
 
 def _cmd_sweep(ns):
-    with open(ns.config) as fh:
-        config = json.load(fh)
+    try:
+        with open(ns.config) as fh:
+            config = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read sweep config: {exc}") from exc
     rows = expand_config(config)
     params = {"config": os.path.basename(ns.config), "rows": len(rows)}
     workers = min(ns.parallel or os.cpu_count() or 1, len(rows))

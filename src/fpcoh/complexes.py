@@ -263,14 +263,14 @@ def check_involution(w0: int, d: int, p: int) -> tuple[str, dict]:
     if d < 0:
         raise ValueError(f"need d >= 0, got d = {d}")
     direct = build_complex(_hook_weights(w0, d), p)
-    negated = build_complex((-w0 - 2 * d,) + (1,) * d, p)
+    negated = build_complex(_hook_weights(-w0 - 2 * d, d), p)
     q = min_power_exceeding(p, w0 + 2 * d)
     shifted = build_complex(_hook_weights(q - w0 - 2 * d, d), p)
     ranks_a, ranks_b, ranks_c = direct.ranks(), negated.ranks(), shifted.ranks()
     smith_a = smith_b = None
     if math.comb(d, d // 2) <= SMITH_SIZE_LIMIT:
         za = build_complex(_hook_weights(w0, d), None)
-        zb = build_complex((-w0 - 2 * d,) + (1,) * d, None)
+        zb = build_complex(_hook_weights(-w0 - 2 * d, d), None)
         smith_a = [list(smith_invariants(za.differential(k))) for k in range(1, d + 1)]
         smith_b = [list(smith_invariants(zb.differential(k))) for k in range(1, d + 1)]
     agree_ranks = ranks_a == ranks_b == ranks_c

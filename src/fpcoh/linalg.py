@@ -11,7 +11,11 @@ array, built only when a dense matrix is asked for (a determinantal block's
 `matrix`, tests); its rank is `chain_ranks` on the CSC of its nonzeros.
 `rref_with_order` is a separate dense reduction with a chosen column order.
 
-Over Z, `smith_invariants` takes a matrix as its list of rows.
+Over Z, `smith_invariants` takes a matrix as its list of rows.  One loop
+moves a smallest nonzero entry to (0, 0), clears its column by row and its
+row by column operations, and adds to its row a row it fails to divide; any
+remainder is a smaller entry and restarts it, else the pivot is recorded
+and its row and column deleted.
 """
 
 from __future__ import annotations
@@ -203,74 +207,33 @@ def smith_invariants(rows) -> tuple[int, ...]:
         raise ValueError(
             f"smith_invariants limited to {SMITH_SIZE_LIMIT}x{SMITH_SIZE_LIMIT} matrices"
         )
-    a = [[int(x) for x in row] for row in rows]  # reduced in place
-    size = min(nr, nc)
+    a = [row for row in ([int(x) for x in r] for r in rows) if any(row)]
     invariants: list[int] = []
-    t = 0
-    while t < size:
-        piv = _smallest_nonzero(a, t, nr, nc)
-        if piv is None:
-            break
-        i, j = piv
-        if i != t:
-            a[t], a[i] = a[i], a[t]
-        if j != t:
-            for row in a:
-                row[t], row[j] = row[j], row[t]
-        while True:
-            restart = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    for k in range(t, nc):
-                        a[i][k] -= q * a[t][k]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for k in range(t, nr):
-                        a[k][j] -= q * a[k][t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for k in range(t, nc):
-                a[t][k] += a[offender][k]
-        invariants.append(abs(a[t][t]))
-        t += 1
-    invariants.extend([0] * (size - len(invariants)))
-    return tuple(invariants)
-
-
-def _smallest_nonzero(a: list[list[int]], t: int, nr: int, nc: int):
-    best = None
-    best_val = None
-    for i in range(t, nr):
-        for j in range(t, nc):
-            v = abs(a[i][j])
-            if v and (best_val is None or v < best_val):
-                best, best_val = (i, j), v
-                if v == 1:
-                    return best
-    return best
+    while a:  # every restart leaves a nonzero entry smaller than the pivot
+        piv = min(abs(x) for row in a for x in row if x)
+        i, j = next((i, row.index(x)) for i, row in enumerate(a) for x in (piv, -piv) if x in row)
+        a[0], a[i] = a[i], a[0]
+        for row in a:
+            row[0], row[j] = row[j], row[0]
+        top, piv = a[0], a[0][0]
+        for i in range(1, len(a)):
+            if q := a[i][0] // piv:
+                a[i] = [x - q * y for x, y in zip(a[i], top)]
+        if any(row[0] for row in a[1:]):
+            continue
+        top[1:] = [x % piv for x in top[1:]]  # column 0 is clear below the pivot
+        if any(top[1:]):
+            continue
+        bad = abs(piv) > 1 and next((row for row in a if any(x % piv for x in row)), None)
+        if bad:
+            top[:] = [x + y for x, y in zip(top, bad)]
+            continue
+        invariants.append(abs(piv))
+        del a[0]
+        for row in a:
+            del row[0]
+        a = [row for row in a if any(row)]
+    return tuple(invariants) + (0,) * (min(nr, nc) - len(invariants))
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

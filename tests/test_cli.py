@@ -405,6 +405,10 @@ def test_sweep_expansion_flags_and_errors():
                    {"runs": [{"command": ""}]}, {"runs": [{"command": "  "}]}):
         with pytest.raises(ValueError):
             cli.expand_config(config)
+    for key in ("json", "csv"):
+        with pytest.raises(ValueError, match="report flag of the sweep"):
+            cli.expand_config({"runs": [{"command": "char nim", "m": 1, "n": 2,
+                                         key: "row.out"}]})
 
 
 def _write_sweep_config(tmp_path):
@@ -725,6 +729,17 @@ def test_empty_sweep_is_a_parameter_error(tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert "parameter error: sweep config expands to no rows" in captured.err
+    assert not out_path.exists()
+
+
+def test_missing_sweep_config_is_a_parameter_error(tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    code = cli.main(["sweep", "--config", str(tmp_path / "missing.json"),
+                     "--parallel", "1", "--json", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "parameter error: cannot read sweep config" in captured.err
     assert not out_path.exists()
 
 

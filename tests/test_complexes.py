@@ -385,6 +385,20 @@ def test_hook_smith_invariants_match_sympy():
                 assert smith_invariants(rows) == want, (w0, d, k)
 
 
+@pytest.mark.parametrize("d", [7, 8, 9])
+def test_hook_smith_invariants_match_prime_field_ranks(d):
+    # past the sympy grid: over Z/l the rank of d_k is the number of its
+    # invariants prime to l, for every prime l
+    for w0 in (1, 2, 3, -2 * d - 1, -2 * d - 3):
+        w = _hook_weights(w0, d)
+        smith = [smith_invariants(build_complex(w).differential(k)) for k in range(1, d + 1)]
+        for ell in (2, 3, 5, 7, 2**31 - 1):
+            ranks = build_complex(w, ell).ranks()
+            assert [sum(1 for s in inv if s % ell) for inv in smith] == list(ranks), (w0, ell)
+    if d == 9:
+        assert check_involution(1, 9, 2)[1]["agree_smith"] is True
+
+
 def test_ranks_match_sympy_over_prime_fields():
     pytest.importorskip("sympy")
     from sympy import GF, ZZ

@@ -73,3 +73,22 @@ def test_tracer_counts_one_homology_build(monkeypatch, capsys):
     assert metrics["complexes.build_calls"] == 1
     assert metrics["complexes.cells"] == 2**3
     assert metrics["complexes.homology_s"] > 0
+
+
+def test_tracer_counts_the_involution_smith_calls(monkeypatch, capsys):
+    # the Smith hook wraps smith_invariants where complexes imported it: one
+    # call per differential of the direct and the negated complex over Z
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    t = tracer.Tracer()
+    try:
+        t.install()
+        code = cli.main(["complex", "involution", "--w0", "2", "--d", "3", "--primes", "3"])
+    finally:
+        t.uninstall()
+    assert "agree" in capsys.readouterr().out
+    assert code == 0
+    metrics = t.layer_metrics()
+    assert metrics["linalg.smith_calls"] == 6
+    assert metrics["complexes.build_calls"] == 5
