@@ -27,10 +27,6 @@ class LaurentPolynomial:
             raise ValueError("exponent vector length mismatch")
         self._terms = {e: c for e, c in terms.items() if c}
 
-    @classmethod
-    def zero(cls, nvars: int) -> "LaurentPolynomial":
-        return cls(nvars)
-
     def terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self._terms.items())
 
@@ -148,7 +144,7 @@ class LaurentPolynomial:
 def h(d: int, n: int) -> LaurentPolynomial:
     """Complete homogeneous sum of all degree-d monomials; zero for d < 0."""
     if d < 0:
-        return LaurentPolynomial.zero(n)
+        return LaurentPolynomial(n)
     return LaurentPolynomial(n, {e: 1 for e in compositions(d, (d,) * n)})
 
 
@@ -157,7 +153,7 @@ def h_trunc(d: int, q: int, n: int) -> LaurentPolynomial:
     if q < 1:
         raise ValueError("q must be positive")
     if d < 0:
-        return LaurentPolynomial.zero(n)
+        return LaurentPolynomial(n)
     return LaurentPolynomial(n, {e: 1 for e in compositions(d, (q - 1,) * n)})
 
 

@@ -46,7 +46,6 @@ from .complexes import (
 )
 from .determinantal import check_lead_terms, slice_characters
 from .incidence import (
-    UnsupportedRegimeError,
     char2_hypothesis,
     h1_char2_char,
     h1_small_weight_char,
@@ -255,14 +254,14 @@ def _cmd_incidence_chars(ns):
         params["symmetry_reduce"] = False
 
     def build():
-        pair = h_characters(ns.n, ns.d, ns.e, ns.prime, symmetry_reduce=not ns.no_symmetry)
-        h0, h0_table, h0_text = _character("h0", pair.h0)
-        h1, h1_table, h1_text = _character("h1", pair.h1)
+        h0, h1 = h_characters(ns.n, ns.d, ns.e, ns.prime, symmetry_reduce=not ns.no_symmetry)
+        h0_records, h0_table, h0_text = _character("h0", h0)
+        h1_records, h1_table, h1_text = _character("h1", h1)
         payload = {
-            "h0": h0,
-            "h1": h1,
-            "h0_dimension": pair.h0.dimension(),
-            "h1_dimension": pair.h1.dimension(),
+            "h0": h0_records,
+            "h1": h1_records,
+            "h0_dimension": h0.dimension(),
+            "h1_dimension": h1.dimension(),
             "summary": f"h0 = {h0_text}; h1 = {h1_text}",
             "dimension_table": h0_table + h1_table,
         }
@@ -283,9 +282,9 @@ def _cmd_incidence_chars(ns):
         if not met:
             return OUTSIDE, payload
         payload["target"] = target.to_records()
-        if pair.h1 == target:
+        if h1 == target:
             return AGREE, payload
-        payload["witness"] = _char_witness(pair.h1, target)
+        payload["witness"] = _char_witness(h1, target)
         return DISAGREE, payload
 
     subjects = {
@@ -509,7 +508,7 @@ def _run_row(argv: list[str]) -> list[Verdict]:
     except SystemExit:
         return [Verdict("sweep-row", {"argv": list(argv)}, ERROR,
                         {"message": sink.getvalue().strip() or "usage error"})]
-    except ValueError as exc:  # UnsupportedRegimeError included
+    except ValueError as exc:
         message = str(exc)
     except Exception as exc:  # a failed check in one row must not end the sweep
         return [_crash_verdict("sweep-row", argv, exc)]
@@ -569,9 +568,6 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         params, verdicts = globals()[ns.handler](ns)
-    except UnsupportedRegimeError as exc:
-        print(f"fpcoh: unsupported regime: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"fpcoh: parameter error: {exc}", file=sys.stderr)
         return 1
@@ -584,10 +580,10 @@ def main(argv=None) -> int:
         summary = v.payload.get("summary")
         if summary:
             print(f"    {summary}")
-    if ns.json:
-        document = report_document(ns.command, params, verdicts)
+    if ns.json:  # rendered first: a failed render leaves an old report whole
+        text = render_json(report_document(ns.command, params, verdicts))
         with open(ns.json, "w") as fh:
-            fh.write(render_json(document))
+            fh.write(text)
     if ns.csv:
         write_csv(ns.csv, verdicts)
     return exit_code(verdicts)

@@ -40,6 +40,10 @@ from .verdicts import AGREE, DISAGREE
 # and 179 MB for d = 18 (66); at 100 bytes each, 512 MiB allows d <= 19.
 MAX_COMPLEX_NONZEROS = 2**29 // 100
 
+# A report writes q = p^r in decimal, and Python writes an int of at most
+# 4300 digits; 13 000 bits are about 3900 digits.
+MAX_PERIOD_BITS = 13_000
+
 
 def _weights(w) -> tuple[int, ...]:
     """The vertex weights as a tuple; entries after the first must be >= 0."""
@@ -383,7 +387,9 @@ def check_stable_periodicity_hook(w0: int, d: int, p: int, r: int) -> tuple[str,
         raise ValueError("need w0 >= 1 and d >= 0")
     if r < 0:
         raise ValueError("r must be non-negative")
-    q = p**r
+    if (r * (p.bit_length() - 1) >= MAX_PERIOD_BITS  # below p^r's bit count
+            or (q := p**r).bit_length() > MAX_PERIOD_BITS):
+        raise ValueError(f"period p^r = {p}^{r} has more than {MAX_PERIOD_BITS} bits")
     if q <= d:
         raise ValueError(f"period p^r = {q} must exceed d = {d}")
     base = homology_dims(build_complex(_hook_weights(w0, d), p))

@@ -154,7 +154,7 @@ class _Block:
         width = len(self.monomials)
         rows = [[row.get(c, 0) for c in range(width)] for row in self._pivots.values()]
         data = np.array(rows, dtype=np.int64).reshape(self.rank, width)
-        return PrimeFieldMatrix.from_reduced(self.p, data)
+        return PrimeFieldMatrix(self.p, data)
 
 
 @dataclass

@@ -12,21 +12,9 @@ rank over F_p is `linalg.reduce_into` fed those columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .characters import LaurentPolynomial, nim_poly, schur2, schur2_trunc
 from .combinatorics import compositions, decreasing_compositions, orbit
 from .linalg import check_modulus, reduce_into
-
-
-class UnsupportedRegimeError(ValueError):
-    """Raised for parameter ranges the block model does not cover."""
-
-
-@dataclass(frozen=True)
-class CohomologyCharacterPair:
-    h0: LaurentPolynomial
-    h1: LaurentPolynomial
 
 
 def block_basis(n: int, d: int, e: int, m) -> list[tuple[int, ...]]:
@@ -61,9 +49,9 @@ def omega_block(n: int, d: int, e: int, m) -> tuple[int, list[list[int]]]:
 
 def h_characters(
     n: int, d: int, e: int, p: int, *, symmetry_reduce: bool = True
-) -> CohomologyCharacterPair:
-    """Characters of the kernel and cokernel of omega across all blocks,
-    normalised by t_1 ... t_n.
+) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+    """The characters (h0, h1) of the kernel and cokernel of omega across
+    all blocks, normalised by t_1 ... t_n.
 
     The scan runs over one representative per S_n-orbit of multidegrees
     unless symmetry_reduce is off; a representative's kernel and cokernel
@@ -75,9 +63,7 @@ def h_characters(
     if d < 0:
         raise ValueError("d must be non-negative")
     if e <= -2:
-        raise UnsupportedRegimeError(
-            "twists below -1 are outside the supported block model"
-        )
+        raise ValueError("unsupported regime: twists below -1 are outside the block model")
     h0: dict[tuple[int, ...], int] = {}
     h1: dict[tuple[int, ...], int] = {}
     walk = decreasing_compositions if symmetry_reduce else compositions
@@ -91,7 +77,7 @@ def h_characters(
             continue
         for member in orbit(exps) if symmetry_reduce else [exps]:
             h0[member], h1[member] = ker, coker
-    return CohomologyCharacterPair(LaurentPolynomial(n, h0), LaurentPolynomial(n, h1))
+    return LaurentPolynomial(n, h0), LaurentPolynomial(n, h1)
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +100,8 @@ def h1_window_char(n: int, d: int, e: int, p: int) -> LaurentPolynomial:
     """Proved closed form for the cokernel character in the single window
     p <= d < 2p with e >= d-1: the truncated two-row Schur character of
     (e+p, d-p)."""
-    if not p <= d < 2 * p:
-        raise ValueError("requires p <= d < 2p")
-    if e < d - 1:
-        raise ValueError("requires e >= d - 1")
+    if not window_hypothesis(d, e, p):
+        raise ValueError("requires p <= d < 2p and e >= d - 1")
     return schur2_trunc(e + p, d - p, p, n)
 
 
@@ -125,13 +109,10 @@ def h1_small_weight_char(n: int, d: int, e: int, p: int) -> LaurentPolynomial:
     """Conjectured cokernel character for tp <= d < (t+1)p with 1 <= t < p
     and e >= d-1: a sum of Frobenius twists of classical two-row Schur
     characters times truncated ones."""
-    t = d // p
-    if not 1 <= t < p:
-        raise ValueError("requires tp <= d < (t+1)p with 1 <= t < p")
-    if e < d - 1:
-        raise ValueError("requires e >= d - 1")
-    out = LaurentPolynomial.zero(n)
-    for a in range(1, t + 1):
+    if not small_weights_hypothesis(d, e, p):
+        raise ValueError("requires tp <= d < (t+1)p with 1 <= t < p, and e >= d - 1")
+    out = LaurentPolynomial(n)
+    for a in range(1, d // p + 1):  # t = d // p
         for b in range(1, a + 1):
             for j in range(0, a - b + 1):
                 twist = schur2(a - b, j, n).frobenius(p)
@@ -157,9 +138,9 @@ def h1_char2_char(n: int, d: int, e: int) -> LaurentPolynomial:
     """Conjectured characteristic-two cokernel character for e >= d-1:
     nim polynomials under even Frobenius twists times truncated two-row
     Schur characters."""
-    if e < d - 1:
+    if not char2_hypothesis(d, e):
         raise ValueError("requires e >= d - 1")
-    out = LaurentPolynomial.zero(n)
+    out = LaurentPolynomial(n)
     for q, m in char2_lambda_set(d):
         twist = nim_poly(m, n).frobenius(2 * q)
         trunc = schur2_trunc(e - (2 * m - 1) * q, d - (2 * m + 1) * q, q, n)

@@ -6,10 +6,10 @@ the CSC triples (indptr, rows, residues) of its maps, the incidence blocks
 feed it their 0/1 columns and the determinantal blocks their rows.  The
 modulus p must be prime and below 2**31 so that a product of two residues
 fits in a signed 64-bit word; `check_modulus` remembers the moduli it has
-passed.  `PrimeFieldMatrix` stores a matrix over Z/p densely as an int64
-array, built only when a dense matrix is asked for (a determinantal block's
-`matrix`, tests); its rank is `chain_ranks` on the CSC of its nonzeros.
-`rref_with_order` is a separate dense reduction with a chosen column order.
+passed.  `PrimeFieldMatrix` is a read-only dense int64 matrix over Z/p with
+a cached `rank`, `chain_ranks` on the CSC of its nonzeros; only the tests, a
+determinantal block's `matrix` and `rref_with_order`, a dense reduction in a
+chosen column order, build one.
 
 Over Z, `smith_invariants` takes a matrix as its list of rows.  One loop
 moves a smallest nonzero entry to (0, 0), clears its column by row and its
@@ -69,16 +69,6 @@ class PrimeFieldMatrix:
         self._data = data
         self._rank_cache: int | None = None
 
-    @classmethod
-    def from_reduced(cls, p: int, data: np.ndarray) -> "PrimeFieldMatrix":
-        """Take over a fresh 2-D int64 array already reduced mod p, without
-        copying it; it becomes read-only."""
-        check_modulus(p)
-        data.setflags(write=False)
-        m = cls.__new__(cls)
-        m.p, m._data, m._rank_cache = p, data, None
-        return m
-
     @property
     def rows(self) -> int:
         return self._data.shape[0]
@@ -91,14 +81,8 @@ class PrimeFieldMatrix:
     def shape(self) -> tuple[int, int]:
         return self._data.shape
 
-    def entry(self, i: int, j: int) -> int:
-        return int(self._data[i, j])
-
     def to_array(self) -> np.ndarray:
         return self._data.copy()
-
-    def row_lists(self) -> list[list[int]]:
-        return self._data.tolist()
 
     def rank(self) -> int:
         if self._rank_cache is None:
@@ -106,15 +90,6 @@ class PrimeFieldMatrix:
             indptr = np.searchsorted(cols, np.arange(self.cols + 1))
             (self._rank_cache,) = chain_ranks([(indptr, rows, self._data[rows, cols])], self.p)
         return self._rank_cache
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PrimeFieldMatrix):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.shape == other.shape
-            and bool(np.array_equal(self._data, other._data))
-        )
 
     def __repr__(self) -> str:
         return f"PrimeFieldMatrix(p={self.p}, shape={self.shape})"

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -304,6 +305,61 @@ def test_oversized_complex_exits_one_at_once(tmp_path, capsys):
     assert code == 1
     assert "parameter error" in err and "over the budget" in err
     assert out == "" and not path.exists()
+
+
+_PERIODICITY = ["stable", "periodicity", "--w0", "2", "--d", "3", "--prime", "2"]
+
+
+@pytest.mark.parametrize("r", ["20000", "1000000000"])
+def test_huge_period_exits_one_at_once(r, tmp_path, capsys):
+    # 2^20000 has 6021 digits, past the 4300 Python writes an int with
+    path = tmp_path / "report.json"
+    t0 = time.perf_counter()
+    code = cli.main(_PERIODICITY + ["--r", r, "--json", str(path)])
+    assert time.perf_counter() - t0 < 1.0
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "parameter error" in err and "more than 13000 bits" in err
+    assert out == "" and not path.exists()
+
+
+def test_long_period_below_the_bound_writes_its_report(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    code = cli.main(_PERIODICITY + ["--r", "12000", "--json", str(path)])
+    capsys.readouterr()
+    assert code == 0
+    (verdict,) = json.loads(path.read_text())["verdicts"]
+    assert verdict["status"] == AGREE
+    assert verdict["payload"]["q"] == 2**12000
+
+
+def test_sweep_with_a_huge_period_row_writes_its_report(tmp_path, capsys):
+    config = {"runs": [{"command": "stable periodicity", "w0": 2, "d": 3, "prime": 2,
+                        "r": [2, 20000]}]}
+    cfg = tmp_path / "periods.json"
+    cfg.write_text(json.dumps(config))
+    path = tmp_path / "report.json"
+    code = cli.main(["sweep", "--config", str(cfg), "--parallel", "1", "--json", str(path)])
+    capsys.readouterr()
+    assert code == 1
+    small, huge = json.loads(path.read_text())["verdicts"]
+    assert small["status"] == AGREE and small["payload"]["q"] == 4
+    assert huge["status"] == ERROR
+    assert "more than 13000 bits" in huge["payload"]["message"]
+
+
+def test_failed_render_leaves_an_existing_report_whole(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "report.json"
+    path.write_text("earlier report\n")
+
+    def fail(document):
+        raise RuntimeError("render failed")
+
+    monkeypatch.setattr(cli, "render_json", fail)
+    with pytest.raises(RuntimeError, match="render failed"):
+        cli.main(["char", "nim", "--m", "1", "--n", "2", "--json", str(path)])
+    capsys.readouterr()
+    assert path.read_text() == "earlier report\n"
 
 
 def test_json_document_shape(tmp_path, capsys):
@@ -1056,3 +1112,37 @@ def test_human_lines_error_message(tmp_path, capsys):
     ]
     (verdict,) = json.loads(out_path.read_text())["verdicts"]
     assert verdict["payload"] == {"message": "modulus 0 is not prime"}
+
+
+def _readme_blocks():
+    """The fenced blocks of README.md as (info string, lines) pairs."""
+    blocks, current = [], None
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    for line in readme.read_text().splitlines():
+        if line.startswith("```"):
+            if current is None:
+                current = (line[3:].strip(), [])
+            else:
+                blocks.append(current)
+                current = None
+        elif current is not None:
+            current[1].append(line)
+    return blocks
+
+
+def test_readme_commands_exit_as_documented(tmp_path, capsys, monkeypatch):
+    blocks = _readme_blocks()
+    lines = [line for _, block in blocks for line in block]
+    commands = [line.split()[1:] for line in lines if line.startswith("fpcoh ")]
+    (control,) = [line.split(";")[0].split()[2:] for line in lines
+                  if line.startswith("$ fpcoh ")]
+    (grid,) = ["\n".join(block) for info, block in blocks if info == "json"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.json").write_text(grid)
+    assert len(commands) == 14 and commands[-1][0] == "sweep"
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    assert cli.main(control) == 2
+    capsys.readouterr()
+    verdicts = json.loads((tmp_path / "report.json").read_text())["verdicts"]
+    assert len(verdicts) == 3 * 2 + 2  # theorem rows check two primes each

@@ -4,6 +4,8 @@ instead of failing only in a traced benchmark run."""
 
 from pathlib import Path
 
+import pytest
+
 from fpcoh import characters, cli, determinantal, incidence, linalg
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -92,3 +94,26 @@ def test_tracer_counts_the_involution_smith_calls(monkeypatch, capsys):
     metrics = t.layer_metrics()
     assert metrics["linalg.smith_calls"] == 6
     assert metrics["complexes.build_calls"] == 5
+
+
+@pytest.mark.parametrize("flags, blocks, bases", [([], 3, 6), (["--no-symmetry"], 10, 20)])
+def test_tracer_counts_the_incidence_blocks(flags, blocks, bases, monkeypatch, capsys):
+    # the omega and basis hooks wrap omega_block and block_basis where
+    # h_characters calls them: one omega block per scanned multidegree (one
+    # per S_n orbit by default), and two bases per block
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    t = tracer.Tracer()
+    try:
+        t.install()
+        code = cli.main(["incidence", "chars", "--n", "3", "--d", "2", "--e", "1",
+                         "--prime", "2", *flags])
+    finally:
+        t.uninstall()
+    assert "h0 = t1*t2*t3; h1 = t1*t2*t3" in capsys.readouterr().out
+    assert code == 0
+    metrics = t.layer_metrics()
+    assert metrics["incidence.blocks"] == blocks
+    assert metrics["incidence.basis_builds"] == bases
+    assert metrics["incidence.chars_s"] > 0
