@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands evaluate the core engines and, where a closed formula or a
-conjectured formula exists, compare against it and report a Verdict per
+conjectured formula exists, compare against it and report a verdict per
 checked statement.  Exit codes: 0 all comparisons agree (pure evaluations
 count), 2 some comparison disagrees, 1 usage or parameter error.
 
@@ -29,7 +29,6 @@ import io
 import json
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from itertools import product
@@ -59,11 +58,11 @@ from .verdicts import (
     DISAGREE,
     ERROR,
     OUTSIDE,
-    Verdict,
     exit_code,
     human_lines,
     render_json,
     report_document,
+    verdict,
     write_csv,
 )
 
@@ -93,12 +92,6 @@ def _positive_int(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-
-
-def _timed(subject: str, parameters: dict, build) -> Verdict:
-    t0 = time.perf_counter()
-    status, payload = build()
-    return Verdict(subject, parameters, status, payload, seconds=time.perf_counter() - t0)
 
 
 def _homology_summary(dims: tuple[int, ...]) -> str:
@@ -145,34 +138,29 @@ def _character_payload(series: str, f: LaurentPolynomial) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# handlers; each returns (parameters, [Verdict])
+# handlers; each returns (parameters, [verdict])
 
 
 def _cmd_complex_homology(ns):
-    w = tuple(ns.weights)
-    params = {"weights": list(w), "prime": ns.prime}
-
-    def build():
-        cx = build_complex(w, ns.prime)
-        hom = homology_dims(cx)
-        table = [
-            {"series": "chain", "degree": k, "dimension": cx.dimension(k)}
-            for k in range(cx.d + 1)
-        ]
-        table += [
-            {"series": "homology", "degree": k, "dimension": hom[k]}
-            for k in range(cx.d + 1)
-        ]
-        payload = {
-            "dimensions": list(cx.dimensions()),
-            "ranks": list(cx.ranks()),
-            "homology": list(hom),
-            "summary": _homology_summary(hom),
-            "dimension_table": table,
-        }
-        return AGREE, payload
-
-    return params, [_timed("homology", params, build)]
+    params = {"weights": list(ns.weights), "prime": ns.prime}
+    cx = build_complex(tuple(ns.weights), ns.prime)
+    hom = homology_dims(cx)
+    table = [
+        {"series": "chain", "degree": k, "dimension": cx.dimension(k)}
+        for k in range(cx.d + 1)
+    ]
+    table += [
+        {"series": "homology", "degree": k, "dimension": hom[k]}
+        for k in range(cx.d + 1)
+    ]
+    payload = {
+        "dimensions": list(cx.dimensions()),
+        "ranks": list(cx.ranks()),
+        "homology": list(hom),
+        "summary": _homology_summary(hom),
+        "dimension_table": table,
+    }
+    return params, [verdict("homology", params, AGREE, payload)]
 
 
 def _cmd_complex_theorem(ns):
@@ -181,23 +169,20 @@ def _cmd_complex_theorem(ns):
     params = {"d": ns.d, "primes": list(ns.primes)}
     verdicts = []
     for p in ns.primes:
-        vparams = {"d": ns.d, "prime": p}
-
-        def build(p=p):
-            brute = homology_dims(build_complex((1,) * (ns.d + 1), p))
-            formula = poincare_formula_all_ones(ns.d, p)
-            payload = {
-                "brute": list(brute),
-                "formula": list(formula),
-                "summary": _homology_summary(formula),
-            }
-            if brute == formula:
-                return AGREE, payload
+        brute = homology_dims(build_complex((1,) * (ns.d + 1), p))
+        formula = poincare_formula_all_ones(ns.d, p)
+        payload = {
+            "brute": list(brute),
+            "formula": list(formula),
+            "summary": _homology_summary(formula),
+        }
+        status = AGREE
+        if brute != formula:
             k = next(k for k, (x, y) in enumerate(zip(brute, formula)) if x != y)
             payload["witness"] = {"degree": k, "computed": brute[k], "expected": formula[k]}
-            return DISAGREE, payload
-
-        verdicts.append(_timed("all-ones-homology-formula", vparams, build))
+            status = DISAGREE
+        verdicts.append(verdict("all-ones-homology-formula", {"d": ns.d, "prime": p},
+                                status, payload))
     return params, verdicts
 
 
@@ -206,8 +191,8 @@ def _cmd_complex_involution(ns):
         raise ValueError(f"need d >= 1, got d = {ns.d}")
     params = {"w0": ns.w0, "d": ns.d, "primes": list(ns.primes)}
     verdicts = [
-        _timed("hook-involution", {"w0": ns.w0, "d": ns.d, "prime": p},
-               functools.partial(check_involution, ns.w0, ns.d, p))
+        verdict("hook-involution", {"w0": ns.w0, "d": ns.d, "prime": p},
+                *check_involution(ns.w0, ns.d, p))
         for p in ns.primes
     ]
     return params, verdicts
@@ -215,58 +200,58 @@ def _cmd_complex_involution(ns):
 
 def _cmd_complex_ses(ns):
     params = {"weights": list(ns.weights), "split": ns.split, "prime": ns.prime}
-    return params, [_timed("ses-bookkeeping", params, functools.partial(
-        ses_dimension_check, tuple(ns.weights), ns.split, ns.prime))]
+    return params, [verdict("ses-bookkeeping", params, *ses_dimension_check(
+        tuple(ns.weights), ns.split, ns.prime))]
 
 
 def _cmd_stable_hook(ns):
     params = {"w0": ns.w0, "d": ns.d, "prime": ns.prime}
-
-    def build():
-        table = stable_hook_cohomology(ns.w0, ns.d, ns.prime)
-        payload = {
-            "cohomology": {str(j): v for j, v in table.items()},
-            "summary": ", ".join(f"H^{j}={v}" for j, v in table.items() if v),
-            "dimension_table": [
-                {"series": "stable-cohomology", "degree": j, "dimension": v}
-                for j, v in table.items()
-            ],
-        }
-        return AGREE, payload
-
-    return params, [_timed("stable-hook-cohomology", params, build)]
+    table = stable_hook_cohomology(ns.w0, ns.d, ns.prime)
+    payload = {
+        "cohomology": {str(j): v for j, v in table.items()},
+        "summary": ", ".join(f"H^{j}={v}" for j, v in table.items() if v),
+        "dimension_table": [
+            {"series": "stable-cohomology", "degree": j, "dimension": v}
+            for j, v in table.items()
+        ],
+    }
+    return params, [verdict("stable-hook-cohomology", params, AGREE, payload)]
 
 
 def _cmd_stable_periodicity(ns):
     params = {"w0": ns.w0, "d": ns.d, "prime": ns.prime, "r": ns.r}
-    return params, [_timed("stable-periodicity", params, functools.partial(
-        check_stable_periodicity_hook, ns.w0, ns.d, ns.prime, ns.r))]
+    return params, [verdict("stable-periodicity", params, *check_stable_periodicity_hook(
+        ns.w0, ns.d, ns.prime, ns.r))]
 
 
-_COMPARE_CHOICES = ("h1-theorem", "small-weights", "char2")
+_COMPARE_SUBJECTS = {
+    "h1-theorem": "h1-window-theorem",
+    "small-weights": "h1-small-weights",
+    "char2": "h1-char2",
+}
 
 
 def _cmd_incidence_chars(ns):
+    if ns.compare == "char2" and ns.prime != 2:
+        raise ValueError("--compare char2 requires --prime 2")
     params = {"n": ns.n, "d": ns.d, "e": ns.e, "prime": ns.prime}
     if ns.compare:
         params["compare"] = ns.compare
     if ns.no_symmetry:
         params["symmetry_reduce"] = False
-
-    def build():
-        h0, h1 = h_characters(ns.n, ns.d, ns.e, ns.prime, symmetry_reduce=not ns.no_symmetry)
-        h0_records, h0_table, h0_text = _character("h0", h0)
-        h1_records, h1_table, h1_text = _character("h1", h1)
-        payload = {
-            "h0": h0_records,
-            "h1": h1_records,
-            "h0_dimension": h0.dimension(),
-            "h1_dimension": h1.dimension(),
-            "summary": f"h0 = {h0_text}; h1 = {h1_text}",
-            "dimension_table": h0_table + h1_table,
-        }
-        if not ns.compare:
-            return AGREE, payload
+    h0, h1 = h_characters(ns.n, ns.d, ns.e, ns.prime, symmetry_reduce=not ns.no_symmetry)
+    h0_records, h0_table, h0_text = _character("h0", h0)
+    h1_records, h1_table, h1_text = _character("h1", h1)
+    payload = {
+        "h0": h0_records,
+        "h1": h1_records,
+        "h0_dimension": h0.dimension(),
+        "h1_dimension": h1.dimension(),
+        "summary": f"h0 = {h0_text}; h1 = {h1_text}",
+        "dimension_table": h0_table + h1_table,
+    }
+    status = AGREE
+    if ns.compare:
         if ns.compare == "h1-theorem":
             met = window_hypothesis(ns.d, ns.e, ns.prime)
             target = h1_window_char(ns.n, ns.d, ns.e, ns.prime) if met else None
@@ -274,26 +259,18 @@ def _cmd_incidence_chars(ns):
             met = small_weights_hypothesis(ns.d, ns.e, ns.prime)
             target = h1_small_weight_char(ns.n, ns.d, ns.e, ns.prime) if met else None
         else:
-            if ns.prime != 2:
-                raise ValueError("--compare char2 requires --prime 2")
             met = char2_hypothesis(ns.d, ns.e)
             target = h1_char2_char(ns.n, ns.d, ns.e) if met else None
         payload["hypothesis_met"] = met
         if not met:
-            return OUTSIDE, payload
-        payload["target"] = target.to_records()
-        if h1 == target:
-            return AGREE, payload
-        payload["witness"] = _char_witness(h1, target)
-        return DISAGREE, payload
-
-    subjects = {
-        "h1-theorem": "h1-window-theorem",
-        "small-weights": "h1-small-weights",
-        "char2": "h1-char2",
-    }
-    subject = subjects.get(ns.compare, "incidence-characters")
-    return params, [_timed(subject, params, build)]
+            status = OUTSIDE
+        else:
+            payload["target"] = target.to_records()
+            if h1 != target:
+                payload["witness"] = _char_witness(h1, target)
+                status = DISAGREE
+    subject = _COMPARE_SUBJECTS.get(ns.compare, "incidence-characters")
+    return params, [verdict(subject, params, status, payload)]
 
 
 def _cmd_det_filtration(ns):
@@ -303,22 +280,18 @@ def _cmd_det_filtration(ns):
     truncated = not ns.classical
     params = {"n": ns.n, "a": ns.a, "b": ns.b, "i": ns.i, "prime": ns.prime,
               "truncated": truncated}
-
-    def build():
-        slices = slice_characters(
-            ns.n, ns.a, ns.b, [ns.i, ns.i + 1], truncated, ns.prime
-        )
-        quotient = slices[ns.i] - slices[ns.i + 1]
-        records, table, summary = _character("filtration-quotient", quotient)
-        payload = {
-            "quotient": records,
-            "quotient_dimension": quotient.dimension(),
-            "slice_dimension": slices[ns.i].dimension(),
-            "summary": summary,
-            "dimension_table": table,
-        }
-        if not ns.compare:
-            return AGREE, payload
+    slices = slice_characters(ns.n, ns.a, ns.b, [ns.i, ns.i + 1], truncated, ns.prime)
+    quotient = slices[ns.i] - slices[ns.i + 1]
+    records, table, summary = _character("filtration-quotient", quotient)
+    payload = {
+        "quotient": records,
+        "quotient_dimension": quotient.dimension(),
+        "slice_dimension": slices[ns.i].dimension(),
+        "summary": summary,
+        "dimension_table": table,
+    }
+    status = AGREE
+    if ns.compare:
         if truncated:
             target = schur2_trunc(ns.a + ns.b - ns.i, ns.i, ns.prime, ns.n)
         else:
@@ -331,26 +304,23 @@ def _cmd_det_filtration(ns):
             payload["witness"] = _char_witness(quotient, target)
         if not met:
             payload["comparison_agrees"] = agrees
-            return OUTSIDE, payload
-        return (AGREE, payload) if agrees else (DISAGREE, payload)
-
+            status = OUTSIDE
+        elif not agrees:
+            status = DISAGREE
     subject = "filtration-vs-schur" if ns.compare else "filtration-character"
-    return params, [_timed(subject, params, build)]
+    return params, [verdict(subject, params, status, payload)]
 
 
 def _cmd_det_lead_terms(ns):
     params = {"n": ns.n, "a": ns.a, "b": ns.b, "prime": ns.prime}
-    return params, [_timed("lead-term-containment", params, functools.partial(
-        check_lead_terms, ns.n, ns.a, ns.b, ns.prime))]
+    return params, [verdict("lead-term-containment", params, *check_lead_terms(
+        ns.n, ns.a, ns.b, ns.prime))]
 
 
 def _cmd_char_nim(ns):
     params = {"m": ns.m, "n": ns.n}
-
-    def build():
-        return AGREE, _character_payload("nim", nim_poly(ns.m, ns.n))
-
-    return params, [_timed("nim-character", params, build)]
+    payload = _character_payload("nim", nim_poly(ns.m, ns.n))
+    return params, [verdict("nim-character", params, AGREE, payload)]
 
 
 def _cmd_char_schur(ns):
@@ -359,17 +329,13 @@ def _cmd_char_schur(ns):
     if ns.b < 0:
         raise ValueError("--b must be non-negative")
     params = {"a": ns.a, "b": ns.b, "n": ns.n}
-    if ns.q is not None:
+    if ns.q is None:
+        f = schur2(ns.a, ns.b, ns.n)
+    else:
         params["q"] = ns.q
-
-    def build():
-        if ns.q is None:
-            f = schur2(ns.a, ns.b, ns.n)
-        else:
-            f = schur2_trunc(ns.a, ns.b, ns.q, ns.n)
-        return AGREE, _character_payload("schur", f)
-
-    return params, [_timed("schur-character", params, build)]
+        f = schur2_trunc(ns.a, ns.b, ns.q, ns.n)
+    return params, [verdict("schur-character", params, AGREE,
+                            _character_payload("schur", f))]
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +389,7 @@ def build_parser() -> _Parser:
 
     inc = group("incidence", "incidence cohomology characters")
     q = leaf(inc, "incidence chars", "_cmd_incidence_chars", n=int, d=int, e=int, prime=int)
-    q.add_argument("--compare", choices=_COMPARE_CHOICES, default=None)
+    q.add_argument("--compare", choices=tuple(_COMPARE_SUBJECTS), default=None)
     q.add_argument("--no-symmetry", action="store_true",
                    help="disable the symmetry reduction over multidegree orbits")
 
@@ -496,7 +462,7 @@ def expand_config(config: dict) -> list[list[str]]:
     return rows
 
 
-def _run_row(argv: list[str]) -> list[Verdict]:
+def _run_row(argv: list[str]) -> list[dict]:
     """One sweep row; stdout of the row is swallowed so the parent report
     stays the only output.  Any failure becomes an error verdict."""
     sink = io.StringIO()
@@ -506,13 +472,12 @@ def _run_row(argv: list[str]) -> list[Verdict]:
             _, verdicts = globals()[ns.handler](ns)
         return verdicts
     except SystemExit:
-        return [Verdict("sweep-row", {"argv": list(argv)}, ERROR,
-                        {"message": sink.getvalue().strip() or "usage error"})]
+        message = sink.getvalue().strip() or "usage error"
     except ValueError as exc:
         message = str(exc)
     except Exception as exc:  # a failed check in one row must not end the sweep
         return [_crash_verdict("sweep-row", argv, exc)]
-    return [Verdict("sweep-row", {"argv": list(argv)}, ERROR, {"message": message})]
+    return [verdict("sweep-row", {"argv": list(argv)}, ERROR, {"message": message})]
 
 
 # Futures per pool worker: each future carries a pickle, a queue hop and a
@@ -521,13 +486,13 @@ def _run_row(argv: list[str]) -> list[Verdict]:
 _CHUNKS_PER_WORKER = 8
 
 
-def _run_rows(chunk: list[list[str]]) -> list[list[Verdict]]:
+def _run_rows(chunk: list[list[str]]) -> list[list[dict]]:
     """The verdicts of each row of one chunk, in the chunk's order."""
     return [_run_row(argv) for argv in chunk]
 
 
-def _crash_verdict(subject: str, argv: list[str], exc: Exception) -> Verdict:
-    return Verdict(subject, {"argv": list(argv)}, ERROR,
+def _crash_verdict(subject: str, argv: list[str], exc: Exception) -> dict:
+    return verdict(subject, {"argv": list(argv)}, ERROR,
                    {"message": f"{type(exc).__name__}: {exc}"})
 
 
@@ -540,7 +505,7 @@ def _cmd_sweep(ns):
     rows = expand_config(config)
     params = {"config": os.path.basename(ns.config), "rows": len(rows)}
     workers = min(ns.parallel or os.cpu_count() or 1, len(rows))
-    verdicts: list[Verdict] = []
+    verdicts: list[dict] = []
     if workers == 1:
         for argv in rows:
             verdicts.extend(_run_row(argv))
@@ -573,11 +538,11 @@ def main(argv=None) -> int:
         return 1
     except Exception as exc:  # a failed internal check still gets a report
         verdicts = [_crash_verdict(ns.command, argv, exc)]
-        params = verdicts[0].parameters
-        print(f"fpcoh: {verdicts[0].payload['message']}", file=sys.stderr)
+        params = verdicts[0]["parameters"]
+        print(f"fpcoh: {verdicts[0]['payload']['message']}", file=sys.stderr)
     for v, line in zip(verdicts, human_lines(verdicts)):
         print(line)
-        summary = v.payload.get("summary")
+        summary = v["payload"].get("summary")
         if summary:
             print(f"    {summary}")
     if ns.json:  # rendered first: a failed render leaves an old report whole

@@ -1,11 +1,10 @@
-"""Structured results for comparison runs: a Verdict per checked statement,
-a JSON document shape shared by every subcommand, CSV export of dimension
-tables, and the exit-code rules scripts rely on.
+"""Structured results for comparison runs: a verdict record per checked
+statement, a JSON document shape shared by every subcommand, CSV export of
+dimension tables, and the exit-code rules scripts rely on.
 
 Determinism contract: the JSON document is byte-identical across repeated
-runs and across worker counts.  Wall-clock timing therefore lives only on
-the in-memory object and is never serialized; payloads may not contain
-floats.
+runs and across worker counts, so it holds no timing and payloads may not
+contain floats.
 
 Handlers build parameters and payloads JSON-ready (str-keyed dicts, lists,
 str, int, bool and None), and the document passes them through as they are.
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 AGREE = "agree"
@@ -30,25 +28,13 @@ ERROR = "error"
 _STATUSES = (AGREE, DISAGREE, OUTSIDE, ERROR)
 
 
-@dataclass
-class Verdict:
-    subject: str
-    parameters: dict
-    status: str
-    payload: dict = field(default_factory=dict)
-    seconds: float = 0.0  # in-memory only, see module docstring
-
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "parameters": self.parameters,
-            "status": self.status,
-            "payload": self.payload,
-        }
+def verdict(subject: str, parameters: dict, status: str, payload: dict) -> dict:
+    """The record of one checked statement, as the document holds it; the
+    payload is the caller's own dict, not a copy."""
+    if status not in _STATUSES:
+        raise ValueError(f"unknown status {status!r}")
+    return {"subject": subject, "parameters": parameters, "status": status,
+            "payload": payload}
 
 
 def report_document(command: str, parameters: dict, verdicts) -> dict:
@@ -58,7 +44,7 @@ def report_document(command: str, parameters: dict, verdicts) -> dict:
         "version": __version__,
         "command": command,
         "parameters": parameters,
-        "verdicts": [v.to_json_dict() for v in verdicts],
+        "verdicts": list(verdicts),
     }
 
 
@@ -110,23 +96,23 @@ def exit_code(verdicts) -> int:
     to an outside-hypothesis verdict; 1 when a run errored out."""
     code = 0
     for v in verdicts:
-        if v.status == DISAGREE:
+        if v["status"] == DISAGREE:
             return 2
-        if v.status == OUTSIDE and v.payload.get("comparison_agrees") is False:
+        if v["status"] == OUTSIDE and v["payload"].get("comparison_agrees") is False:
             return 2
-        if v.status == ERROR:
+        if v["status"] == ERROR:
             code = 1
     return code
 
 
-def dimension_rows(verdict: Verdict) -> list[dict]:
+def dimension_rows(record: dict) -> list[dict]:
     """Flat CSV rows for a verdict's dimension table.  Each payload table row
     carries degree or multidegree plus a dimension; parameters are repeated
     on every row."""
     rows = []
-    for entry in verdict.payload.get("dimension_table", ()):
-        row = {"subject": verdict.subject, "status": verdict.status}
-        for k, v in verdict.parameters.items():
+    for entry in record["payload"].get("dimension_table", ()):
+        row = {"subject": record["subject"], "status": record["status"]}
+        for k, v in record["parameters"].items():
             row[str(k)] = _compact(v) if isinstance(v, (list, tuple)) else v
         if "series" in entry:
             row["series"] = entry["series"]
@@ -160,15 +146,16 @@ def human_lines(verdicts) -> list[str]:
     """One aligned line per verdict for terminal output."""
     lines = []
     for v in verdicts:
-        params = " ".join(f"{k}={_compact(val)}" for k, val in v.parameters.items())
+        params = " ".join(f"{k}={_compact(val)}" for k, val in v["parameters"].items())
+        status, payload = v["status"], v["payload"]
         note = ""
-        if v.status == DISAGREE and "witness" in v.payload:
-            note = f"  witness: {json.dumps(v.payload['witness'], sort_keys=True)}"
-        elif v.status == OUTSIDE and "comparison_agrees" in v.payload:
-            note = f"  comparison_agrees: {v.payload['comparison_agrees']}"
-        elif v.status == ERROR and "message" in v.payload:
-            note = f"  message: {v.payload['message']}"
-        lines.append(f"[{v.status:>18}] {v.subject}  {params}{note}")
+        if status == DISAGREE and "witness" in payload:
+            note = f"  witness: {json.dumps(payload['witness'], sort_keys=True)}"
+        elif status == OUTSIDE and "comparison_agrees" in payload:
+            note = f"  comparison_agrees: {payload['comparison_agrees']}"
+        elif status == ERROR and "message" in payload:
+            note = f"  message: {payload['message']}"
+        lines.append(f"[{status:>18}] {v['subject']}  {params}{note}")
     return lines
 
 

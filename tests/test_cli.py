@@ -18,11 +18,11 @@ from fpcoh.verdicts import (
     DISAGREE,
     ERROR,
     OUTSIDE,
-    Verdict,
     exit_code,
     human_lines,
     render_json,
     report_document,
+    verdict,
 )
 from helpers import assert_json_ready, str_length_summary
 
@@ -294,6 +294,21 @@ def test_parameter_error_exits_one(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "parameter error" in err
+
+
+def test_compare_char2_off_prime_two_is_refused_before_computing(capsys, monkeypatch):
+    def computed(*args, **kwargs):
+        raise AssertionError("h_characters ran before the refusal")
+
+    monkeypatch.setattr(cli, "h_characters", computed)
+    code = cli.main([
+        "incidence", "chars", "--n", "3", "--d", "2", "--e", "1",
+        "--prime", "3", "--compare", "char2",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "fpcoh: parameter error: --compare char2 requires --prime 2\n"
+    assert captured.out == ""
 
 
 def test_oversized_complex_exits_one_at_once(tmp_path, capsys):
@@ -725,7 +740,7 @@ def test_sweep_rows_build_no_parser(tmp_path, capsys, monkeypatch):
 
 def _patched_nim(ns):
     params = {"m": ns.m, "n": ns.n}
-    return params, [Verdict("patched-nim", params, AGREE)]
+    return params, [verdict("patched-nim", params, AGREE, {})]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -875,7 +890,7 @@ def test_empty_prime_list_exits_one(command, capsys):
 
 
 def test_exit_code_rules():
-    mk = lambda status, payload=None: Verdict("s", {}, status, payload or {})
+    mk = lambda status, payload=None: verdict("s", {}, status, payload or {})
     assert exit_code([]) == 0
     assert exit_code([mk(AGREE)]) == 0
     assert exit_code([mk(OUTSIDE)]) == 0
@@ -888,19 +903,17 @@ def test_exit_code_rules():
 
 def test_verdict_validation_and_serialization():
     with pytest.raises(ValueError):
-        Verdict("s", {}, "maybe")
-    v = Verdict("s", {"p": 2}, AGREE, {"table": [{"degree": 1, "dimension": 3}]},
-                seconds=1.5)
-    d = v.to_json_dict()
+        verdict("s", {}, "maybe", {})
+    payload = {"table": [{"degree": 1, "dimension": 3}]}
+    d = verdict("s", {"p": 2}, AGREE, payload)
     assert d == {"subject": "s", "parameters": {"p": 2}, "status": AGREE,
                  "payload": {"table": [{"degree": 1, "dimension": 3}]}}
-    assert d["payload"] is v.payload  # passed through, not copied
-    assert "seconds" not in d
+    assert d["payload"] is payload  # passed through, not copied
 
 
 def test_render_json_stable():
     doc = report_document("char nim", {"m": 1, "n": 2},
-                          [Verdict("nim-character", {"m": 1}, AGREE)])
+                          [verdict("nim-character", {"m": 1}, AGREE, {})])
     text = render_json(doc)
     assert text.endswith("\n")
     assert text == render_json(json.loads(text))  # round trip is stable
@@ -1088,14 +1101,14 @@ def test_huge_prime_is_refused_without_trial_division(capsys, monkeypatch):
 
 
 def test_human_lines_witness_note():
-    v = Verdict("s", {"d": 2}, DISAGREE, {"witness": {"degree": 1}})
+    v = verdict("s", {"d": 2}, DISAGREE, {"witness": {"degree": 1}})
     (line,) = human_lines([v])
     assert "witness" in line
     assert '"degree": 1' in line
 
 
 def test_human_lines_error_message(tmp_path, capsys):
-    v = Verdict("s", {"d": 2}, ERROR, {"message": "modulus 0 is not prime"})
+    v = verdict("s", {"d": 2}, ERROR, {"message": "modulus 0 is not prime"})
     (line,) = human_lines([v])
     assert line.endswith("  message: modulus 0 is not prime")
     config = {"runs": [{"command": "complex homology", "weights": "1,1", "prime": 0}]}
@@ -1110,8 +1123,8 @@ def test_human_lines_error_message(tmp_path, capsys):
         "[             error] sweep-row  argv=complex,homology,--weights=1,1,--prime=0"
         "  message: modulus 0 is not prime"
     ]
-    (verdict,) = json.loads(out_path.read_text())["verdicts"]
-    assert verdict["payload"] == {"message": "modulus 0 is not prime"}
+    (record,) = json.loads(out_path.read_text())["verdicts"]
+    assert record["payload"] == {"message": "modulus 0 is not prime"}
 
 
 def _readme_blocks():
