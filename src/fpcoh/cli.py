@@ -6,18 +6,19 @@ checked statement.  Exit codes: 0 all comparisons agree (pure evaluations
 count), 2 some comparison disagrees, 1 usage or parameter error.
 
 `sweep --config FILE` expands a declarative grid into rows and runs each row
-through the same parser.  With several workers the rows go to a process pool
+through the whole parser.  With several workers the rows go to a process pool
 in strided chunks (chunk k holds rows k, k + count, ...); report order is the
 grid's row-major order regardless of scheduling, and JSON output is
 byte-identical across worker counts.  A killed worker breaks the pool: every
 row of a chunk not yet returned then becomes a `sweep-row` error verdict, and
 a chunk's rows return together.
 
-The parser is built once per process and shared by `main()` and every sweep
-row (pool workers fork after the build and inherit it).  It names each
-command's handler instead of holding the function, and the handler is looked
-up in this module when the command runs, so a handler rebound after the build
-is the one that runs.
+A single command builds only its own leaf of the parser, under its group.
+`sweep`, help and any other argv build the whole tree, once per process;
+every sweep row parses with it (pool workers fork after the build and
+inherit it).  The parser names each command's handler instead of holding
+the function, and the handler is looked up in this module when the command
+runs, so a handler rebound after the build is the one that runs.
 """
 
 from __future__ import annotations
@@ -342,11 +343,46 @@ def _cmd_char_schur(ns):
 # parser
 
 
+_GROUPS = {"complex": "weighted path complexes", "stable": "stable hook cohomology",
+           "incidence": "incidence cohomology characters",
+           "det": "determinantal ideal filtrations", "char": "character ring evaluations"}
+
+# Each leaf command: the name of its handler and its flags in order; a bare
+# type is a mandatory flag of that type, a dict the flag's other settings.
+_LEAVES = {
+    "complex homology": ("_cmd_complex_homology", {"weights": _int_list, "prime": int}),
+    "complex theorem": ("_cmd_complex_theorem", {"d": int, "primes": _int_list}),
+    "complex involution": ("_cmd_complex_involution", {"w0": int, "d": int, "primes": _int_list}),
+    "complex ses-check": ("_cmd_complex_ses", {"weights": _int_list, "split": int, "prime": int}),
+    "stable hook": ("_cmd_stable_hook", {"w0": int, "d": int, "prime": int}),
+    "stable periodicity": ("_cmd_stable_periodicity",
+                           {"w0": int, "d": int, "prime": int, "r": int}),
+    "incidence chars": ("_cmd_incidence_chars", {
+        "n": int, "d": int, "e": int, "prime": int,
+        "compare": {"choices": tuple(_COMPARE_SUBJECTS), "default": None},
+        "no-symmetry": {"action": "store_true",
+                        "help": "disable the symmetry reduction over multidegree orbits"},
+    }),
+    "det filtration": ("_cmd_det_filtration", {
+        "n": int, "a": int, "b": int, "i": int, "prime": int,
+        "classical": {"action": "store_true",
+                      "help": "work in the plain polynomial ring instead of the truncation"},
+        "compare": {"action": "store_true",
+                    "help": "compare against the two-row Schur character"},
+    }),
+    "det lead-terms": ("_cmd_det_lead_terms", {"n": int, "a": int, "b": int, "prime": int}),
+    "char nim": ("_cmd_char_nim", {"m": int, "n": int}),
+    "char schur": ("_cmd_char_schur",
+                   {"a": int, "b": int, "q": {"type": int, "default": None}, "n": int}),
+}
+
+
 @functools.cache
-def build_parser() -> _Parser:
-    """The one `fpcoh` parser of this process, shared by every caller, so no
-    caller may change it; `ns.handler` is the name of a handler in this
-    module."""
+def build_parser(command: str | None = None) -> _Parser:
+    """The `fpcoh` parser of this process, shared by every caller, so no
+    caller may change it: the whole tree, or for a leaf command of `_LEAVES`
+    that leaf alone under its group, built by the same steps, so it parses
+    as the whole tree does.  `ns.handler` names a handler in this module."""
     shared = argparse.ArgumentParser(add_help=False)
     # SUPPRESS keeps a leaf from clobbering values parsed before the
     # subcommand name
@@ -360,61 +396,37 @@ def build_parser() -> _Parser:
                         help="write dimension tables to PATH")
     top = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
 
-    def group(name, text):
-        return top.add_parser(name, help=text).add_subparsers(
-            dest="action", required=True, metavar="ACTION"
-        )
+    groups = {}
+    for name, (handler, flags) in _LEAVES.items():
+        if command not in (None, name):
+            continue
+        group, action = name.split()
+        if group not in groups:
+            groups[group] = top.add_parser(group, help=_GROUPS[group]).add_subparsers(
+                dest="action", required=True, metavar="ACTION")
+        q = groups[group].add_parser(action, parents=[shared])
+        for flag, kind in flags.items():
+            settings = kind if isinstance(kind, dict) else {"type": kind, "required": True}
+            q.add_argument(f"--{flag}", **settings)
+        q.set_defaults(handler=handler, command=name)
 
-    def leaf(actions, command, handler, **required):
-        """A subcommand run by the handler named `handler`, whose flags
-        `required` are all mandatory, in order."""
-        q = actions.add_parser(command.split()[1], parents=[shared])
-        for flag, kind in required.items():
-            q.add_argument(f"--{flag}", type=kind, required=True)
-        q.set_defaults(handler=handler, command=command)
-        return q
-
-    cx = group("complex", "weighted path complexes")
-    leaf(cx, "complex homology", "_cmd_complex_homology", weights=_int_list, prime=int)
-    leaf(cx, "complex theorem", "_cmd_complex_theorem", d=int, primes=_int_list)
-    leaf(cx, "complex involution", "_cmd_complex_involution",
-         w0=int, d=int, primes=_int_list)
-    leaf(cx, "complex ses-check", "_cmd_complex_ses",
-         weights=_int_list, split=int, prime=int)
-
-    st = group("stable", "stable hook cohomology")
-    leaf(st, "stable hook", "_cmd_stable_hook", w0=int, d=int, prime=int)
-    leaf(st, "stable periodicity", "_cmd_stable_periodicity",
-         w0=int, d=int, prime=int, r=int)
-
-    inc = group("incidence", "incidence cohomology characters")
-    q = leaf(inc, "incidence chars", "_cmd_incidence_chars", n=int, d=int, e=int, prime=int)
-    q.add_argument("--compare", choices=tuple(_COMPARE_SUBJECTS), default=None)
-    q.add_argument("--no-symmetry", action="store_true",
-                   help="disable the symmetry reduction over multidegree orbits")
-
-    det = group("det", "determinantal ideal filtrations")
-    q = leaf(det, "det filtration", "_cmd_det_filtration",
-             n=int, a=int, b=int, i=int, prime=int)
-    q.add_argument("--classical", action="store_true",
-                   help="work in the plain polynomial ring instead of the truncation")
-    q.add_argument("--compare", action="store_true",
-                   help="compare against the two-row Schur character")
-    leaf(det, "det lead-terms", "_cmd_det_lead_terms", n=int, a=int, b=int, prime=int)
-
-    ch = group("char", "character ring evaluations")
-    leaf(ch, "char nim", "_cmd_char_nim", m=int, n=int)
-    q = leaf(ch, "char schur", "_cmd_char_schur", a=int, b=int)
-    q.add_argument("--q", type=int, default=None)
-    q.add_argument("--n", type=int, required=True)
-
-    q = top.add_parser("sweep", parents=[shared])
-    q.add_argument("--parallel", type=_positive_int, metavar="N", default=None,
-                   help="caps sweep worker count (default: available cores)")
-    q.add_argument("--config", metavar="FILE", required=True)
-    q.set_defaults(handler="_cmd_sweep", command="sweep")
+    if command is None:
+        q = top.add_parser("sweep", parents=[shared])
+        q.add_argument("--parallel", type=_positive_int, metavar="N", default=None,
+                       help="caps sweep worker count (default: available cores)")
+        q.add_argument("--config", metavar="FILE", required=True)
+        q.set_defaults(handler="_cmd_sweep", command="sweep")
 
     return parser
+
+
+def _leaf_command(argv: list[str]) -> str | None:
+    """The leaf command of an argv [--json P | --csv P]* GROUP ACTION ...
+    whose P cannot be read as a flag; None for any other argv."""
+    while argv[:1] in (["--json"], ["--csv"]) and argv[1:2] and argv[1][:1] != "-":
+        argv = argv[2:]
+    command = " ".join(argv[:2])
+    return command if len(argv) >= 2 and command in _LEAVES else None
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +542,7 @@ def _cmd_sweep(ns):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    ns = build_parser().parse_args(argv)
+    ns = build_parser(_leaf_command(argv)).parse_args(argv)
     try:
         params, verdicts = globals()[ns.handler](ns)
     except ValueError as exc:

@@ -2,14 +2,15 @@
 
 Every F_p rank runs one sparse reduction loop, `reduce_into`, on vectors
 stored as {index: residue} dicts: `chain_ranks` ranks a chain complex from
-the CSC triples (indptr, rows, residues) of its maps, the incidence blocks
-feed it their 0/1 columns and the determinantal blocks their rows.  The
-modulus p must be prime and below 2**31 so that a product of two residues
-fits in a signed 64-bit word; `check_modulus` remembers the moduli it has
-passed.  `PrimeFieldMatrix` is a read-only dense int64 matrix over Z/p with
-a cached `rank`, `chain_ranks` on the CSC of its nonzeros; only the tests, a
-determinantal block's `matrix` and `rref_with_order`, a dense reduction in a
-chosen column order, build one.
+the CSC triples (indptr, rows, residues) of its maps, taking every column's
+lowest row in one numpy pass and reading a column only when it is reduced;
+the incidence blocks feed it their 0/1 columns and the determinantal blocks
+their rows.  The modulus p must be prime and below 2**31 so that a product
+of two residues fits in a signed 64-bit word; `check_modulus` remembers the
+moduli it has passed.  `PrimeFieldMatrix` is a read-only dense int64 matrix
+over Z/p with a cached `rank`, `chain_ranks` on the CSC of its nonzeros;
+only the tests, a determinantal block's `matrix` and `rref_with_order`, a
+dense reduction in a chosen column order, build one.
 
 Over Z, `smith_invariants` takes a matrix as its list of rows.  One loop
 moves a smallest nonzero entry to (0, 0), clears its column by row and its
@@ -20,6 +21,7 @@ and its row and column deleted.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cache
 
 import numpy as np
@@ -102,26 +104,47 @@ def chain_ranks(boundaries, p: int) -> tuple[int, ...]:
     down, with clearing (Chen–Kerber, "Persistent homology computation with
     a twist", 2011): the reduced columns of d_(k+1) are cycles spanning its
     image, triangular on their pivot rows, so the columns of d_k at those
-    rows depend on lower ones and are skipped."""
+    rows depend on lower ones and are skipped.  A column whose lowest row,
+    from one numpy pass, is no pivot yet becomes that pivot unread, as its
+    index; a map becomes lists, and a column a vector, only when reduced."""
     ranks = []
     cleared: dict = {}
     for indptr, rows, residues in reversed(boundaries):
         bounds = indptr.tolist()
-        entries = list(zip(rows.tolist(), residues.tolist()))
-        pivots: dict[int, dict[int, int]] = {}
-        for c in range(len(bounds) - 1):
-            if c not in cleared:
-                reduce_into(dict(entries[bounds[c]:bounds[c + 1]]), pivots, p)
+        filled = bisect_left(bounds, bounds[-1])  # later columns are empty
+        lows = np.maximum.reduceat(rows, indptr[:filled]).tolist()
+        pivots: dict = {}
+        column = None
+        for c, low in enumerate(lows):
+            if c in cleared or bounds[c] == bounds[c + 1]:
+                continue
+            if low not in pivots:
+                pivots[low] = c
+            else:
+                column = column or _column_reader(bounds, rows, residues, p)
+                reduce_into(column(c), pivots, p, column)
         ranks.append(len(pivots))
         cleared = pivots
     return tuple(reversed(ranks))
 
 
-def reduce_into(v: dict[int, int], pivots: dict[int, dict[int, int]], p: int) -> None:
+def _column_reader(bounds: list[int], rows, residues, p: int):
+    """Column c of a CSC map over Z/p as a vector scaled to 1 at its lowest
+    row, read from lists made once."""
+    at, values = rows.tolist(), residues.tolist()
+    def column(c: int) -> dict[int, int]:
+        v = dict(zip(at[bounds[c]:bounds[c + 1]], values[bounds[c]:bounds[c + 1]]))
+        inv = pow(v[max(v)], -1, p)
+        return {r: x * inv % p for r, x in v.items()}
+    return column
+
+
+def reduce_into(v: dict[int, int], pivots: dict, p: int, load=None) -> None:
     """Reduce the vector v, {index: nonzero residue mod p}, in place by the
     pivots, each stored under its largest index and scaled to 1 there, and
     keep any remainder as a new pivot.  The pivots stay an echelon basis of
-    the span fed so far, and their indices are its leading indices."""
+    the span fed so far, and their indices are its leading indices.  A pivot
+    stored as an int is unread: `load` turns it into its vector when met."""
     while v:
         low = max(v)
         pivot = pivots.get(low)
@@ -129,6 +152,8 @@ def reduce_into(v: dict[int, int], pivots: dict[int, dict[int, int]], p: int) ->
             inv = pow(v[low], -1, p)
             pivots[low] = {r: x * inv % p for r, x in v.items()}
             return
+        if type(pivot) is int:
+            pivot = pivots[low] = load(pivot)
         f = v[low]
         for r, x in pivot.items():
             if y := (v.get(r, 0) - f * x) % p:

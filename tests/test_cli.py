@@ -738,6 +738,75 @@ def test_sweep_rows_build_no_parser(tmp_path, capsys, monkeypatch):
     assert added == []
 
 
+def test_a_leaf_command_builds_its_leaf_alone(capsys, monkeypatch):
+    cli.build_parser.cache_clear()  # so this call builds its parser
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert cli.main(["char", "nim", "--m", "1", "--n", "2"]) == 0
+    capsys.readouterr()
+    assert added == ["char", "nim"]
+
+
+_H = ["--weights", "1,1", "--prime", "2"]
+# (argv, whether it parses with its own leaf alone)
+_PARSER_CASES = [
+    (["complx", "homology", *_H], False),  # a bad group
+    (["complex", "homolgy", *_H], False),  # a bad action
+    (["complex", "homology", "--weights", "1,1"], True),  # a missing flag
+    (["complex", "homology", "--weights", "1,1", "--prime", "two"], True),  # a bad int
+    (["complex", "homology", *_H, "extra"], True),  # an unknown trailing word
+    (["incidence", "chars", "--n", "3", "--d", "2", "--e", "1", "--prime", "2",
+      "--compare", "bogus"], True),
+    (["--js", "r.json", "complex", "homology", *_H], False),
+    (["--json=r.json", "complex", "homology", *_H], False),
+    (["--csv", "complex", "homology", *_H], False),  # --csv takes the group word
+    (["--json", "-x", "complex", "homology", *_H], False),
+    (["--json", "r.json", "--csv", "r.csv", "complex", "homology", *_H], True),
+    (["complex", "homology", *_H, "--json", "r.json"], True),
+    ([], False),
+    (["complex"], False),
+    (["complex homology", *_H], False),
+    (["sweep", "--config", "c.json"], False),
+    (["-h"], False),
+    (["complex", "-h"], False),
+    (["complex", "homology", "-h"], True),
+    (["det", "filtration", "--help"], True),
+]
+
+
+def _parse_with(parser, argv, capsys):
+    """(exit code or None, stdout, stderr, namespace or None) of one parse."""
+    try:
+        ns, code = parser.parse_args(argv), None
+    except SystemExit as exc:
+        ns, code = None, exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, ns
+
+
+def test_a_leaf_parses_as_the_whole_tree(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    singles, rows = workloads.every_job_and_row()
+    cases = [(list(argv), True) for argv in singles]
+    cases += [(workloads.row_argv(row), True) for row in rows]
+    cases += [(["--json", "r.json", *argv], True) for argv in singles]
+    for argv, narrow in cases + _PARSER_CASES:
+        command = cli._leaf_command(argv)
+        assert (command is not None) == narrow, argv
+        full = _parse_with(cli.build_parser(), argv, capsys)
+        assert _parse_with(cli.build_parser(command), argv, capsys) == full, argv
+        if narrow:
+            assert cli.build_parser(command) is not cli.build_parser()
+
+
 def _patched_nim(ns):
     params = {"m": ns.m, "n": ns.n}
     return params, [verdict("patched-nim", params, AGREE, {})]

@@ -246,6 +246,19 @@ def test_all_ones_d14_homology_stays_within_80_bytes_per_nonzero():
     assert peak <= 80 * d * 2 ** (d - 1), peak
 
 
+def test_all_ones_d14_ranks_alone_read_only_what_they_reduce():
+    """The ranks of a built complex, measured alone: 3.90 MB when every
+    entry became a tuple, 1.99 MB when a column is read only to reduce it."""
+    cx = build_complex((1,) * 15, 3)
+    tracemalloc.start()
+    try:
+        cx.ranks()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_900_000, peak
+
+
 def test_oversized_complex_is_refused_before_enumeration(monkeypatch):
     # any enumeration would fail
     monkeypatch.setattr(complexes, "_masks_by_size", None)

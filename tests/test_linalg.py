@@ -7,9 +7,11 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from fpcoh import linalg
 from fpcoh.linalg import (
     DENSE_COLUMN_THRESHOLD,
     PrimeFieldMatrix,
+    chain_ranks,
     is_prime,
     matmul_mod,
     rref_with_order,
@@ -302,3 +304,123 @@ def test_constructor_copies_the_callers_array():
     entries[1] = 0
     assert m.to_array().tolist() == [[1, 2], [3, 4]]
     assert m.rank() == 2
+
+
+def _csc(columns, p, rng=None):
+    """The CSC triple of columns given as {row: value} dicts, entries in the
+    dict's order or shuffled by rng, values reduced mod p and zeros dropped."""
+    indptr, rows, values = [0], [], []
+    for col in columns:
+        items = [(r, x % p) for r, x in col.items() if x % p]
+        if rng is not None:
+            rng.shuffle(items)
+        rows += [r for r, _ in items]
+        values += [x for _, x in items]
+        indptr.append(len(rows))
+    return tuple(np.array(a, dtype=np.int64) for a in (indptr, rows, values))
+
+
+def _dense(columns, nrows):
+    a = np.zeros((nrows, len(columns)), dtype=np.int64)
+    for c, col in enumerate(columns):
+        for r, x in col.items():
+            a[r, c] = x
+    return a
+
+
+# Lowest rows: c0 at 3, c1 at 2, c2 at 3.  c2 meets c0 unread, scaled to 1
+# at row 3, leaves {2: 1} and meets c1 unread, and leaves {1: -1}; c3 =
+# c0 - c1 meets c0 and c1 and reduces to zero.
+_C0, _C1 = {0: 1, 3: -1}, {1: 1, 2: 1}
+_C2, _C3 = {0: -1, 2: 1, 3: 1}, {0: 1, 3: -1, 1: -1, 2: -1}
+_UNREAD_CASES = {
+    "meets-one-unread-pivot": ([{1: 1, 2: 2}, {2: 1}], 2),
+    "meets-two-unread-pivots": ([_C0, _C1, _C2], 3),
+    "reduces-to-zero": ([_C0, _C1, _C2, _C3], 3),
+    "empty-first-middle-last": ([{}, _C0, {}, _C1, {}, _C2, {}, {}], 3),
+    "repeat-before-trailing-empties": ([_C2, {}, _C2, {}, {}], 1),
+    "all-empty": ([{}, {}], 0),
+    "no-columns": ([], 0),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+@pytest.mark.parametrize("case", sorted(_UNREAD_CASES))
+def test_chain_ranks_reads_unread_pivots(case, p):
+    columns, rank = _UNREAD_CASES[case]
+    for shuffled in (None, random.Random(case)):
+        triple = _csc(columns, p, shuffled)
+        assert chain_ranks([triple], p) == (dense_rank(_dense(columns, 5), p),) == (rank,)
+
+
+def test_chain_ranks_reads_only_the_columns_it_reduces(monkeypatch):
+    read = []
+
+    def counted(*args):
+        column = reader(*args)
+
+        def read_column(c):
+            v = column(c)
+            assert v[max(v)] == 1, (c, v)  # a pivot must be scaled before it is used
+            read.append(c)
+            return v
+
+        return read_column
+
+    reader = linalg._column_reader
+    monkeypatch.setattr(linalg, "_column_reader", counted)
+    assert chain_ranks([_csc([_C0, _C1, {4: 1}], 3)], 3) == (3,)
+    assert read == []
+    assert chain_ranks([_csc([_C0, _C1, _C2, _C3], 3)], 3) == (3,)
+    assert read == [2, 0, 1, 3]
+
+
+def _equal_low_columns(rng, nrows, ncols, p):
+    """Random columns, most with one of the two last rows as lowest row,
+    some empty."""
+    columns = []
+    for _ in range(ncols):
+        if rng.random() < 0.15:
+            columns.append({})
+            continue
+        if rng.random() < 0.7:
+            low = max(0, nrows - 1 - rng.randrange(2))
+        else:
+            low = rng.randrange(nrows)
+        col = {r: rng.randrange(1, p) for r in range(low) if rng.random() < 0.4}
+        col[low] = rng.randrange(1, p)
+        columns.append(col)
+    return columns
+
+
+def test_chain_ranks_match_dense_elimination_on_equal_lows():
+    """Seeded single maps whose columns mostly share a lowest row, with
+    empty columns and shuffled rows, against the numpy oracle."""
+    rng = random.Random(2022)
+    for p in (2, 3, 5, 2**31 - 1):
+        for _ in range(80):
+            nrows, ncols = rng.randint(1, 12), rng.randint(0, 16)
+            columns = _equal_low_columns(rng, nrows, ncols, p)
+            triple = _csc(columns, p, rng)
+            assert chain_ranks([triple], p) == (dense_rank(_dense(columns, nrows), p),), \
+                (p, columns)
+
+
+def test_chain_ranks_of_two_maps_match_dense_elimination():
+    """Seeded d_1, d_2 with d_1 d_2 = 0, d_1's rows drawn from the left
+    kernel of d_2: the pivot rows of d_2, unread or read, clear columns of
+    d_1, and d_2 ends in empty columns."""
+    rng = random.Random(2023)
+    for p in (2, 3, 2**31 - 1):
+        for _ in range(40):
+            n, k, m = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 6)
+            upper = _equal_low_columns(rng, n, k, p) + [{}] * rng.randint(0, 2)
+            b = _dense(upper, n)
+            kernel = kernel_basis(PrimeFieldMatrix(p, b.T))
+            a = np.zeros((m, n), dtype=np.int64)
+            for v in kernel:
+                a = (a + np.outer([rng.randrange(p) for _ in range(m)], v)) % p
+            assert not matmul_mod(a, b % p, p).any()
+            lower = [{r: int(x) for r, x in enumerate(a[:, c]) if x} for c in range(n)]
+            got = chain_ranks([_csc(lower, p, rng), _csc(upper, p, rng)], p)
+            assert got == (dense_rank(a, p), dense_rank(b, p)), (p, upper, lower)
