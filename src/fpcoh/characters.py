@@ -3,13 +3,19 @@
 All constructors take the variable count n explicitly; polynomials in
 different variable counts never mix.  Coefficients are arbitrary-precision
 integers.
+
+The two-row Schur characters multiply no polynomials: the coefficient of
+h_a h_b at a multidegree m counts the x <= m with |x| = a, so each
+coefficient is a difference of two such counts, taken once per S_n orbit of
+multidegrees.  `h` and `h_trunc` remain as the complete sums themselves.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import add
 
-from .combinatorics import compositions, nim_sum
+from .combinatorics import compositions, decreasing_compositions, nim_sum, orbit
 
 
 class LaurentPolynomial:
@@ -157,19 +163,46 @@ def h_trunc(d: int, q: int, n: int) -> LaurentPolynomial:
     return LaurentPolynomial(n, {e: 1 for e in compositions(d, (q - 1,) * n)})
 
 
+def _two_row(a: int, b: int, n: int, cap: int, window) -> LaurentPolynomial:
+    """s[m] = N_m(a) - N_m(a + 1) over the m with |m| = a + b and parts at
+    most cap, where N_m(k) counts the x with |x| = k and window(m_k) = (lo,
+    hi) bounding x_k.  N_m is the product of the t^lo + ... + t^hi cut after
+    t^(a + 1), taken once per weakly decreasing m and copied over its orbit."""
+    if a < -1:  # h_a = h_(a+1) = 0
+        return LaurentPolynomial(n)
+    terms = {}
+    top = a + 1
+    for m in decreasing_compositions(a + b, (cap,) * n):
+        counts = [1] + [0] * top  # counts[k] = N(k) over the parts so far
+        for e in m:
+            lo, hi = window(e)
+            sums = [0, *accumulate(counts)]  # sums[k] = counts[0] + ... + counts[k - 1]
+            counts = [0] * min(lo, top + 1) + [
+                sums[k - lo + 1] - sums[max(k - hi, 0)] for k in range(lo, top + 1)
+            ]
+        c = (counts[a] if a >= 0 else 0) - counts[top]
+        if c:
+            terms.update(dict.fromkeys(orbit(m), c))
+    return LaurentPolynomial(n, terms)
+
+
 def schur2(a: int, b: int, n: int) -> LaurentPolynomial:
-    """Two-row Schur character h_a h_b - h_{a+1} h_{b-1}."""
-    return h(a, n) * h(b, n) - h(a + 1, n) * h(b - 1, n)
+    """Two-row Schur character h_a h_b - h_{a+1} h_{b-1}, by counting: the
+    coefficient of h_a h_b at m is the number of x with 0 <= x <= m and
+    |x| = a.  Holds for negative a or b too: schur2(-1, b) = -h(b - 1)."""
+    return _two_row(a, b, n, a + b, lambda e: (0, e))
 
 
 def schur2_trunc(a: int, b: int, q: int, n: int) -> LaurentPolynomial:
-    """Truncated two-row Schur character, from truncated complete sums.
+    """Truncated two-row Schur character, the same difference of products of
+    truncated complete sums: x and m - x both below q bound x_k by
+    max(0, m_k - q + 1) <= x_k <= min(m_k, q - 1).
 
     May be virtual (negative coefficients) for general arguments.
     """
-    return h_trunc(a, q, n) * h_trunc(b, q, n) - h_trunc(a + 1, q, n) * h_trunc(
-        b - 1, q, n
-    )
+    if q < 1:
+        raise ValueError("q must be positive")
+    return _two_row(a, b, n, 2 * q - 2, lambda e: (max(0, e - q + 1), min(e, q - 1)))
 
 
 def nim_poly(m: int, n: int) -> LaurentPolynomial:

@@ -1,7 +1,9 @@
 """Binomial arithmetic, digit combinatorics, and two-row tableaux.
 
 A two-row tableau is the pair (u, v) of its top and bottom words, tuples of
-letters 1..n; the enumerators list them in lexicographic order on (u, v)."""
+letters 1..n; the enumerators list them in lexicographic order on (u, v).
+For each top word, the bottom words are walked one column at a time, so
+only the letters a column allows are ever tried."""
 
 from __future__ import annotations
 
@@ -153,33 +155,47 @@ def enumerate_ssyt(n: int, a: int, b: int) -> list[Tableau]:
     return enumerate_pssyt(n, a, b, a + 2)
 
 
-def _equal_column_rule(u: tuple[int, ...], v: tuple[int, ...], j: int, p: int) -> bool:
-    """Rule for a column j (0-based) with u_j = v_j: the run of that value to
-    the right in u plus the run to the left in v must have length >= p."""
-    x = u[j]
-    r = j
-    while r + 1 < len(u) and u[r + 1] == x:
-        r += 1
-    s = j
-    while s - 1 >= 0 and v[s - 1] == x:
-        s -= 1
-    return (r - j + 1) + (j - s + 1) >= p
-
-
 def enumerate_pssyt(n: int, a: int, b: int, p: int) -> list[Tableau]:
-    """p-semistandard fillings (u, v) of shape (a, b), lexicographic on (u, v)."""
+    """p-semistandard fillings (u, v) of shape (a, b), lexicographic on (u, v):
+    weakly increasing rows with no run of p equal letters, weakly increasing
+    columns, and at a column j with u_j = v_j = x, the run of x in u from j
+    rightwards plus the run of x in v up to j hold at least p letters.
+
+    Each bottom word v is walked column by column below a top word u, with
+    letters from max(u_j, v_(j-1)) up to n in ascending order; a letter that
+    breaks the run cap or the equal-column rule ends its branch at once."""
     if b > a or a < 0 or b < 0:
         raise ValueError("invalid shape")
     if p < 2:
         raise ValueError("p must be at least 2")
     out = []
-    bottoms = _words(n, b, p - 1)
+    bottoms: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per bottom word
+    v, runs = [0] * b, [0] * b  # runs[j]: the run of v[j] in v up to j
     for u in _words(n, a, p - 1):
-        for v in bottoms:
-            if any(u[i] > v[i] for i in range(b)):
+        if not b:
+            out.append((u, ()))
+            continue
+        right = [1] * a  # right[j]: the run of u[j] in u from j rightwards
+        for j in range(a - 2, -1, -1):
+            if u[j] == u[j + 1]:
+                right[j] = right[j + 1] + 1
+        j, x = 0, u[0]  # next: try letters x, x + 1, ... at column j
+        while j >= 0:
+            while x <= n:
+                run = runs[j - 1] + 1 if j and x == v[j - 1] else 1
+                if run < p and (x != u[j] or right[j] + run >= p):
+                    break
+                x += 1
+            if x > n:  # column j is spent: back to the next letter of j - 1
+                j -= 1
+                x = v[j] + 1
                 continue
-            if all(
-                u[j] != v[j] or _equal_column_rule(u, v, j, p) for j in range(b)
-            ):
-                out.append((u, v))
+            v[j], runs[j] = x, run
+            if j < b - 1:
+                j += 1
+                x = max(u[j], x)
+            else:
+                w = tuple(v)
+                out.append((u, bottoms.setdefault(w, w)))
+                x += 1
     return out

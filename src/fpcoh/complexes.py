@@ -263,9 +263,13 @@ def check_involution(w0: int, d: int, p: int) -> tuple[str, dict]:
     C(-w0-2d, 1^d), and the shifted partner C(q-w0-2d, 1^d) over Z/p,
     plus Smith invariants over Z when the matrices are small enough.  The
     witness is the first degree where the direct and shifted ranks differ,
-    else the two Smith lists."""
+    else the two Smith lists.  Refuses w0 < 0: there the rank tables
+    disagree for many (w0, d, p), most of them with w0 + 2d <= 0 where the
+    shift q is 1, and the pairing is not claimed in that range."""
     if d < 0:
         raise ValueError(f"need d >= 0, got d = {d}")
+    if w0 < 0:
+        raise ValueError(f"need w0 >= 0, got w0 = {w0}")
     direct = build_complex(_hook_weights(w0, d), p)
     negated = build_complex(_hook_weights(-w0 - 2 * d, d), p)
     q = min_power_exceeding(p, w0 + 2 * d)

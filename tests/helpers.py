@@ -7,8 +7,8 @@ from itertools import accumulate, combinations, combinations_with_replacement
 
 import numpy as np
 
-from fpcoh.characters import LaurentPolynomial
-from fpcoh.combinatorics import _equal_column_rule, compositions
+from fpcoh.characters import LaurentPolynomial, h, h_trunc
+from fpcoh.combinatorics import compositions
 from fpcoh.determinantal import (
     IdealPowerSlice,
     _Block,
@@ -257,6 +257,19 @@ def recursive_compositions(total: int, caps: tuple[int, ...]):
         yield from rec(0, total, ())
 
 
+def _equal_column_rule(u: tuple[int, ...], v: tuple[int, ...], j: int, p: int) -> bool:
+    """Rule for a column j (0-based) with u_j = v_j: the run of that value to
+    the right in u plus the run to the left in v must have length >= p."""
+    x = u[j]
+    r = j
+    while r + 1 < len(u) and u[r + 1] == x:
+        r += 1
+    s = j
+    while s - 1 >= 0 and v[s - 1] == x:
+        s -= 1
+    return (r - j + 1) + (j - s + 1) >= p
+
+
 def is_p_semistandard(t, p: int) -> bool:
     """Whether the tableau (u, v) has weakly increasing rows and columns,
     constant runs in each row of length at most p-1, and the run rule at
@@ -277,6 +290,27 @@ def is_p_semistandard(t, p: int) -> bool:
             return False
     return True
 
+
+def scanned_pssyt(n: int, a: int, b: int, p: int) -> list[tuple]:
+    """Every pair of weakly increasing words (u, v) over 1..n of lengths a and
+    b, in lexicographic order, kept when p-semistandard: the oracle for the
+    column walk of `combinatorics.enumerate_pssyt`."""
+    letters = range(1, n + 1)
+    bottoms = list(combinations_with_replacement(letters, b))
+    return [
+        (u, v)
+        for u in combinations_with_replacement(letters, a)
+        for v in bottoms
+        if is_p_semistandard((u, v), p)
+    ]
+
+
+def product_schur2(a: int, b: int, n: int, q: int | None = None) -> LaurentPolynomial:
+    """h_a h_b - h_(a+1) h_(b-1) by multiplying polynomials, with the
+    complete sums truncated below q when q is given: the oracle for the
+    counting `characters.schur2` and `schur2_trunc`."""
+    hq = h if q is None else (lambda d, n: h_trunc(d, q, n))
+    return hq(a, n) * hq(b, n) - hq(a + 1, n) * hq(b - 1, n)
 
 
 def is_symmetric(f: LaurentPolynomial) -> bool:

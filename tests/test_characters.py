@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -15,7 +15,7 @@ from fpcoh.characters import (
     schur2_trunc,
 )
 from fpcoh.combinatorics import enumerate_pssyt, enumerate_ssyt, nim_sum
-from helpers import is_symmetric, tableau_sum
+from helpers import is_symmetric, product_schur2, tableau_sum
 
 
 def test_construction_drops_zeros():
@@ -100,6 +100,41 @@ def test_schur2_trunc_equals_pssyt_sum():
                     got = schur2_trunc(a, b, p, n)
                     want = tableau_sum(enumerate_pssyt(n, a, b, p), n)
                     assert got == want, (n, a, b, p)
+
+
+def test_schur2_counts_equal_the_product_oracle():
+    # n <= 4 in full, and a seeded sample of n = 5, 6; a and b run negative
+    # too, where schur2(-1, b) = -h(b - 1); q = None is the classical case
+    grid = list(product(range(1, 7), range(-3, 7), range(-3, 7), (None, 1, 2, 3, 5)))
+    rng = random.Random(2317)
+    cases = [c for c in grid if c[0] <= 4] + rng.sample([c for c in grid if c[0] > 4], 120)
+    for n, a, b, q in cases:
+        got = schur2(a, b, n) if q is None else schur2_trunc(a, b, q, n)
+        assert got == product_schur2(a, b, n, q), (n, a, b, q)
+    assert schur2(-1, 3, 2) == -h(2, 2)
+    assert schur2_trunc(-1, 3, 2, 2) == -h_trunc(2, 2, 2)
+
+
+def test_schur2_multiplies_no_polynomials(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a two-row Schur character multiplied polynomials")
+
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", refuse)
+    monkeypatch.setattr(LaurentPolynomial, "__rmul__", refuse)
+    with pytest.raises(AssertionError, match="multiplied"):
+        product_schur2(3, 1, 2)
+    assert schur2(3, 1, 2) == LaurentPolynomial(2, {(3, 1): 1, (2, 2): 1, (1, 3): 1})
+    assert schur2_trunc(1, 1, 2, 2) == LaurentPolynomial(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
+    assert schur2_trunc(3, 1, 4, 2) == LaurentPolynomial(
+        2, {(4, 0): 1, (3, 1): 1, (2, 2): 1, (1, 3): 1, (0, 4): 1}
+    )
+    # Weyl's dimension formula for the shape (7, 6) in five variables
+    shape = (7, 6, 0, 0, 0)
+    pairs = list(combinations(range(5), 2))
+    weyl = math.prod(shape[i] - shape[j] + j - i for i, j in pairs) // math.prod(
+        j - i for i, j in pairs
+    )
+    assert schur2(7, 6, 5).dimension() == weyl
 
 
 def test_schur_row_case_collapses_to_h():

@@ -925,6 +925,22 @@ def test_schur_shape_needs_a_at_least_b(extra, a, b, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--q", "0", "--n", "3"], "q must be positive"),
+    (["--q", "0", "--n", "0"], "q must be positive"),
+    (["--n", "0"], "need at least one variable"),
+    (["--q", "2", "--n", "0"], "need at least one variable"),
+])
+def test_schur_bad_q_or_n_is_a_parameter_error(extra, message, capsys, tmp_path):
+    report = tmp_path / "report.json"
+    code = cli.main(["char", "schur", "--a", "2", "--b", "1", *extra, "--json", str(report)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"fpcoh: parameter error: {message}\n"
+    assert captured.out == ""
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("command, message", [
     (["stable", "periodicity", "--w0", "1", "--d", "-1", "--prime", "2", "--r", "1"],
      "need w0 >= 1 and d >= 0"),
@@ -935,8 +951,10 @@ def test_schur_shape_needs_a_at_least_b(extra, a, b, capsys):
     (["complex", "involution", "--w0", "1", "--d", "0", "--primes", "2"], "d = 0"),
     (["complex", "involution", "--w0", "1", "--d", "-1", "--primes", "2"], "d = -1"),
     (["complex", "theorem", "--d", "-1", "--primes", "2"], "need d >= 0, got d = -1"),
+    (["complex", "involution", "--w0", "-100", "--d", "3", "--primes", "2"],
+     "need w0 >= 0, got w0 = -100"),
 ], ids=["periodicity-d--1", "periodicity-w0-0", "periodicity-w0--3", "involution-d-0",
-        "involution-d--1", "theorem-d--1"])
+        "involution-d--1", "theorem-d--1", "involution-w0--100"])
 def test_vacuous_hook_is_a_parameter_error(command, message, capsys, tmp_path):
     report = tmp_path / "report.json"
     code = cli.main([*command, "--json", str(report)])

@@ -18,7 +18,7 @@ from fpcoh.combinatorics import (
     p_index,
     p_index_total,
 )
-from helpers import interval_data, is_p_semistandard, recursive_compositions
+from helpers import interval_data, is_p_semistandard, recursive_compositions, scanned_pssyt
 
 
 def is_semistandard(t):
@@ -248,6 +248,22 @@ def test_enumerate_ssyt_counts():
                 assert enumerate_ssyt(n, a, b) == brute(n, a, b), (n, a, b)
     with pytest.raises(ValueError):
         enumerate_ssyt(3, 1, 2)  # bottom longer than top
+
+
+def test_pssyt_walk_equals_the_word_pair_scan():
+    # the same list in the same order; n <= 3 in full, and a seeded sample
+    # of n = 4, 5; p = a + 2 is the enumerate_ssyt case
+    grid = [
+        (n, a, b, p)
+        for n in range(1, 6)
+        for a in range(7)
+        for b in range(a + 1)
+        for p in sorted({2, 3, 5, a + 2})
+    ]
+    rng = random.Random(2329)
+    cases = [c for c in grid if c[0] <= 3] + rng.sample([c for c in grid if c[0] > 3], 80)
+    for n, a, b, p in cases:
+        assert enumerate_pssyt(n, a, b, p) == scanned_pssyt(n, a, b, p), (n, a, b, p)
 
 
 def test_pssyt_three_two_one():

@@ -384,6 +384,17 @@ def test_involution_refuses_negative_d():
         check_involution(1, -1, 2)
 
 
+def test_involution_refuses_negative_w0():
+    with pytest.raises(ValueError, match="w0 = -1"):
+        check_involution(-1, 3, 2)
+    with pytest.raises(ValueError, match="w0 = -100"):
+        check_involution(-100, 3, 2)
+    for w0 in range(6):
+        for d in range(1, 7):
+            for p in (2, 3, 5):
+                assert check_involution(w0, d, p)[0] == AGREE, (w0, d, p)
+
+
 def test_hook_smith_invariants_match_sympy():
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form
