@@ -5,20 +5,18 @@ conjectured formula exists, compare against it and report a verdict per
 checked statement.  Exit codes: 0 all comparisons agree (pure evaluations
 count), 2 some comparison disagrees, 1 usage or parameter error.
 
-`sweep --config FILE` expands a declarative grid into rows and runs each row
-through the whole parser.  With several workers the rows go to a process pool
-in strided chunks (chunk k holds rows k, k + count, ...); report order is the
-grid's row-major order regardless of scheduling, and JSON output is
-byte-identical across worker counts.  A killed worker breaks the pool: every
-row of a chunk not yet returned then becomes a `sweep-row` error verdict, and
-a chunk's rows return together.
+`sweep --config FILE` expands a declarative grid into rows, each run as its
+own command line.  With several workers the rows go to a process pool in
+strided chunks; report order is the grid's row-major order, and JSON output
+is byte-identical across worker counts.  A killed worker breaks the pool:
+every row of a chunk not yet returned becomes a `sweep-row` error verdict.
 
-A single command builds only its own leaf of the parser, under its group.
-`sweep`, help and any other argv build the whole tree, once per process;
-every sweep row parses with it (pool workers fork after the build and
-inherit it).  The parser names each command's handler instead of holding
-the function, and the handler is looked up in this module when the command
-runs, so a handler rebound after the build is the one that runs.
+A well-formed command or sweep row is read straight from the `_LEAVES` table
+(`_namespace`) and builds no parser; `sweep`, help and any argv argparse might
+read another way or refuse go to the whole tree, built once per process, so
+argparse prints every usage, error and help text.  The namespace names the
+handler, looked up in this module when the command runs, so a handler
+rebound after the build is the one that runs.
 """
 
 from __future__ import annotations
@@ -74,8 +72,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        sys.exit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _int_list(text: str) -> list[int]:
@@ -145,21 +142,15 @@ def _character_payload(series: str, f: LaurentPolynomial) -> dict:
 def _cmd_complex_homology(ns):
     params = {"weights": list(ns.weights), "prime": ns.prime}
     cx = build_complex(tuple(ns.weights), ns.prime)
-    hom = homology_dims(cx)
-    table = [
-        {"series": "chain", "degree": k, "dimension": cx.dimension(k)}
-        for k in range(cx.d + 1)
-    ]
-    table += [
-        {"series": "homology", "degree": k, "dimension": hom[k]}
-        for k in range(cx.d + 1)
-    ]
+    hom, dims = homology_dims(cx), cx.dimensions()
     payload = {
-        "dimensions": list(cx.dimensions()),
+        "dimensions": list(dims),
         "ranks": list(cx.ranks()),
         "homology": list(hom),
         "summary": _homology_summary(hom),
-        "dimension_table": table,
+        "dimension_table": [{"series": series, "degree": k, "dimension": v}
+                            for series, row in (("chain", dims), ("homology", hom))
+                            for k, v in enumerate(row)],
     }
     return params, [verdict("homology", params, AGREE, payload)]
 
@@ -191,12 +182,8 @@ def _cmd_complex_involution(ns):
     if ns.d < 1:  # d = 0 compares empty rank lists
         raise ValueError(f"need d >= 1, got d = {ns.d}")
     params = {"w0": ns.w0, "d": ns.d, "primes": list(ns.primes)}
-    verdicts = [
-        verdict("hook-involution", {"w0": ns.w0, "d": ns.d, "prime": p},
-                *check_involution(ns.w0, ns.d, p))
-        for p in ns.primes
-    ]
-    return params, verdicts
+    return params, [verdict("hook-involution", {"w0": ns.w0, "d": ns.d, "prime": p},
+                            *check_involution(ns.w0, ns.d, p)) for p in ns.primes]
 
 
 def _cmd_complex_ses(ns):
@@ -211,10 +198,8 @@ def _cmd_stable_hook(ns):
     payload = {
         "cohomology": {str(j): v for j, v in table.items()},
         "summary": ", ".join(f"H^{j}={v}" for j, v in table.items() if v),
-        "dimension_table": [
-            {"series": "stable-cohomology", "degree": j, "dimension": v}
-            for j, v in table.items()
-        ],
+        "dimension_table": [{"series": "stable-cohomology", "degree": j, "dimension": v}
+                            for j, v in table.items()],
     }
     return params, [verdict("stable-hook-cohomology", params, AGREE, payload)]
 
@@ -225,11 +210,8 @@ def _cmd_stable_periodicity(ns):
         ns.w0, ns.d, ns.prime, ns.r))]
 
 
-_COMPARE_SUBJECTS = {
-    "h1-theorem": "h1-window-theorem",
-    "small-weights": "h1-small-weights",
-    "char2": "h1-char2",
-}
+_COMPARE_SUBJECTS = {"h1-theorem": "h1-window-theorem", "small-weights": "h1-small-weights",
+                     "char2": "h1-char2"}
 
 
 def _cmd_incidence_chars(ns):
@@ -293,10 +275,8 @@ def _cmd_det_filtration(ns):
     }
     status = AGREE
     if ns.compare:
-        if truncated:
-            target = schur2_trunc(ns.a + ns.b - ns.i, ns.i, ns.prime, ns.n)
-        else:
-            target = schur2(ns.a + ns.b - ns.i, ns.i, ns.n)
+        target = (schur2_trunc(ns.a + ns.b - ns.i, ns.i, ns.prime, ns.n) if truncated
+                  else schur2(ns.a + ns.b - ns.i, ns.i, ns.n))
         met = (ns.a - ns.b >= ns.prime - 1) if truncated else True
         agrees = quotient == target
         payload["hypothesis_met"] = met
@@ -377,15 +357,16 @@ _LEAVES = {
 }
 
 
+def _settings(kind) -> dict:  # a flag's `add_argument` settings
+    return kind if isinstance(kind, dict) else {"type": kind, "required": True}
+
+
 @functools.cache
-def build_parser(command: str | None = None) -> _Parser:
-    """The `fpcoh` parser of this process, shared by every caller, so no
-    caller may change it: the whole tree, or for a leaf command of `_LEAVES`
-    that leaf alone under its group, built by the same steps, so it parses
-    as the whole tree does.  `ns.handler` names a handler in this module."""
+def build_parser() -> _Parser:
+    """The whole `fpcoh` parser of this process, shared by every caller, so
+    no caller may change it.  `ns.handler` names a handler in this module."""
     shared = argparse.ArgumentParser(add_help=False)
-    # SUPPRESS keeps a leaf from clobbering values parsed before the
-    # subcommand name
+    # SUPPRESS keeps a leaf from clobbering values parsed before its name
     shared.add_argument("--json", metavar="PATH", default=argparse.SUPPRESS)
     shared.add_argument("--csv", metavar="PATH", default=argparse.SUPPRESS)
 
@@ -396,37 +377,63 @@ def build_parser(command: str | None = None) -> _Parser:
                         help="write dimension tables to PATH")
     top = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
 
-    groups = {}
+    groups = {group: top.add_parser(group, help=text).add_subparsers(
+        dest="action", required=True, metavar="ACTION") for group, text in _GROUPS.items()}
     for name, (handler, flags) in _LEAVES.items():
-        if command not in (None, name):
-            continue
         group, action = name.split()
-        if group not in groups:
-            groups[group] = top.add_parser(group, help=_GROUPS[group]).add_subparsers(
-                dest="action", required=True, metavar="ACTION")
         q = groups[group].add_parser(action, parents=[shared])
         for flag, kind in flags.items():
-            settings = kind if isinstance(kind, dict) else {"type": kind, "required": True}
-            q.add_argument(f"--{flag}", **settings)
+            q.add_argument(f"--{flag}", **_settings(kind))
         q.set_defaults(handler=handler, command=name)
 
-    if command is None:
-        q = top.add_parser("sweep", parents=[shared])
-        q.add_argument("--parallel", type=_positive_int, metavar="N", default=None,
-                       help="caps sweep worker count (default: available cores)")
-        q.add_argument("--config", metavar="FILE", required=True)
-        q.set_defaults(handler="_cmd_sweep", command="sweep")
-
+    q = top.add_parser("sweep", parents=[shared])
+    q.add_argument("--parallel", type=_positive_int, metavar="N", default=None,
+                   help="caps sweep worker count (default: available cores)")
+    q.add_argument("--config", metavar="FILE", required=True)
+    q.set_defaults(handler="_cmd_sweep", command="sweep")
     return parser
 
 
-def _leaf_command(argv: list[str]) -> str | None:
-    """The leaf command of an argv [--json P | --csv P]* GROUP ACTION ...
-    whose P cannot be read as a flag; None for any other argv."""
-    while argv[:1] in (["--json"], ["--csv"]) and argv[1:2] and argv[1][:1] != "-":
-        argv = argv[2:]
-    command = " ".join(argv[:2])
-    return command if len(argv) >= 2 and command in _LEAVES else None
+def _namespace(argv: list[str]) -> argparse.Namespace | None:
+    """What `build_parser()` makes of an argv [--json P | --csv P]* GROUP
+    ACTION (--FLAG=V | --FLAG V | --SWITCH)*, read from `_LEAVES` without a
+    parser; a repeated flag keeps its last value.  None for an argv argparse
+    might read another way or refuse: help, `--`, an abbreviation, a separate
+    value starting with "-", a switch given a value, an unknown, missing or
+    bad flag, an extra word, or `sweep`."""
+    values, flags = {"json": None, "csv": None}, {"json": {}, "csv": {}}
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:2] != "--":  # GROUP ACTION, once
+            command = f"{token} {next(tokens, '')}"
+            if "command" in values or command not in _LEAVES:
+                return None
+            group, action = command.split()
+            handler, leaf = _LEAVES[command]
+            values.update(group=group, action=action, handler=handler, command=command)
+            for flag, kind in leaf.items():
+                flags[flag] = settings = _settings(kind)
+                if not settings.get("required"):  # a switch defaults to False
+                    values[flag.replace("-", "_")] = settings.get("default", False)
+            continue
+        flag, eq, text = token[2:].partition("=")
+        settings = flags.get(flag)
+        switch = settings is not None and settings.get("action") == "store_true"
+        if settings is None or switch and eq:
+            return None
+        if not (switch or eq):
+            text = next(tokens, "-")  # "-" when the value is missing
+        if text == "--" or not eq and text[:1] == "-":
+            return None  # argparse drops "--" from a value, and may read "-..." as a flag
+        try:
+            value = switch or settings.get("type", str)(text)
+        except (ValueError, argparse.ArgumentTypeError):
+            return None
+        if value not in settings.get("choices", (value,)):
+            return None
+        values[flag.replace("-", "_")] = value
+    done = "command" in values and all(f.replace("-", "_") in values for f in flags)
+    return argparse.Namespace(**values) if done else None
 
 
 # ---------------------------------------------------------------------------
@@ -461,13 +468,10 @@ def expand_config(config: dict) -> list[list[str]]:
         for combo in product(*(vals for _, vals in axes)):
             argv = list(words)
             for (key, _), value in zip(axes, combo):
-                flag = f"--{key}"
                 if value is True:
-                    argv.append(flag)
-                elif value is False or value is None:
-                    pass
-                else:
-                    argv.append(f"{flag}={value}")
+                    argv.append(f"--{key}")
+                elif value is not False and value is not None:
+                    argv.append(f"--{key}={value}")
             rows.append(argv)
     if not rows:
         raise ValueError("sweep config expands to no rows")
@@ -480,7 +484,7 @@ def _run_row(argv: list[str]) -> list[dict]:
     sink = io.StringIO()
     try:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            ns = build_parser().parse_args(argv)
+            ns = _namespace(argv) or build_parser().parse_args(argv)
             _, verdicts = globals()[ns.handler](ns)
         return verdicts
     except SystemExit:
@@ -517,11 +521,8 @@ def _cmd_sweep(ns):
     rows = expand_config(config)
     params = {"config": os.path.basename(ns.config), "rows": len(rows)}
     workers = min(ns.parallel or os.cpu_count() or 1, len(rows))
-    verdicts: list[dict] = []
     if workers == 1:
-        for argv in rows:
-            verdicts.extend(_run_row(argv))
-        return params, verdicts
+        return params, [v for argv in rows for v in _run_row(argv)]
     # strided, so rows whose cost grows along a grid axis spread over all chunks
     count = min(len(rows), _CHUNKS_PER_WORKER * workers)
     by_row: list = [None] * len(rows)
@@ -542,7 +543,7 @@ def _cmd_sweep(ns):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    ns = build_parser(_leaf_command(argv)).parse_args(argv)
+    ns = _namespace(argv) or build_parser().parse_args(argv)
     try:
         params, verdicts = globals()[ns.handler](ns)
     except ValueError as exc:
@@ -554,8 +555,7 @@ def main(argv=None) -> int:
         print(f"fpcoh: {verdicts[0]['payload']['message']}", file=sys.stderr)
     for v, line in zip(verdicts, human_lines(verdicts)):
         print(line)
-        summary = v["payload"].get("summary")
-        if summary:
+        if summary := v["payload"].get("summary"):
             print(f"    {summary}")
     if ns.json:  # rendered first: a failed render leaves an old report whole
         text = render_json(report_document(ns.command, params, verdicts))

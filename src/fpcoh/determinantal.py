@@ -29,9 +29,9 @@ reduces one block per S_n orbit of multidegrees: rank characters
 (`slice_characters`) copy its rank to the orbit.  The term order is not
 symmetric, so for leading monomials (`ideal_power_slice`) each orbit member
 gets the representative's echelon basis permuted and re-echelonised in the
-member's own column order; the pivot set of a span does not depend on the
-basis fed.  `check_lead_terms` compares them with the p-semistandard tableau
-monomials and returns a verdict status and payload.
+member's own column order, once per distinct order; the pivot set of a span
+does not depend on the basis fed.  `check_lead_terms` compares them with the
+p-semistandard tableau monomials and returns a verdict status and payload.
 """
 
 from __future__ import annotations
@@ -104,6 +104,7 @@ class _Block:
         self.p = p
         self._index = {_code(x, a + 1): c for c, x in enumerate(xs)}
         self._pivots: dict[int, dict[int, int]] = {}  # leading column -> row
+        self._carries: dict[tuple[int, ...], dict] = {}  # column order -> its rows
 
     @property
     def rank(self) -> int:
@@ -129,7 +130,8 @@ class _Block:
         multidegree m.  Permuting the variables by pi, where o_k = m_pi(k),
         maps this block's span onto o's.  So o's columns are these with x
         and y permuted, then sorted, and its echelon basis is these rows,
-        renamed, reduced again.  The new block takes no generators."""
+        renamed, reduced again.  The new block takes no generators, so members
+        whose columns sort the same way share one set of rows, reduced once."""
         n = len(o)
         pi = [0] * n  # a stable sort of o's positions by decreasing part
         for j, k in enumerate(sorted(range(n), key=o.__getitem__, reverse=True)):
@@ -142,10 +144,12 @@ class _Block:
         if self.saturated():  # every column is a pivot
             member._pivots = {c: {c: 1} for c in range(len(order))}
             return member
-        rename = {c: new for new, c in enumerate(order)}
-        member._pivots = {}
-        for row in self._pivots.values():
-            reduce_into({rename[c]: x for c, x in row.items()}, member._pivots, self.p)
+        if (key := tuple(order)) not in self._carries:
+            rename = {c: new for new, c in enumerate(order)}
+            pivots = self._carries[key] = {}
+            for row in self._pivots.values():
+                reduce_into({rename[c]: x for c, x in row.items()}, pivots, self.p)
+        member._pivots = self._carries[key]
         return member
 
     @cached_property

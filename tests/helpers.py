@@ -191,6 +191,24 @@ def full_scan_slice(n: int, a: int, b: int, i: int, truncated: bool, p: int) -> 
     return IdealPowerSlice(blocks)
 
 
+def per_member_carry(block: _Block, o: tuple[int, ...]) -> tuple[list, dict, tuple]:
+    """(columns, echelon rows, column order) of orbit member o, carried from
+    the representative block as `_Block.carried` did before members with
+    one column order shared their rows: this member's own re-echelonisation
+    of the permuted rows, the oracle for the shared one."""
+    n = len(o)
+    pi = [0] * n
+    for j, k in enumerate(sorted(range(n), key=o.__getitem__, reverse=True)):
+        pi[k] = j
+    moved = [tuple(mono[k] for k in (*pi, *(n + j for j in pi))) for mono in block.monomials]
+    order = tuple(sorted(range(len(moved)), key=moved.__getitem__))
+    rename = {c: new for new, c in enumerate(order)}
+    pivots: dict = {}
+    for row in block._pivots.values():
+        reduce_into({rename[c]: x for c, x in row.items()}, pivots, block.p)
+    return [moved[c] for c in order], pivots, order
+
+
 def classical_leading_monomials(n: int, a: int, b: int, i: int) -> set[tuple[int, ...]]:
     """The leading monomials of the classical I^i in bidegree (a, b), in
     any characteristic, by the closed form: in(I^i) = in(I)^i for the

@@ -738,33 +738,43 @@ def test_sweep_rows_build_no_parser(tmp_path, capsys, monkeypatch):
     assert added == []
 
 
-def test_a_leaf_command_builds_its_leaf_alone(capsys, monkeypatch):
-    cli.build_parser.cache_clear()  # so this call builds its parser
-    added = []
-    add_parser = argparse._SubParsersAction.add_parser
+def test_a_well_formed_command_builds_no_parser(capsys, monkeypatch):
+    cli.build_parser.cache_clear()  # so a parse through argparse would build one
+    made, added = [], []
+    init, add_argument = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
 
-    def counted(self, name, **kwargs):
-        added.append(name)
-        return add_parser(self, name, **kwargs)
+    def counted_init(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    def counted_add(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted_add)
     assert cli.main(["char", "nim", "--m", "1", "--n", "2"]) == 0
-    capsys.readouterr()
-    assert added == ["char", "nim"]
+    assert "nim-character" in capsys.readouterr().out
+    assert made == [] and added == []
+    with pytest.raises(SystemExit) as exc:  # a usage error goes to argparse
+        cli.main(["char", "nim", "--m", "1"])
+    assert exc.value.code == 1
+    assert "the following arguments are required: --n" in capsys.readouterr().err
+    assert made and added
 
 
 _H = ["--weights", "1,1", "--prime", "2"]
-# (argv, whether it parses with its own leaf alone)
+# (argv, whether it is read from `_LEAVES` without argparse)
 _PARSER_CASES = [
     (["complx", "homology", *_H], False),  # a bad group
     (["complex", "homolgy", *_H], False),  # a bad action
-    (["complex", "homology", "--weights", "1,1"], True),  # a missing flag
-    (["complex", "homology", "--weights", "1,1", "--prime", "two"], True),  # a bad int
-    (["complex", "homology", *_H, "extra"], True),  # an unknown trailing word
+    (["complex", "homology", "--weights", "1,1"], False),  # a missing flag
+    (["complex", "homology", "--weights", "1,1", "--prime", "two"], False),  # a bad int
+    (["complex", "homology", *_H, "extra"], False),  # an unknown trailing word
     (["incidence", "chars", "--n", "3", "--d", "2", "--e", "1", "--prime", "2",
-      "--compare", "bogus"], True),
+      "--compare", "bogus"], False),
     (["--js", "r.json", "complex", "homology", *_H], False),
-    (["--json=r.json", "complex", "homology", *_H], False),
+    (["--json=r.json", "complex", "homology", *_H], True),
     (["--csv", "complex", "homology", *_H], False),  # --csv takes the group word
     (["--json", "-x", "complex", "homology", *_H], False),
     (["--json", "r.json", "--csv", "r.csv", "complex", "homology", *_H], True),
@@ -775,8 +785,20 @@ _PARSER_CASES = [
     (["sweep", "--config", "c.json"], False),
     (["-h"], False),
     (["complex", "-h"], False),
-    (["complex", "homology", "-h"], True),
-    (["det", "filtration", "--help"], True),
+    (["complex", "homology", "-h"], False),
+    (["det", "filtration", "--help"], False),
+    (["complex", "homology", *_H, "--prime", "3"], True),  # the last value wins
+    (["complex", "homology", "--weights=-9,1,1", "--prime", "2"], True),
+    (["complex", "homology", "--weights", "-9,1,1", "--prime", "2"], False),
+    (["complex", "homology", "--wei", "1,1", "--prime", "2"], False),  # an abbreviation
+    (["complex", "homology", *_H, "--"], False),
+    (["--json=--", "complex", "homology", *_H], False),  # argparse drops the "--"
+    (["--json", "r.json", "--json", "s.json", "complex", "homology", *_H, "--json=t.json"],
+     True),
+    (["incidence", "chars", "--n", "3", "--d", "2", "--e", "1", "--prime", "2",
+      "--no-symmetry=1"], False),  # a switch given a value
+    (["det", "filtration", "--n", "3", "--a", "2", "--b", "1", "--i", "1", "--prime", "2",
+      "--classical", "--classical"], True),
 ]
 
 
@@ -790,21 +812,85 @@ def _parse_with(parser, argv, capsys):
     return code, out, err, ns
 
 
-def test_a_leaf_parses_as_the_whole_tree(monkeypatch, capsys):
+def _benchmark_argvs(monkeypatch) -> list[list[str]]:
+    """Every job and sweep row of the benchmark, and every job behind a
+    leading `--json r.json`."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import workloads
 
     singles, rows = workloads.every_job_and_row()
-    cases = [(list(argv), True) for argv in singles]
-    cases += [(workloads.row_argv(row), True) for row in rows]
-    cases += [(["--json", "r.json", *argv], True) for argv in singles]
-    for argv, narrow in cases + _PARSER_CASES:
-        command = cli._leaf_command(argv)
-        assert (command is not None) == narrow, argv
+    return ([list(argv) for argv in singles] + [workloads.row_argv(row) for row in rows]
+            + [["--json", "r.json", *argv] for argv in singles])
+
+
+def test_a_table_read_parses_as_the_whole_tree(monkeypatch, capsys):
+    cases = [(argv, True) for argv in _benchmark_argvs(monkeypatch)]
+    for argv, fast in cases + _PARSER_CASES:
+        ns = cli._namespace(argv)
+        assert (ns is not None) == fast, argv
         full = _parse_with(cli.build_parser(), argv, capsys)
-        assert _parse_with(cli.build_parser(command), argv, capsys) == full, argv
-        if narrow:
-            assert cli.build_parser(command) is not cli.build_parser()
+        if fast:
+            assert full == (None, "", "", ns), argv
+
+
+def test_a_table_read_agrees_with_argparse_on_drawn_argvs(capsys):
+    """Drawn near-valid argvs: a table read is either declined or exactly
+    what the whole tree parses, with argparse printing nothing."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    junk = st.sampled_from(["", "0", "-1", "-9,1,1", "1,,2", "two", " 3", "2=3", "r.json",
+                            "bogus", "--", "-h", "-x", *cli._COMPARE_SUBJECTS])
+    names = sorted({f for _, flags in cli._LEAVES.values() for f in flags} | {"json", "csv"})
+    # an exact flag name, an abbreviation of one, or a name no parser knows
+    names = st.sampled_from(names).flatmap(lambda f: st.sampled_from([f, f, f[:-1], f + "x"]))
+    stray = st.one_of(junk, st.sampled_from(["-h", "--help", "--", "sweep", "complex"]),
+                      st.builds("--{}".format, names),
+                      st.builds("--{}={}".format, names, junk))
+    report = st.sampled_from([["--json", "r.json"], ["--csv", "r.csv"], ["--json=r.json"],
+                              ["--csv=r.csv"], ["--json", "-x"], ["--js", "r.json"], ["--csv"]])
+    # draws lean to the ends of a range, so a branch is taken at a middle value
+    rarely, sometimes = (st.integers(0, n).map(lambda k: k == 2) for n in (19, 3))
+    read = []
+
+    def good(settings):
+        if "choices" in settings:
+            return st.sampled_from(settings["choices"])
+        if settings["type"] is cli._int_list:
+            return st.lists(st.integers(-3, 5), min_size=1, max_size=4).map(
+                lambda xs: ",".join(map(str, xs)))
+        return st.integers(-2, 9).map(str)
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        command = data.draw(st.sampled_from(sorted(cli._LEAVES)))
+        argv = [t for pair in data.draw(st.lists(report, max_size=2)) for t in pair]
+        argv += command.split()
+        for flag, kind in cli._LEAVES[command][1].items():
+            settings = cli._settings(kind)
+            if data.draw(rarely):  # a flag left out
+                continue
+            if settings.get("action") == "store_true":
+                argv.append(f"--{flag}=1" if data.draw(sometimes) else f"--{flag}")
+                continue
+            for _ in range(1 + data.draw(sometimes)):  # given twice, the last value wins
+                value = data.draw(junk if data.draw(rarely) else good(settings))
+                argv += data.draw(st.sampled_from([[f"--{flag}={value}"], [f"--{flag}", value]]))
+        for token in data.draw(st.lists(stray, max_size=2)) * data.draw(sometimes):
+            argv.insert(data.draw(st.integers(0, len(argv))), token)
+        ns = cli._namespace(argv)
+        if ns is not None:
+            read.append(argv)
+            assert cli.build_parser().parse_args(argv) == ns, argv
+            assert capsys.readouterr() == ("", ""), argv
+
+    check()
+    assert len(read) >= 120  # the draws do reach well-formed argvs
+
+
+def test_every_benchmark_command_line_is_a_table_read(monkeypatch):
+    for argv in _benchmark_argvs(monkeypatch):
+        assert cli._namespace(argv) is not None, argv
 
 
 def _patched_nim(ns):

@@ -22,7 +22,7 @@ from fpcoh.determinantal import (
     slice_characters,
     tableau_monomial,
 )
-from fpcoh.linalg import PrimeFieldMatrix, rref_with_order
+from fpcoh.linalg import PrimeFieldMatrix, reduce_into, rref_with_order
 from fpcoh.verdicts import AGREE, OUTSIDE
 from helpers import (
     classical_leading_monomials,
@@ -30,6 +30,7 @@ from helpers import (
     full_scan_slice,
     generator_specs,
     minor_pairs,
+    per_member_carry,
     product_block_columns,
 )
 
@@ -426,6 +427,49 @@ def test_orbit_pass_matches_full_scan_beyond_the_oracle():
             slc = ideal_power_slice(n, a, b, i, truncated, p)
             assert slc.blocks.keys() == scan.blocks.keys(), (n, a, b, i, truncated, p)
             assert leading_monomials(slc) == leading_monomials(scan), (n, a, b, i, truncated, p)
+
+
+def test_carry_reduces_once_per_distinct_column_order(monkeypatch):
+    # orbit members whose permuted columns sort the same way share one
+    # re-echelonisation; each member's rows equal its own carry
+    from fpcoh import determinantal
+
+    calls = []
+
+    def counted(v, pivots, p, load=None):
+        calls.append(len(v))
+        return reduce_into(v, pivots, p, load)
+
+    monkeypatch.setattr(determinantal, "reduce_into", counted)
+    rng = random.Random(23)
+    cases = [(n, rng.randint(2, 4), rng.randint(1, 3), truncated, p)
+             for n in (3, 4, 5, 6) for p in (2, 3, 5) for truncated in (False, True)]
+    cases += [(5, 6, 3, True, 3)]
+    members = shared = 0
+    for n, a, b, truncated, p in cases:
+        i = rng.randint(0, min(a, b))
+        calls.clear()
+        determinantal._eliminate(n, a, b, [i], truncated, p)
+        eliminated = len(calls)
+        slc = ideal_power_slice(n, a, b, i, truncated, p)
+        want = 0
+        for m in decreasing_compositions(a + b, (a + b,) * n):
+            if m not in slc.blocks or slc.blocks[m].saturated():
+                continue
+            block, orders = slc.blocks[m], {}
+            for o in orbit(m):
+                if o == m:
+                    continue
+                columns, pivots, order = per_member_carry(block, o)
+                assert slc.blocks[o].monomials == columns, (n, a, b, i, truncated, p, o)
+                assert slc.blocks[o]._pivots == pivots, (n, a, b, i, truncated, p, o)
+                assert slc.blocks[orders.setdefault(order, o)]._pivots is slc.blocks[o]._pivots
+                members += 1
+            want += block.rank * len(orders)
+            shared += len(orders) < sum(o != m for o in orbit(m))
+        # one reduction per row of the representative and distinct order
+        assert len(calls) - 2 * eliminated == want, (n, a, b, i, truncated, p)
+    assert members and shared
 
 
 def test_truncated_pass_matches_full_scan_across_power_gaps():
