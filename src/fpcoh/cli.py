@@ -59,10 +59,10 @@ from .verdicts import (
     OUTSIDE,
     exit_code,
     human_lines,
-    render_json,
     report_document,
     verdict,
     write_csv,
+    write_json,
 )
 
 
@@ -544,6 +544,10 @@ def _cmd_sweep(ns):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     ns = _namespace(argv) or build_parser().parse_args(argv)
+    for flag in ("json", "csv"):  # argparse reads "--json=" as "" and "--json=--" as []
+        if getattr(ns, flag) is not None and not getattr(ns, flag):
+            print(f"fpcoh: --{flag} needs a file path", file=sys.stderr)
+            return 1
     try:
         params, verdicts = globals()[ns.handler](ns)
     except ValueError as exc:
@@ -557,12 +561,14 @@ def main(argv=None) -> int:
         print(line)
         if summary := v["payload"].get("summary"):
             print(f"    {summary}")
-    if ns.json:  # rendered first: a failed render leaves an old report whole
-        text = render_json(report_document(ns.command, params, verdicts))
-        with open(ns.json, "w") as fh:
-            fh.write(text)
-    if ns.csv:
-        write_csv(ns.csv, verdicts)
+    try:
+        if ns.json is not None:
+            write_json(report_document(ns.command, params, verdicts), ns.json)
+        if ns.csv is not None:
+            write_csv(ns.csv, verdicts)
+    except OSError as exc:
+        print(f"fpcoh: cannot write report: {exc}", file=sys.stderr)
+        return 1
     return exit_code(verdicts)
 
 

@@ -370,3 +370,24 @@ def assert_json_ready(value, path: str = "document") -> None:
     for k, x in value.items():
         assert type(k) is str, f"{path} has the {type(k).__name__} key {k!r}"
         assert_json_ready(x, f"{path}[{k!r}]")
+
+
+def json_documents(st):
+    """A hypothesis strategy for documents of every kind a report may hold,
+    with the escapes and big integers the encoder must get right; the same
+    documents `test_render_json_matches_json_dumps_property` draws."""
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(),
+        st.integers(min_value=2**64), st.integers(max_value=-2**64),
+        st.text(), st.text(alphabet=st.characters(max_codepoint=0x9f)),
+        st.text(alphabet="é€😀\x00\x1f\x7f\\\"\n\t\u2028"),
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5),
+            st.lists(st.integers(), max_size=5),
+            st.dictionaries(st.text(max_size=4), inner, max_size=5),
+        ),
+        max_leaves=20,
+    )

@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour: exit codes, report documents, sweeps."""
 
 import argparse
+import csv
+import io
 import json
 import os
 import random
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import fpcoh.verdicts
 from fpcoh import cli, linalg
 from fpcoh.characters import LaurentPolynomial
 from fpcoh.verdicts import (
@@ -18,11 +21,13 @@ from fpcoh.verdicts import (
     DISAGREE,
     ERROR,
     OUTSIDE,
+    dimension_rows,
     exit_code,
     human_lines,
     render_json,
     report_document,
     verdict,
+    write_csv,
 )
 from helpers import assert_json_ready, str_length_summary
 
@@ -367,14 +372,15 @@ def test_failed_render_leaves_an_existing_report_whole(tmp_path, capsys, monkeyp
     path = tmp_path / "report.json"
     path.write_text("earlier report\n")
 
-    def fail(document):
+    def fail(document, out, flush):
         raise RuntimeError("render failed")
 
-    monkeypatch.setattr(cli, "render_json", fail)
+    monkeypatch.setattr(fpcoh.verdicts, "_render_document", fail)
     with pytest.raises(RuntimeError, match="render failed"):
         cli.main(["char", "nim", "--m", "1", "--n", "2", "--json", str(path)])
     capsys.readouterr()
     assert path.read_text() == "earlier report\n"
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left
 
 
 def test_json_document_shape(tmp_path, capsys):
@@ -429,6 +435,44 @@ def test_csv_multidegree_column(tmp_path, capsys):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "subject,status,a,b,n,series,multidegree,dimension"
     assert '"2,0"' in lines[1] or "2,0" in lines[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--json=", "char", "nim", "--m", "1", "--n", "2"],
+    ["char", "nim", "--m", "1", "--n", "2", "--json="],
+    ["char", "nim", "--m", "1", "--n", "2", "--json=--"],
+    ["char", "nim", "--m", "1", "--n", "2", "--csv="],
+    ["--csv=--", "char", "nim", "--m", "1", "--n", "2"],
+])
+def test_an_empty_report_path_is_refused_before_the_handler(argv, tmp_path, capsys,
+                                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_cmd_char_nim", lambda ns: pytest.fail("handler ran"))
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    flag = next(a for a in argv if a.startswith("--json") or a.startswith("--csv"))
+    assert captured.out == ""
+    assert captured.err == f"fpcoh: {flag.partition('=')[0]} needs a file path\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_unwritable_report_path_exits_one_with_one_line(flag, where, tmp_path, capsys):
+    target = tmp_path / "reports"
+    if where == "directory":
+        target.mkdir()
+    else:
+        target = target / "r.report"
+    code = cli.main(["char", "nim", "--m", "1", "--n", "2", flag, str(target)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "nim-character" in captured.out  # the verdict still prints
+    (line,) = captured.err.splitlines()
+    assert line.startswith("fpcoh: cannot write report: ")
+    assert line.endswith(f": '{target}'")  # the report, not a temporary file
+    assert [p.name for p in tmp_path.rglob("*")] == (["reports"] if where == "directory"
+                                                     else [])
 
 
 def test_sweep_expansion_row_major():
@@ -1172,19 +1216,52 @@ _EVERY_LEAF = [
 
 
 def _checked_documents(monkeypatch) -> list:
-    """Route `main`'s render through a check that the document is JSON-ready
-    and renders as json.dumps does; returns the documents it saw."""
+    """Route the report writer's render through a check that the document is
+    JSON-ready and renders as json.dumps does; returns the documents it saw."""
     seen = []
+    render = fpcoh.verdicts._render_document
 
-    def checked(document):
+    def checked(document, out, flush):
         assert_json_ready(document)
-        text = render_json(document)
+        render(document, out, None)  # the writer writes out after this returns
+        text = "".join(out)
         assert text == _oracle(document)
         seen.append(document)
-        return text
 
-    monkeypatch.setattr(cli, "render_json", checked)
+    monkeypatch.setattr(fpcoh.verdicts, "_render_document", checked)
     return seen
+
+
+def _collected_csv(records) -> bytes:
+    """The CSV of every row collected first, its columns read off the rows:
+    the oracle for the streamed `write_csv`."""
+    rows = [row for v in records for row in dimension_rows(v)]
+    lead, tail = ["subject", "status"], ["series", "degree", "multidegree", "dimension"]
+    params = sorted({k for row in rows for k in row} - set(lead) - set(tail))
+    columns = lead + params + [c for c in tail if any(c in row for row in rows)]
+    out = io.StringIO(newline="")
+    writer = csv.DictWriter(out, fieldnames=columns, restval="")
+    writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue().encode()
+
+
+def test_streamed_csv_matches_collected_rows(tmp_path, capsys):
+    cfg, _ = _mixed_grid(tmp_path)
+    for k, argv in enumerate(_EVERY_LEAF + [["sweep", "--config", str(cfg),
+                                             "--parallel", "1"]]):
+        json_path, csv_path = tmp_path / f"{k}.json", tmp_path / f"{k}.csv"
+        cli.main([*argv, "--json", str(json_path), "--csv", str(csv_path)])
+        records = json.loads(json_path.read_text())["verdicts"]
+        assert csv_path.read_bytes() == _collected_csv(records), argv
+    capsys.readouterr()
+    # a parameter named like a table column, and a verdict without a table
+    records = [verdict("s", {"degree": 3, "w": [1, 2]}, AGREE,
+                       {"dimension_table": [{"multidegree": [1, 0], "dimension": 2}]}),
+               verdict("t", {"z": 1}, AGREE, {})]
+    csv_path = tmp_path / "named.csv"
+    write_csv(str(csv_path), records)
+    assert csv_path.read_bytes() == _collected_csv(records)
 
 
 @pytest.mark.parametrize("argv", _EVERY_LEAF, ids=lambda argv: "-".join(

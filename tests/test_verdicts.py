@@ -1,0 +1,127 @@
+"""The report writer: `write_json` streams exactly `render_json`'s bytes
+through a temporary file and a rename, in bounded memory."""
+
+import json
+import os
+import stat
+import threading
+import tracemalloc
+
+import pytest
+
+from fpcoh import verdicts
+from fpcoh.verdicts import render_json, write_json
+from helpers import json_documents
+
+_DOCUMENT = {"command": "char nim", "verdicts": [{"coeff": k, "exponents": [k, 1]}
+                                                 for k in range(40)]}
+
+
+def _oracle(document) -> bytes:
+    return (json.dumps(document, sort_keys=True, indent=2) + "\n").encode()
+
+
+def test_write_json_matches_json_dumps_at_every_flush_boundary(tmp_path, monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    path = tmp_path / "report.json"
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(json_documents(hypothesis.strategies))
+    def check(document):
+        for pieces in (1, 2, 3):
+            monkeypatch.setattr(verdicts, "_BUFFER_PIECES", pieces)
+            write_json(document, str(path))
+            assert path.read_bytes() == _oracle(document)
+
+    check()
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_float_after_several_buffers_leaves_the_earlier_report(tmp_path, monkeypatch):
+    path = tmp_path / "report.json"
+    path.write_text("earlier report\n")
+    flushes = []
+    render = verdicts._render_document
+
+    def counting(document, out, flush):
+        def counted():
+            flushes.append(len(out))
+            flush()
+
+        render(document, out, counted)
+
+    monkeypatch.setattr(verdicts, "_render_document", counting)
+    records = [{"coeff": k, "exponents": [k, 1]} for k in range(3 * verdicts._BUFFER_PIECES)]
+    with pytest.raises(TypeError):
+        write_json({"verdicts": records + [{"coeff": 0.5}]}, str(path))
+    assert len(flushes) > 1  # the float came after more than one buffer
+    assert path.read_text() == "earlier report\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_report_keeps_the_mode_open_would_give_it(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("earlier report\n")
+    path.chmod(0o640)
+    write_json(_DOCUMENT, str(path))
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert path.read_bytes() == _oracle(_DOCUMENT)
+    opened, new = tmp_path / "opened.json", tmp_path / "new.json"
+    opened.write_text("")
+    write_json(_DOCUMENT, str(new))
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(opened.stat().st_mode)
+
+
+def test_a_symlinked_report_keeps_its_link(tmp_path):
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    real, dangling = reports / "real.json", reports / "later.json"
+    real.write_text("earlier report\n")
+    for target in (real, dangling):
+        link = tmp_path / f"link-{target.name}"
+        link.symlink_to(target)
+        write_json(_DOCUMENT, str(link))
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == _oracle(_DOCUMENT)
+    assert sorted(p.name for p in reports.iterdir()) == ["later.json", "real.json"]
+
+
+def test_a_fifo_receives_the_report_in_place(tmp_path, monkeypatch):
+    monkeypatch.setattr(verdicts, "_BUFFER_PIECES", 2)  # many writes into the pipe
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            received.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    write_json(_DOCUMENT, str(fifo))
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [_oracle(_DOCUMENT)]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
+def test_write_json_holds_one_buffer_not_the_document(tmp_path):
+    # string records: tracemalloc slows each allocation tenfold, and a string
+    # renders in two pieces where a dict takes a dozen allocations
+    document = {"verdicts": [f"record {k:06d} " + "t" * 80 for k in range(200_000)]}
+    path = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        write_json(document, str(path))
+        _, streamed = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        text = render_json(document)
+        _, whole = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert text.encode() == path.read_bytes()
+    assert size > 20_000_000
+    assert streamed < size // 10, (streamed, size)
+    assert whole > size, (whole, size)
