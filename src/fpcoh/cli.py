@@ -6,10 +6,10 @@ checked statement.  Exit codes: 0 all comparisons agree (pure evaluations
 count), 2 some comparison disagrees, 1 usage or parameter error.
 
 `sweep --config FILE` expands a declarative grid into rows, each run as its
-own command line.  With several workers the rows go to a process pool in
-strided chunks; report order is the grid's row-major order, and JSON output
-is byte-identical across worker counts.  A killed worker breaks the pool:
-every row of a chunk not yet returned becomes a `sweep-row` error verdict.
+own command line by `_run_row`; `fpcoh.sweep` runs them, in a process pool
+with several workers, and keeps only what the parent prints.  Report order
+is the grid's row-major order, and every report is byte-identical across
+worker counts.
 
 A well-formed command or sweep row is read straight from the `_LEAVES` table
 (`_namespace`) and builds no parser; `sweep`, help and any argv argparse might
@@ -28,6 +28,7 @@ import io
 import json
 import os
 import sys
+# `fpcoh.sweep` uses these; imported here so that a sweep's main() does not pay for them
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from itertools import product
@@ -60,6 +61,7 @@ from .verdicts import (
     exit_code,
     human_lines,
     report_document,
+    table_keys,
     verdict,
     write_csv,
     write_json,
@@ -496,17 +498,6 @@ def _run_row(argv: list[str]) -> list[dict]:
     return [verdict("sweep-row", {"argv": list(argv)}, ERROR, {"message": message})]
 
 
-# Futures per pool worker: each future carries a pickle, a queue hop and a
-# wake-up of the parent, so small rows travel in chunks; a grid of at most
-# this many rows per worker still gets one row per future.
-_CHUNKS_PER_WORKER = 8
-
-
-def _run_rows(chunk: list[list[str]]) -> list[list[dict]]:
-    """The verdicts of each row of one chunk, in the chunk's order."""
-    return [_run_row(argv) for argv in chunk]
-
-
 def _crash_verdict(subject: str, argv: list[str], exc: Exception) -> dict:
     return verdict(subject, {"argv": list(argv)}, ERROR,
                    {"message": f"{type(exc).__name__}: {exc}"})
@@ -520,21 +511,9 @@ def _cmd_sweep(ns):
         raise ValueError(f"cannot read sweep config: {exc}") from exc
     rows = expand_config(config)
     params = {"config": os.path.basename(ns.config), "rows": len(rows)}
-    workers = min(ns.parallel or os.cpu_count() or 1, len(rows))
-    if workers == 1:
-        return params, [v for argv in rows for v in _run_row(argv)]
-    # strided, so rows whose cost grows along a grid axis spread over all chunks
-    count = min(len(rows), _CHUNKS_PER_WORKER * workers)
-    by_row: list = [None] * len(rows)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_rows, rows[k::count]) for k in range(count)]
-        for k, future in enumerate(futures):
-            try:
-                by_row[k::count] = future.result()
-            except BrokenProcessPool as exc:  # every row not yet returned is lost
-                by_row[k::count] = [[_crash_verdict("sweep-row", argv, exc)]
-                                    for argv in rows[k::count]]
-    return params, [v for row in by_row for v in row]
+    from . import sweep  # only a sweep compiles it
+
+    return params, sweep.run(ns, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -562,10 +541,13 @@ def main(argv=None) -> int:
         if summary := v["payload"].get("summary"):
             print(f"    {summary}")
     try:
-        if ns.json is not None:
-            write_json(report_document(ns.command, params, verdicts), ns.json)
-        if ns.csv is not None:
-            write_csv(ns.csv, verdicts)
+        if hasattr(verdicts, "write_reports"):  # a sweep's records; its verdicts are spilled
+            verdicts.write_reports(ns, params)
+        else:
+            if ns.json is not None:
+                write_json(report_document(ns.command, params, verdicts), ns.json)
+            if ns.csv is not None:
+                write_csv(ns.csv, verdicts, [(v["parameters"], table_keys(v)) for v in verdicts])
     except OSError as exc:
         print(f"fpcoh: cannot write report: {exc}", file=sys.stderr)
         return 1

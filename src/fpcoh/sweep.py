@@ -1,0 +1,220 @@
+"""A sweep's rows, run in bounded memory.  `cli._cmd_sweep` imports this
+module when a sweep starts, so a single command neither compiles nor holds
+it.
+
+The rows go to a process pool in strided chunks, or with one worker to the
+same chunk function in this process.  A chunk returns per verdict only the
+small record stdout and the exit code read.  With a report asked for, each
+worker also appends every verdict's text to its own spill file,
+`<report>.<8 hex digits>.<k>.spill` beside the report, and returns the byte
+range.  The parent makes one spill file per worker and holds none open
+while the rows run.  Once they have run it opens them and unlinks them, and
+it unlinks them on any error or interrupt as well; it copies the ranges
+into the document in grid order, so it never holds a payload.  A killed
+worker breaks the pool: every row of a chunk not yet returned becomes a
+`sweep-row` error verdict.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import multiprocessing
+import os
+import tempfile
+
+from . import cli
+from .verdicts import (_replacing, report_document, table_keys, verdict, write_csv,
+                       write_value)
+
+# Futures per pool worker: each future carries a pickle, a queue hop and a
+# wake-up of the parent, so small rows travel in chunks; a grid of at most
+# this many rows per worker still gets one row per future.
+_CHUNKS_PER_WORKER = 8
+
+# The payload keys a sweep's parent reads: stdout and the exit code.
+_PRINTED = ("summary", "witness", "comparison_agrees", "message")
+
+_ITEM = "\n    "  # where a verdict's lines start in the report document
+
+_own = None  # in a pool worker, the `_Spill` its initializer took
+
+
+class Records(list):
+    """A sweep's records in grid order.  `spans[i]` tells where the whole
+    verdict of record i lies: (spill file number, start, end, table keys),
+    or None when the record is the whole verdict.  `files` are the spill
+    files' descriptors by number, open after the files are unlinked;
+    `error` is why the report cannot be written, when one was asked for."""
+
+    spans: list
+    files: list
+    error: OSError | None = None
+
+    def write_reports(self, ns, params: dict) -> None:
+        """The sweep's reports from its spill files: the document's head,
+        each verdict's bytes copied in grid order, then its tail; the CSV
+        rows read back one verdict at a time.  Closes the spill files."""
+        try:
+            if self.error:
+                raise self.error
+            if ns.json is not None:
+                text = io.StringIO()
+                write_value(report_document(ns.command, params, []), "\n", text)
+                head, tail = text.getvalue().split('"verdicts": []')  # once: keys are unescaped
+                with _replacing(ns.json) as fh:
+                    fh.write(head + '"verdicts": [')
+                    for i, (record, span) in enumerate(zip(self, self.spans)):
+                        fh.write("," + _ITEM if i else _ITEM)
+                        if span is None:
+                            write_value(record, _ITEM, fh)
+                            continue
+                        for block in self._spilled(span):
+                            fh.write(block.decode("ascii"))
+                    fh.write(("\n  ]" if self else "]") + tail + "\n")
+            if ns.csv is not None:
+                whole = (record if span is None else json.loads(b"".join(self._spilled(span)))
+                         for record, span in zip(self, self.spans))
+                write_csv(ns.csv, whole, [(r["parameters"], span[3] if span else ())
+                                          for r, span in zip(self, self.spans)])
+        finally:
+            for fd in self.files:
+                os.close(fd)
+            self.files = []
+
+    def _spilled(self, span: tuple):
+        """A verdict's text from its spill file, in blocks of at most 64 KiB,
+        so a copy never holds it whole."""
+        fd, start, end = self.files[span[0]], span[1], span[2]
+        for offset in range(start, end, 1 << 16):
+            yield os.pread(fd, min(end - offset, 1 << 16), offset)
+
+
+def run(ns, rows: list[list[str]]) -> Records:
+    """The records of every row, in grid order, with their verdicts spilled
+    when ns asks for a report."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(ns.parallel or cpus or 1, len(rows))
+    # strided, so rows whose cost grows along a grid axis spread over all chunks
+    count = 1 if workers == 1 else min(len(rows), _CHUNKS_PER_WORKER * workers)
+    records, names = Records(), []  # names: the spill files made, one per worker
+    records.files = []
+    report = ns.json if ns.json is not None else ns.csv
+    try:
+        if report is not None:  # beside the report, unless it is written in place
+            beside = not os.path.exists(report) or os.path.isfile(report)
+            prefix = (os.path.realpath(report) if beside else
+                      os.path.join(tempfile.gettempdir(), os.path.basename(report)))
+            prefix += f".{os.urandom(4).hex()}"
+            try:
+                for name in (f"{prefix}.{k}.spill" for k in range(workers)):
+                    os.close(os.open(name, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600))
+                    names.append(name)
+            except OSError as exc:  # the rows run as without a report, which names the error
+                records.error = OSError(exc.errno, exc.strerror, report)
+        spills = [] if records.error else names
+        tables = ns.csv is not None
+        if workers == 1:
+            chunks = [_run_chunk(rows, tables, _Spill(0, spills[0]) if spills else None)]
+        else:
+            chunks = [None] * count
+            # each worker takes the next spill file as it starts
+            own = (dict(initializer=_take_spill, initargs=(spills, multiprocessing.Value("i")))
+                   if spills else {})
+            with cli.ProcessPoolExecutor(max_workers=workers, **own) as pool:
+                futures = [pool.submit(_run_chunk, rows[k::count], tables)
+                           for k in range(count)]
+                for k, future in enumerate(futures):
+                    try:
+                        chunks[k] = future.result()
+                    except cli.BrokenProcessPool as exc:  # every row not yet returned is lost
+                        chunks[k] = ([[(cli._crash_verdict("sweep-row", argv, exc), None)]
+                                      for argv in rows[k::count]], None)
+        try:
+            if failed := next((failed for _, failed in chunks if failed), None):
+                raise failed
+            for name in spills:  # the parent reads through its own descriptors
+                records.files.append(os.open(name, os.O_RDONLY))
+        except OSError as exc:
+            for fd in records.files:
+                os.close(fd)
+            records.files, records.error = [], OSError(exc.errno, exc.strerror, report)
+    finally:  # no spill file outlives the sweep
+        for name in names:
+            os.unlink(name)
+    records.spans = []
+    for i in range(len(rows)):  # row i is item i // count of chunk i % count
+        for record, span in chunks[i % count][0][i // count]:
+            records.append(record)
+            records.spans.append(span)
+    return records
+
+
+class _Spill:
+    """The spill file number k of a sweep, which one process appends its
+    verdicts to.  A failed write, such as on a full disk, stops the file
+    but not the rows; `failed` is its error."""
+
+    def __init__(self, k: int, name: str):
+        self.k, self.end, self.failed, self.fh = k, 0, None, None
+        try:
+            # "r+", as "w" would truncate the empty file, and on ext4 a file
+            # truncated to nothing starts its writeback when closed
+            self.fh = open(name, "r+", encoding="ascii")
+        except OSError as exc:
+            self.failed = exc
+
+    def write(self, v: dict, tables: bool) -> tuple | None:
+        """Append v's text as the report's "verdicts" list holds it.  Its
+        span, (k, start, end, the keys its table entries hold when
+        `tables`), or None once the file has failed."""
+        if self.failed:
+            return None
+        try:
+            start, self.end = self.end, self.end + write_value(v, _ITEM, self.fh)
+        except OSError as exc:
+            self.failed = exc
+            return None
+        return self.k, start, self.end, table_keys(v) if tables else ()
+
+    def finish(self, close: bool) -> None:
+        try:
+            if self.fh:
+                self.fh.close() if close else self.fh.flush()
+        except OSError as exc:  # the last buffer did not reach the file
+            self.failed = self.failed or exc
+
+
+def _take_spill(names: list[str], taken) -> None:
+    """Pool initializer: the worker's own spill file, the first of names
+    that no other worker has taken."""
+    global _own
+    with taken.get_lock():
+        k = taken.value
+        taken.value += 1
+    _own = _Spill(k, names[k])
+
+
+def _run_chunk(chunk: list[list[str]], tables: bool,
+               spill: _Spill | None = None) -> tuple[list[list[tuple]], OSError | None]:
+    """Each row of one chunk, in the chunk's order, as (record, span) pairs
+    per verdict, and the error that stopped the spill file, if one did.
+    The record is the verdict with only the `_PRINTED` payload keys; span
+    is where `_Spill.write` put the whole verdict, or None without a spill
+    file.  spill is this process's only chunk's file, closed at its end; in
+    a pool, a worker's chunks share its own, flushed at each chunk's end, so
+    what a chunk returns is in the file even if the worker dies later."""
+    own, rows = spill or _own, []
+    try:
+        for argv in chunk:
+            row = []
+            for v in cli._run_row(argv):  # through the module, where a tracer wraps it
+                payload, span = v["payload"], own and own.write(v, tables)
+                row.append((verdict(v["subject"], v["parameters"], v["status"],
+                                    {k: payload[k] for k in _PRINTED if k in payload}), span))
+            rows.append(row)
+            v = payload = None  # not held while the next row runs
+    finally:
+        if own:
+            own.finish(close=own is spill)
+    return rows, own and own.failed

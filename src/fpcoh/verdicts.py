@@ -15,6 +15,8 @@ on anything else (a float, a tuple, a non-str key).  `render_json` joins its
 pieces into one string; `write_json` streams them to the report file,
 writing the buffer out between list items once it holds `_BUFFER_PIECES`
 pieces, so a report of any size holds one buffer of text at a time.
+`write_value` streams one value the same way, its lines starting at a given
+depth: a sweep writes each verdict so, as the document's list holds it.
 
 Both reports are written to a temporary file in the target's directory and
 renamed over the target after the last piece, so a failed render or write
@@ -75,14 +77,28 @@ def render_json(document: dict) -> str:
 def write_json(document: dict, path: str) -> None:
     """Stream the report document to path (see the module docstring)."""
     with _replacing(path) as fh:
-        out: list[str] = []
+        _stream(fh, lambda out, flush: _render_document(document, out, flush))
 
-        def flush() -> None:
-            fh.write("".join(out))
-            out.clear()
 
-        _render_document(document, out, flush)
-        flush()
+def write_value(value, indent: str, fh) -> int:
+    """Stream value's JSON text to fh as a document holds it where its lines
+    start with indent, through the same bounded buffer as `write_json`.
+    Returns the characters written, each one byte: the text is ASCII."""
+    return _stream(fh, lambda out, flush: _render(value, indent, out, flush))
+
+
+def _stream(fh, render) -> int:
+    out: list[str] = []
+    written = 0
+
+    def flush() -> None:
+        nonlocal written
+        written += fh.write("".join(out))
+        out.clear()
+
+    render(out, flush)
+    flush()
+    return written
 
 
 def _render_document(document: dict, out: list[str], flush) -> None:
@@ -162,18 +178,24 @@ def dimension_rows(record: dict):
         yield row
 
 
-def write_csv(path: str, verdicts) -> None:
+def table_keys(v: dict) -> set:
+    """The keys v's dimension-table entries hold, all `write_csv` reads of a
+    verdict to pick its columns."""
+    return set().union(*v["payload"].get("dimension_table", ()))
+
+
+def write_csv(path: str, verdicts, tables) -> None:
     """Write every verdict's dimension rows to path as they are made, through
     the same temporary file and rename as `write_json`.  The columns are
     those some row has: subject and status, the parameters in sorted order,
-    then the table's own columns."""
+    then the table's own columns, read off tables, which holds each
+    verdict's parameters and `table_keys`."""
     lead, tail = ("subject", "status"), ("series", "degree", "multidegree", "dimension")
-    params, entries = set(), set()  # the keys rows take, from one pass
-    for v in verdicts:
-        if table := v["payload"].get("dimension_table"):
-            params.update(map(str, v["parameters"]))
-            for entry in table:
-                entries.update(entry)
+    params, entries = set(), set()  # the keys rows take
+    for parameters, keys in tables:
+        if keys:
+            params.update(map(str, parameters))
+            entries.update(keys)
     columns = [*lead, *sorted(params.difference(lead, tail)),
                *(c for c in tail if c in params or c in entries)]
     with _replacing(path, newline="") as fh:
@@ -181,6 +203,7 @@ def write_csv(path: str, verdicts) -> None:
         writer.writeheader()
         for v in verdicts:
             writer.writerows(dimension_rows(v))
+            del v  # not held while the next verdict is made
 
 
 @contextlib.contextmanager

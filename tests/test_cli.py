@@ -2,17 +2,23 @@
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
+import threading
 import time
+import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
+import fpcoh.sweep
 import fpcoh.verdicts
 from fpcoh import cli, linalg
 from fpcoh.characters import LaurentPolynomial
@@ -26,6 +32,7 @@ from fpcoh.verdicts import (
     human_lines,
     render_json,
     report_document,
+    table_keys,
     verdict,
     write_csv,
 )
@@ -561,6 +568,7 @@ def test_sweep_runs_and_is_deterministic_across_workers(tmp_path, capsys):
 
 
 def test_sweep_without_a_known_cpu_count_runs_every_row(tmp_path, capsys, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     config = {"runs": [{"command": "char nim", "m": [1, 2], "n": 2}]}
     cfg = tmp_path / "cpus.json"
@@ -571,6 +579,18 @@ def test_sweep_without_a_known_cpu_count_runs_every_row(tmp_path, capsys, monkey
     assert code == 0
     verdicts = json.loads(out_path.read_text())["verdicts"]
     assert [v["parameters"] for v in verdicts] == [{"m": 1, "n": 2}, {"m": 2, "n": 2}]
+
+
+def test_sweep_workers_default_to_the_affinity_mask(tmp_path, capsys, monkeypatch):
+    # one CPU allowed on a host of many: one worker, so the rows run in-process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: pytest.fail("pool started"))
+    config = {"runs": [{"command": "char nim", "m": [1, 2, 3], "n": 2}]}
+    cfg = tmp_path / "affinity.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["sweep", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.count("nim-character") == 3
 
 
 def test_sweep_row_failure_becomes_error_verdict(tmp_path, capsys):
@@ -674,6 +694,7 @@ def test_killed_pool_worker_costs_only_its_rows(tmp_path, capsys, monkeypatch):
     assert verdicts[4]["status"] == ERROR
     assert verdicts[4]["parameters"]["argv"] == ["char", "nim", "--m=1", "--n=2"]
     assert verdicts[4]["payload"]["message"].startswith("BrokenProcessPool: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["killed-report.json", "killed.json"]
 
 
 def _mixed_grid(tmp_path):
@@ -698,15 +719,28 @@ def _mixed_grid(tmp_path):
 def test_sweep_json_is_byte_identical_across_chunked_worker_counts(tmp_path, capsys):
     cfg, rows = _mixed_grid(tmp_path)
     assert rows == 71  # over 8 rows per future at 2 and 3 workers
-    documents, codes = [], []
+    documents, tables, codes, outputs = [], [], [], []
     for workers in ("1", "2", "3"):
         out_path = tmp_path / f"mixed-{workers}.json"
+        csv_path = tmp_path / f"mixed-{workers}.csv"
         codes.append(cli.main(["sweep", "--config", str(cfg), "--parallel", workers,
-                               "--json", str(out_path)]))
+                               "--json", str(out_path), "--csv", str(csv_path)]))
+        outputs.append(capsys.readouterr())
         documents.append(out_path.read_bytes())
-    capsys.readouterr()
-    assert codes == [2, 2, 2]
+        tables.append(csv_path.read_bytes())
+        # without a report, and with the CSV alone, whose spill files sit beside it
+        csv_alone = tmp_path / f"alone-{workers}.csv"
+        for report in ([], ["--csv", str(csv_alone)]):
+            codes.append(cli.main(["sweep", "--config", str(cfg), "--parallel", workers,
+                                   *report]))
+            outputs.append(capsys.readouterr())
+        tables.append(csv_alone.read_bytes())
+    assert codes == [2] * 9
     assert documents[0] == documents[1] == documents[2]
+    assert all(table == tables[0] for table in tables)
+    assert all(output == outputs[0] for output in outputs)  # stdout and stderr
+    lines = outputs[0].out.splitlines()
+    assert sum(line.startswith("[") for line in lines) == rows + 6 and outputs[0].err == ""
     verdicts = json.loads(documents[0])["verdicts"]
     statuses = {v["status"] for v in verdicts}
     assert statuses == {AGREE, ERROR, OUTSIDE}
@@ -756,6 +790,268 @@ def test_killed_worker_loses_its_whole_chunk_in_grid_order(tmp_path, capsys, mon
             assert got["payload"]["message"].startswith("BrokenProcessPool: ")
         else:
             assert got == want, i
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "chunks-report.json", "chunks.json", "reference.json"]
+
+
+def test_an_in_process_sweep_holds_about_one_row(tmp_path, capsys):
+    # rows of identical size, each a few hundred kB of verdict; q >= 20
+    # truncates nothing, so only the parameters differ
+    config = {"runs": [{"command": "char schur", "a": 10, "b": 5, "n": 4,
+                        "q": list(range(20, 40))}]}
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(config))
+    cli.build_parser()  # built once per process, as the sweep's own parse does
+    tracemalloc.start()
+    try:
+        row = cli._run_row(["char", "schur", "--a=10", "--b=5", "--n=4", "--q=20"])
+        _, one_row = tracemalloc.get_traced_memory()
+        del row
+        tracemalloc.reset_peak()
+        code = cli.main(["sweep", "--config", str(cfg), "--parallel", "1",
+                         "--json", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")])
+        _, sweep = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert (tmp_path / "r.json").stat().st_size > 20 * 180_000
+    assert sweep < 4 * one_row, (sweep, one_row)  # twenty rows held would be 20x
+
+
+def test_pool_workers_return_only_what_the_parent_prints(tmp_path, capsys, monkeypatch):
+    futures = []
+
+    class Recording(ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            futures.append(super().submit(*args, **kwargs))
+            return futures[-1]
+
+    def keys(value) -> set:
+        if isinstance(value, dict):
+            return set(value).union(*map(keys, value.values()))
+        if isinstance(value, (list, tuple)):
+            return set().union(*map(keys, value))
+        return set()
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+    cfg, _ = _mixed_grid(tmp_path)
+    heavy = {"character", "dimension_table", "h0", "h1", "quotient", "target"}
+    report = tmp_path / "r.json"
+    for extra in ([], ["--json", str(report), "--csv", str(tmp_path / "r.csv")]):
+        futures.clear()
+        assert cli.main(["sweep", "--config", str(cfg), "--parallel", "2", *extra]) == 2
+        assert len(futures) == 16
+        returned = keys([future.result() for future in futures])
+        assert not returned & heavy
+        assert returned >= {"subject", "parameters", "status", "payload", "summary"}
+    capsys.readouterr()
+    assert keys(json.loads(report.read_text())) >= heavy  # what the workers kept back
+
+
+def _small_grid(tmp_path):
+    config = {"runs": [
+        {"command": "complex theorem", "d": [1, 2, 3], "primes": "2"},
+        {"command": "char nim", "m": [1, 2, 3], "n": 2},
+        {"command": "incidence chars", "n": 3, "d": 2, "e": [0, 1], "prime": 2},
+    ]}
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(config))
+    return cfg
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_sweep_leaves_only_its_reports(workers, tmp_path, capsys, monkeypatch):
+    cfg = _small_grid(tmp_path)
+    argv = ["sweep", "--config", str(cfg), "--parallel", workers,
+            "--json", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")]
+    assert cli.main(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json", "r.csv", "r.json"]
+
+    def broken(ns):
+        raise AssertionError("a row that raises")
+
+    monkeypatch.setattr(cli, "_cmd_char_nim", broken)  # forked workers inherit it
+    assert cli.main(argv) == 1
+    capsys.readouterr()
+    statuses = [v["status"] for v in json.loads((tmp_path / "r.json").read_text())["verdicts"]]
+    assert statuses == [AGREE] * 3 + [ERROR] * 3 + [AGREE] * 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json", "r.csv", "r.json"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_full_disk_loses_the_report_not_the_rows(workers, tmp_path, capsys, monkeypatch):
+    cfg = _small_grid(tmp_path)
+    sweep = ["sweep", "--config", str(cfg), "--parallel", workers]
+    assert cli.main(sweep) == 0
+    lines = capsys.readouterr().out
+    write_value, calls = fpcoh.sweep.write_value, []
+
+    def full(value, indent, fh):
+        calls.append(indent)
+        if len(calls) == 3:  # the third verdict each process spills
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write_value(value, indent, fh)
+
+    monkeypatch.setattr(fpcoh.sweep, "write_value", full)  # forked workers inherit it
+    report = tmp_path / "r.json"
+    assert cli.main([*sweep, "--json", str(report), "--csv", str(tmp_path / "r.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == lines
+    assert captured.err == ("fpcoh: cannot write report: "
+                            f"[Errno 28] No space left on device: '{report}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json"]
+
+
+def test_a_sweep_copies_a_large_verdict_in_blocks(tmp_path, capsys, monkeypatch):
+    config = {"runs": [{"command": "char schur", "a": 10, "b": 5, "n": 4},  # 186 kB
+                       {"command": "char nim", "m": [1, 2], "n": 2}]}
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(config))
+    reads = []
+    pread = os.pread
+
+    def counted(fd, count, offset):
+        reads.append(count)
+        return pread(fd, count, offset)
+
+    monkeypatch.setattr(os, "pread", counted)
+    report = tmp_path / "r.json"
+    assert cli.main(["sweep", "--config", str(cfg), "--parallel", "2",
+                     "--json", str(report)]) == 0
+    capsys.readouterr()
+    text = report.read_text()
+    assert text == _oracle(json.loads(text))
+    assert reads[:3] == [1 << 16] * 3 and len(reads) == 4 + 2  # the big verdict in blocks
+
+
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_a_sweep_with_an_unwritable_report_prints_its_lines_then_one_error(
+        flag, where, tmp_path, capsys):
+    cfg = _small_grid(tmp_path)
+    sweep = ["sweep", "--config", str(cfg), "--parallel", "2"]
+    assert cli.main(sweep) == 0
+    lines = capsys.readouterr().out
+    target = tmp_path / "reports"
+    if where == "directory":
+        target.mkdir()
+    else:
+        target = target / "r.report"
+    assert cli.main([*sweep, flag, str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == lines
+    (line,) = captured.err.splitlines()
+    reason = ("[Errno 21] Is a directory" if where == "directory"
+              else "[Errno 2] No such file or directory")
+    assert line == f"fpcoh: cannot write report: {reason}: '{target}'"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == (
+        ["grid.json", "reports"] if where == "directory" else ["grid.json"])
+
+
+def test_a_sweep_into_a_fifo_spills_to_the_temporary_directory(tmp_path, capsys,
+                                                                monkeypatch):
+    # a FIFO is written in place and has no directory of its own for spill files
+    cfg = _small_grid(tmp_path)
+    spills = tmp_path / "tmp"
+    spills.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spills))
+    sweep = ["sweep", "--config", str(cfg), "--parallel", "2"]
+    assert cli.main([*sweep, "--json", str(tmp_path / "r.json")]) == 0
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            received.append(fh.read())
+
+    made, os_open = [], os.open
+
+    def recorded(path, *args, **kwargs):
+        made.append(os.path.dirname(path))
+        return os_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recorded)
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    assert cli.main([*sweep, "--json", str(fifo)]) == 0
+    reader.join(timeout=10)
+    capsys.readouterr()
+    assert received == [(tmp_path / "r.json").read_bytes()]
+    assert made == [str(spills)] * 4  # a spill file per worker, made and then read
+    # no room for the spill files: the rows still print, and no report is written
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    assert cli.main([*sweep, "--json", str(fifo)]) == 1
+    with open(fifo, "wb"):  # lets the reader finish
+        pass
+    reader.join(timeout=10)
+    assert received[1:] == [b""]
+    captured = capsys.readouterr()
+    assert captured.out.count("[             agree]") == 8
+    assert captured.err == ("fpcoh: cannot write report: "
+                            f"[Errno 2] No such file or directory: '{fifo}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json", "r.json",
+                                                          "report.fifo", "tmp"]
+    assert list(spills.iterdir()) == []
+
+
+def test_a_sweep_holds_a_spill_file_per_worker_not_per_chunk(tmp_path, capsys):
+    # 24 chunks at 3 workers under a limit of 24 descriptors: one descriptor
+    # held per chunk runs out, one per worker does not
+    config = {"runs": [{"command": "char nim", "m": [1, 2, 3, 4, 5, 6, 7, 8], "n": [2, 3, 4]}]}
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(config))
+    sweep = ["sweep", "--config", str(cfg), "--parallel", "3"]
+    assert cli.main([*sweep, "--json", str(tmp_path / "free.json"),
+                     "--csv", str(tmp_path / "free.csv")]) == 0
+    lines = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_NOFILE,"
+             " (24, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))\n"
+             "from fpcoh import cli\n"
+             "sys.exit(cli.main(sys.argv[1:]))\n")
+    done = subprocess.run([sys.executable, "-c", probe, *sweep,
+                           "--json", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == lines
+    assert (tmp_path / "r.json").read_bytes() == (tmp_path / "free.json").read_bytes()
+    assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "free.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "free.csv", "free.json", "grid.json", "r.csv", "r.json"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("step", ["make", "read"])
+def test_a_spill_file_that_will_not_open_names_the_report(step, workers, tmp_path, capsys,
+                                                          monkeypatch):
+    cfg = _small_grid(tmp_path)
+    sweep = ["sweep", "--config", str(cfg), "--parallel", workers]
+    assert cli.main(sweep) == 0
+    lines = capsys.readouterr().out
+    flags = os.O_RDONLY if step == "read" else os.O_RDWR | os.O_CREAT | os.O_EXCL
+    opened, os_open = [], os.open
+
+    def limited(path, how, *args, **kwargs):  # the last spill file runs out of descriptors
+        if str(path).endswith(f".{int(workers) - 1}.spill") and how == flags:
+            opened.append(path)
+            raise OSError(errno.EMFILE, "Too many open files")
+        return os_open(path, how, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", limited)
+    report = tmp_path / "r.json"
+    assert cli.main([*sweep, "--json", str(report), "--csv", str(tmp_path / "r.csv")]) == 1
+    captured = capsys.readouterr()
+    assert len(opened) == 1
+    assert captured.out == lines
+    assert captured.err == ("fpcoh: cannot write report: "
+                            f"[Errno 24] Too many open files: '{report}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json"]
 
 
 def test_sweep_rows_build_no_parser(tmp_path, capsys, monkeypatch):
@@ -1260,7 +1556,7 @@ def test_streamed_csv_matches_collected_rows(tmp_path, capsys):
                        {"dimension_table": [{"multidegree": [1, 0], "dimension": 2}]}),
                verdict("t", {"z": 1}, AGREE, {})]
     csv_path = tmp_path / "named.csv"
-    write_csv(str(csv_path), records)
+    write_csv(str(csv_path), records, [(v["parameters"], table_keys(v)) for v in records])
     assert csv_path.read_bytes() == _collected_csv(records)
 
 
@@ -1275,6 +1571,19 @@ def test_every_leaf_builds_a_json_ready_document(argv, tmp_path, capsys, monkeyp
 
 def test_sweep_and_disagreement_documents_are_json_ready(tmp_path, capsys, monkeypatch):
     seen = _checked_documents(monkeypatch)
+    swept = []  # a sweep renders each verdict on its own, at the list's depth
+    write_value = fpcoh.sweep.write_value
+
+    def checked(value, indent, fh):
+        assert_json_ready(value)
+        text = io.StringIO()
+        write_value(value, indent, text)
+        assert text.getvalue() == _oracle(value)[:-1].replace("\n", indent)
+        if indent == fpcoh.sweep._ITEM:
+            swept.append(value)
+        return write_value(value, indent, fh)
+
+    monkeypatch.setattr(fpcoh.sweep, "write_value", checked)
     config = {"runs": [
         {"command": "char nim", "m": 1},  # no --n: a usage-error row
         {"command": "incidence chars", "n": 3, "d": 2, "e": -5, "prime": 2},
@@ -1284,8 +1593,9 @@ def test_sweep_and_disagreement_documents_are_json_ready(tmp_path, capsys, monke
     cfg.write_text(json.dumps(config))
     assert cli.main(["sweep", "--config", str(cfg), "--parallel", "1",
                      "--json", str(tmp_path / "sweep.json")]) == 1
-    statuses = [v["status"] for v in seen[0]["verdicts"]]
+    statuses = [v["status"] for v in swept]
     assert statuses == [ERROR, ERROR, AGREE, AGREE]
+    assert seen == []  # no whole sweep document is rendered
 
     exact = cli.h1_window_char
     monkeypatch.setattr(cli, "h1_window_char",
@@ -1294,7 +1604,7 @@ def test_sweep_and_disagreement_documents_are_json_ready(tmp_path, capsys, monke
                      "--prime", "2", "--compare", "h1-theorem",
                      "--json", str(tmp_path / "disagree.json")]) == 2
     capsys.readouterr()
-    (verdict,) = seen[1]["verdicts"]
+    (verdict,) = seen[0]["verdicts"]
     assert verdict["status"] == DISAGREE
     assert verdict["payload"]["witness"]["exponents"] == [1, 0, 0]
 

@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 from fpcoh import verdicts
-from fpcoh.verdicts import render_json, write_json
+from fpcoh.verdicts import render_json, write_json, write_value
 from helpers import json_documents
 
 _DOCUMENT = {"command": "char nim", "verdicts": [{"coeff": k, "exponents": [k, 1]}
@@ -35,6 +35,26 @@ def test_write_json_matches_json_dumps_at_every_flush_boundary(tmp_path, monkeyp
 
     check()
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_write_value_writes_a_value_as_a_document_holds_it_at_its_depth(tmp_path,
+                                                                         monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    path = tmp_path / "value.json"
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(json_documents(hypothesis.strategies))
+    def check(value):
+        for pieces in (1, 2, 3):
+            monkeypatch.setattr(verdicts, "_BUFFER_PIECES", pieces)
+            for indent in ("\n", "\n    "):
+                with open(path, "w", encoding="ascii") as fh:
+                    written = write_value(value, indent, fh)
+                text = json.dumps(value, sort_keys=True, indent=2).replace("\n", indent)
+                assert path.read_text() == text
+                assert written == len(text) == path.stat().st_size
+
+    check()
 
 
 def test_a_float_after_several_buffers_leaves_the_earlier_report(tmp_path, monkeypatch):
