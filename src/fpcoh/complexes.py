@@ -258,10 +258,12 @@ def min_power_exceeding(p: int, bound: int) -> int:
     return q
 
 
-def check_involution(w0: int, d: int, p: int) -> tuple[str, dict]:
+def check_involution(w0: int, d: int, p: int, smith: tuple | None = None) -> tuple[str, dict]:
     """Rank comparison between C(w0, 1^d), its negated partner
     C(-w0-2d, 1^d), and the shifted partner C(q-w0-2d, 1^d) over Z/p,
-    plus Smith invariants over Z when the matrices are small enough.  The
+    plus Smith invariants over Z when the matrices are small enough.  They
+    do not depend on p: smith, when given, is the payload's
+    (smith_direct, smith_negated) of a call with the same w0 and d.  The
     witness is the first degree where the direct and shifted ranks differ,
     else the two Smith lists.  Refuses w0 < 0: there the rank tables
     disagree for many (w0, d, p), most of them with w0 + 2d <= 0 where the
@@ -275,8 +277,8 @@ def check_involution(w0: int, d: int, p: int) -> tuple[str, dict]:
     q = min_power_exceeding(p, w0 + 2 * d)
     shifted = build_complex(_hook_weights(q - w0 - 2 * d, d), p)
     ranks_a, ranks_b, ranks_c = direct.ranks(), negated.ranks(), shifted.ranks()
-    smith_a = smith_b = None
-    if math.comb(d, d // 2) <= SMITH_SIZE_LIMIT:
+    smith_a, smith_b = smith or (None, None)
+    if smith is None and math.comb(d, d // 2) <= SMITH_SIZE_LIMIT:
         za = build_complex(_hook_weights(w0, d), None)
         zb = build_complex(_hook_weights(-w0 - 2 * d, d), None)
         smith_a = [list(smith_invariants(za.differential(k))) for k in range(1, d + 1)]

@@ -122,8 +122,14 @@ def run(ns, rows: list[list[str]]) -> Records:
             own = (dict(initializer=_take_spill, initargs=(spills, multiprocessing.Value("i")))
                    if spills else {})
             with cli.ProcessPoolExecutor(max_workers=workers, **own) as pool:
-                futures = [pool.submit(_run_chunk, rows[k::count], tables)
-                           for k in range(count)]
+                try:
+                    futures = [pool.submit(_run_chunk, rows[k::count], tables)
+                               for k in range(count)]
+                except OSError:  # a worker failed to start, as with no descriptor left;
+                    # those started would wait for work forever, and exit joins them
+                    for child in multiprocessing.active_children():
+                        child.terminate()
+                    raise
                 for k, future in enumerate(futures):
                     try:
                         chunks[k] = future.result()

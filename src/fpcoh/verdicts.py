@@ -11,10 +11,15 @@ str, int, bool and None), and the document passes them through as they are.
 `_render` is the one encoder and the one gate: it writes exactly the bytes
 of the json module's dump with sorted keys and a two-space indent, plus a
 newline, without json's pure-Python indenting encoder, and raises TypeError
-on anything else (a float, a tuple, a non-str key).  `render_json` joins its
-pieces into one string; `write_json` streams them to the report file,
-writing the buffer out between list items once it holds `_BUFFER_PIECES`
-pieces, so a report of any size holds one buffer of text at a time.
+on anything else (a float, a tuple, a non-str key).  A dict is written
+from a `_plan`, which checks its keys: the sorted keys, each with the text
+before its value.  A list of records reuses the last record's plan while
+the keys match, so thousands of same-keyed records sort, quote and check
+their keys once.  An int, a str or a list of ints is written in place, as
+its own piece after its key's head.  `render_json` joins the pieces into
+one string; `write_json` streams them to the report file, writing the
+buffer out between list items once it holds `_BUFFER_PIECES` pieces, so a
+report of any size holds one buffer of text at a time.
 `write_value` streams one value the same way, its lines starting at a given
 depth: a sweep writes each verdict so, as the document's list holds it.
 
@@ -121,28 +126,55 @@ def _render(value, indent: str, out: list[str], flush) -> None:
     elif kind in (dict, list) and not value:
         out.append("{}" if kind is dict else "[]")
     elif kind is dict:
-        if not all(isinstance(k, str) for k in value):
-            raise TypeError("JSON object keys must be strings")
-        inner, sep = indent + "  ", "{"
-        for k in sorted(value):
-            out.append(f"{sep}{inner}{_quote(k)}: ")
-            _render(value[k], inner, out, flush)
-            sep = ","
-        out.append(indent + "}")
-    elif kind is list and all(type(x) is int for x in value):
+        _fields(value, _plan(value, indent), out, flush)
+    elif kind is list and set(map(type, value)) == {int}:
         inner = indent + "  "
         out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{indent}]")
     elif kind is list:
-        inner, sep = indent + "  ", "["
+        inner, keys = indent + "  ", None
+        sep, comma = "[" + inner, "," + inner
         for x in value:
-            out.append(sep + inner)
-            _render(x, inner, out, flush)
-            sep = ","
+            out.append(sep)
+            sep = comma
+            if type(x) is dict and x:  # the last record's plan serves while the keys match
+                if x.keys() != keys:
+                    keys, plan = x.keys(), _plan(x, inner)
+                _fields(x, plan, out, flush)
+            else:
+                _render(x, inner, out, flush)
             if flush and len(out) >= _BUFFER_PIECES:
                 flush()
         out.append(indent + "]")
     else:
         raise TypeError(f"cannot render {kind.__name__} as JSON")
+
+
+def _fields(value: dict, plan: tuple, out: list[str], flush) -> None:
+    """Append the JSON text of the dict value as its `_plan` says."""
+    heads, inner, close, open_ints, comma, shut = plan
+    for k, head in heads:
+        out.append(head)
+        v = value[k]
+        if (kind := type(v)) is int:
+            out.append(int.__repr__(v))
+        elif kind is str:
+            out.append(_quote(v))
+        elif kind is list and v and set(map(type, v)) == {int}:
+            out.append(f"{open_ints}{comma.join(map(int.__repr__, v))}{shut}")
+        else:
+            _render(v, inner, out, flush)
+    out.append(close)
+
+
+def _plan(value: dict, indent: str) -> tuple:
+    """How a dict with value's keys is written at indent: the head of each
+    field (separator, line start, key) in sorted key order, and the text
+    around an int list value."""
+    if not all(isinstance(k, str) for k in value):
+        raise TypeError("JSON object keys must be strings")
+    inner = indent + "  "
+    return ([(k, f"{',' if n else '{'}{inner}{_quote(k)}: ") for n, k in enumerate(sorted(value))],
+            inner, indent + "}", f"[{inner}  ", f",{inner}  ", inner + "]")
 
 
 def exit_code(verdicts) -> int:

@@ -1,12 +1,14 @@
 """End-to-end CLI behaviour: exit codes, report documents, sweeps."""
 
 import argparse
+import contextlib
 import csv
 import errno
 import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -1024,6 +1026,31 @@ def test_a_sweep_holds_a_spill_file_per_worker_not_per_chunk(tmp_path, capsys):
     assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "free.csv").read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "free.csv", "free.json", "grid.json", "r.csv", "r.json"]
+
+
+def test_a_pool_short_of_descriptors_exits_one_at_once(tmp_path):
+    # under a limit of 16 descriptors the pool starts some workers and fails
+    # on the next; the ones started must not keep the sweep from exiting
+    config = {"runs": [{"command": "char nim", "m": [1, 2, 3, 4, 5, 6], "n": [1, 2, 3, 4]}]}
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(config))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_NOFILE,"
+             " (16, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))\n"
+             "from fpcoh import cli\n"
+             "sys.exit(cli.main(sys.argv[1:]))\n")
+    child = subprocess.Popen([sys.executable, "-c", probe, "sweep", "--config", str(cfg),
+                              "--parallel", "3"], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), start_new_session=True)
+    try:
+        out, err = child.communicate(timeout=30)
+    finally:  # the workers of a sweep that hangs hold its pipes open
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+    assert (child.returncode, err) == (1, "fpcoh: OSError: [Errno 24] Too many open files\n")
+    assert out.startswith("[             error] sweep  ") and out.count("\n") == 1
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

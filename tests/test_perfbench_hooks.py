@@ -96,6 +96,25 @@ def test_tracer_counts_the_involution_smith_calls(monkeypatch, capsys):
     assert metrics["complexes.build_calls"] == 5
 
 
+def test_an_involution_over_several_primes_takes_the_z_side_once(monkeypatch, capsys):
+    # the Smith invariants over Z do not depend on p: 2 * d calls and two Z
+    # builds for the whole command, and three F_p builds per prime
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    t = tracer.Tracer()
+    try:
+        t.install()
+        code = cli.main(["complex", "involution", "--w0", "2", "--d", "9", "--primes", "2,3,5"])
+    finally:
+        t.uninstall()
+    assert capsys.readouterr().out.count("agree") == 3
+    assert code == 0
+    metrics = t.layer_metrics()
+    assert metrics["linalg.smith_calls"] == 18
+    assert metrics["complexes.build_calls"] == 3 * 3 + 2
+
+
 @pytest.mark.parametrize("flags, blocks, bases", [([], 3, 6), (["--no-symmetry"], 10, 20)])
 def test_tracer_counts_the_incidence_blocks(flags, blocks, bases, monkeypatch, capsys):
     # the omega and basis hooks wrap omega_block and block_basis where
