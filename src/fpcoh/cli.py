@@ -183,10 +183,9 @@ def _cmd_complex_theorem(ns):
 def _cmd_complex_involution(ns):
     if ns.d < 1:  # d = 0 compares empty rank lists
         raise ValueError(f"need d >= 1, got d = {ns.d}")
-    params, verdicts, smith = {"w0": ns.w0, "d": ns.d, "primes": list(ns.primes)}, [], None
-    for p in ns.primes:  # the first prime's Smith invariants over Z serve every prime
-        status, payload = check_involution(ns.w0, ns.d, p, smith)
-        smith = payload["smith_direct"], payload["smith_negated"]
+    params, verdicts = {"w0": ns.w0, "d": ns.d, "primes": list(ns.primes)}, []
+    for p in ns.primes:
+        status, payload = check_involution(ns.w0, ns.d, p)
         verdicts.append(verdict("hook-involution", {"w0": ns.w0, "d": ns.d, "prime": p},
                                 status, payload))
     return params, verdicts

@@ -8,6 +8,7 @@ only the letters a column allows are ever tried."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from functools import reduce
 from itertools import accumulate
 
@@ -152,11 +153,11 @@ def enumerate_ssyt(n: int, a: int, b: int) -> list[Tableau]:
     hold at most a + 1 < a + 2 letters, so no column may be equal."""
     if b > a or a < 0 or b < 0:
         raise ValueError("invalid shape")
-    return enumerate_pssyt(n, a, b, a + 2)
+    return list(enumerate_pssyt(n, a, b, a + 2))
 
 
-def enumerate_pssyt(n: int, a: int, b: int, p: int) -> list[Tableau]:
-    """p-semistandard fillings (u, v) of shape (a, b), lexicographic on (u, v):
+def enumerate_pssyt(n: int, a: int, b: int, p: int) -> Iterator[Tableau]:
+    """p-semistandard fillings (u, v) of shape (a, b), yielded lexicographic on (u, v):
     weakly increasing rows with no run of p equal letters, weakly increasing
     columns, and at a column j with u_j = v_j = x, the run of x in u from j
     rightwards plus the run of x in v up to j hold at least p letters.
@@ -168,12 +169,11 @@ def enumerate_pssyt(n: int, a: int, b: int, p: int) -> list[Tableau]:
         raise ValueError("invalid shape")
     if p < 2:
         raise ValueError("p must be at least 2")
-    out = []
     bottoms: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per bottom word
     v, runs = [0] * b, [0] * b  # runs[j]: the run of v[j] in v up to j
     for u in _words(n, a, p - 1):
         if not b:
-            out.append((u, ()))
+            yield u, ()
             continue
         right = [1] * a  # right[j]: the run of u[j] in u from j rightwards
         for j in range(a - 2, -1, -1):
@@ -196,6 +196,5 @@ def enumerate_pssyt(n: int, a: int, b: int, p: int) -> list[Tableau]:
                 x = max(u[j], x)
             else:
                 w = tuple(v)
-                out.append((u, bottoms.setdefault(w, w)))
+                yield u, bottoms.setdefault(w, w)
                 x += 1
-    return out

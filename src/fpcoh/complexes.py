@@ -12,14 +12,14 @@ over Z or Z/p.
 A complex keeps its boundary as one CSC matrix of numpy arrays over all its
 cells, built by one gather from structure cached per d, and checks d∘d = 0
 on it exactly before `linalg.chain_ranks` reads its F_p ranks from it.
-`differential(k)` gives d_k densely as row lists, which
-`linalg.smith_invariants` takes over Z.  `homology_dims` gives the F_p
-homology as a plain tuple (dim H_0, ..., dim H_d), one entry per degree, as
-does the closed form `poincare_formula_all_ones`.
+`differential(k)` gives d_k densely as row lists, which `smith_invariants`
+takes over Z.  `homology_dims` gives the F_p homology as a plain tuple
+(dim H_0, ..., dim H_d), as does the closed form `poincare_formula_all_ones`.
 
 The checks of the hook involution, the edge-contraction sequence and stable
 periodicity return a verdict status and its payload; a disagreeing payload
-carries a witness.
+carries a witness.  The involution takes its Smith side over Z once per
+(w0, d) per process, bounded, and reads F_p ranks off it.
 """
 
 from __future__ import annotations
@@ -258,12 +258,27 @@ def min_power_exceeding(p: int, bound: int) -> int:
     return q
 
 
-def check_involution(w0: int, d: int, p: int, smith: tuple | None = None) -> tuple[str, dict]:
+# The (w0, d) whose Z side a process keeps; a sweep's primes at one (w0, d) share it.
+HOOK_SMITH_CACHE = 128
+
+
+@lru_cache(maxsize=HOOK_SMITH_CACHE)
+def _hook_smith(w0: int, d: int) -> tuple | None:
+    """The Smith invariants over Z of d_1..d_d of C(w0, 1^d) and C(-w0-2d,
+    1^d), as two tuples of tuples, or None past SMITH_SIZE_LIMIT."""
+    if math.comb(d, d // 2) > SMITH_SIZE_LIMIT:
+        return None
+    return tuple(tuple(smith_invariants(cx.differential(k)) for k in range(1, d + 1))
+                 for cx in (build_complex(_hook_weights(w, d)) for w in (w0, -w0 - 2 * d)))
+
+
+def check_involution(w0: int, d: int, p: int) -> tuple[str, dict]:
     """Rank comparison between C(w0, 1^d), its negated partner
     C(-w0-2d, 1^d), and the shifted partner C(q-w0-2d, 1^d) over Z/p,
-    plus Smith invariants over Z when the matrices are small enough.  They
-    do not depend on p: smith, when given, is the payload's
-    (smith_direct, smith_negated) of a call with the same w0 and d.  The
+    plus Smith invariants over Z, taken once per (w0, d) per process, when
+    the matrices are small enough.  The direct and negated F_p ranks are
+    then read off them (the invariants of d_k prime to p), and only the
+    shifted complex is built over Z/p; past the Smith limit all three are.  The
     witness is the first degree where the direct and shifted ranks differ,
     else the two Smith lists.  Refuses w0 < 0: there the rank tables
     disagree for many (w0, d, p), most of them with w0 + 2d <= 0 where the
@@ -272,25 +287,25 @@ def check_involution(w0: int, d: int, p: int, smith: tuple | None = None) -> tup
         raise ValueError(f"need d >= 0, got d = {d}")
     if w0 < 0:
         raise ValueError(f"need w0 >= 0, got w0 = {w0}")
-    direct = build_complex(_hook_weights(w0, d), p)
-    negated = build_complex(_hook_weights(-w0 - 2 * d, d), p)
+    check_modulus(p)  # before min_power_exceeding, which never ends for p < 2
     q = min_power_exceeding(p, w0 + 2 * d)
     shifted = build_complex(_hook_weights(q - w0 - 2 * d, d), p)
-    ranks_a, ranks_b, ranks_c = direct.ranks(), negated.ranks(), shifted.ranks()
-    smith_a, smith_b = smith or (None, None)
-    if smith is None and math.comb(d, d // 2) <= SMITH_SIZE_LIMIT:
-        za = build_complex(_hook_weights(w0, d), None)
-        zb = build_complex(_hook_weights(-w0 - 2 * d, d), None)
-        smith_a = [list(smith_invariants(za.differential(k))) for k in range(1, d + 1)]
-        smith_b = [list(smith_invariants(zb.differential(k))) for k in range(1, d + 1)]
+    ranks_c = list(shifted.ranks())
+    if smith := _hook_smith(w0, d):  # fresh lists for every payload
+        smith_a, smith_b = ([list(inv) for inv in side] for side in smith)
+        ranks_a, ranks_b = ([sum(1 for s in inv if s % p) for inv in side] for side in smith)
+    else:  # past the Smith limit the F_p builds are the only path
+        smith_a = smith_b = None
+        ranks_a, ranks_b = (list(build_complex(_hook_weights(w, d), p).ranks())
+                            for w in (w0, -w0 - 2 * d))
     agree_ranks = ranks_a == ranks_b == ranks_c
     agree_smith = None if smith_a is None else smith_a == smith_b
     payload = {
         "shift": q,
-        "dimensions": list(direct.dimensions()),
-        "ranks_direct": list(ranks_a),
-        "ranks_negated": list(ranks_b),
-        "ranks_shifted": list(ranks_c),
+        "dimensions": list(shifted.dimensions()),
+        "ranks_direct": ranks_a,
+        "ranks_negated": ranks_b,
+        "ranks_shifted": ranks_c,
         "smith_direct": smith_a,
         "smith_negated": smith_b,
         "agree_ranks": agree_ranks,

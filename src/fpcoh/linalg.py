@@ -13,16 +13,17 @@ only the tests, a determinantal block's `matrix` and `rref_with_order`, a
 dense reduction in a chosen column order, build one.
 
 Over Z, `smith_invariants` takes a matrix as its list of rows.  One loop
-moves a smallest nonzero entry to (0, 0), clears its column by row and its
-row by column operations, and adds to its row a row it fails to divide; any
-remainder is a smaller entry and restarts it, else the pivot is recorded
-and its row and column deleted.
+moves a smallest nonzero entry (one C-level scan) to (0, 0), clears its
+column by row and its row by column operations, and adds to its row a row
+it fails to divide; a smaller remainder restarts it, else the pivot (a unit
+at once) is recorded and its row and column deleted.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -210,24 +211,25 @@ def smith_invariants(rows) -> tuple[int, ...]:
     a = [row for row in ([int(x) for x in r] for r in rows) if any(row)]
     invariants: list[int] = []
     while a:  # every restart leaves a nonzero entry smaller than the pivot
-        piv = min(abs(x) for row in a for x in row if x)
+        piv = min(map(abs, filter(None, chain.from_iterable(a))))
         i, j = next((i, row.index(x)) for i, row in enumerate(a) for x in (piv, -piv) if x in row)
         a[0], a[i] = a[i], a[0]
-        for row in a:
-            row[0], row[j] = row[j], row[0]
+        if j:
+            for row in a:
+                row[0], row[j] = row[j], row[0]
         top, piv = a[0], a[0][0]
         for i in range(1, len(a)):
             if q := a[i][0] // piv:
                 a[i] = [x - q * y for x, y in zip(a[i], top)]
-        if any(row[0] for row in a[1:]):
-            continue
-        top[1:] = [x % piv for x in top[1:]]  # column 0 is clear below the pivot
-        if any(top[1:]):
-            continue
-        bad = abs(piv) > 1 and next((row for row in a if any(x % piv for x in row)), None)
-        if bad:
-            top[:] = [x + y for x, y in zip(top, bad)]
-            continue
+        if piv not in (1, -1):  # a unit clears its column exactly, and divides all
+            if any(row[0] for row in a[1:]):
+                continue
+            top[1:] = [x % piv for x in top[1:]]  # column 0 is clear below the pivot
+            if any(top[1:]):
+                continue
+            if bad := next((row for row in a if any(x % piv for x in row)), None):
+                top[:] = [x + y for x, y in zip(top, bad)]
+                continue
         invariants.append(abs(piv))
         del a[0]
         for row in a:

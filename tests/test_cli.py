@@ -211,7 +211,7 @@ def test_lead_terms_missing_monomial(prime, status, extra, tmp_path, capsys, mon
 
     exact = determinantal.enumerate_pssyt
     monkeypatch.setattr(determinantal, "enumerate_pssyt",
-                        lambda *args: exact(*args) + [((1, 1), (1,))])
+                        lambda *args: list(exact(*args)) + [((1, 1), (1,))])
     code, verdict = _single_verdict(
         ["det", "lead-terms", "--n", "3", "--a", "2", "--b", "1", "--prime", prime],
         tmp_path, capsys)
@@ -1105,6 +1105,25 @@ def test_sweep_rows_build_no_parser(tmp_path, capsys, monkeypatch):
     assert added == []
 
 
+def test_a_sweep_worker_takes_an_involution_z_side_once(monkeypatch):
+    # two rows at one (w0, d) and two primes in one chunk: 2d Smith calls
+    # and two builds over Z in all, not per row
+    from fpcoh import complexes
+
+    smith_calls, z_builds = [], []
+    smith, build = complexes.smith_invariants, complexes.build_complex
+    monkeypatch.setattr(complexes, "smith_invariants",
+                        lambda rows: smith_calls.append(1) or smith(rows))
+    monkeypatch.setattr(complexes, "build_complex",
+                        lambda w, p=None: (p is None and z_builds.append(w)) or build(w, p))
+    rows = [["complex", "involution", "--w0=2", "--d=5", f"--primes={p}"] for p in (2, 3)]
+    records, failed = fpcoh.sweep._run_chunk(rows, False)
+    assert failed is None
+    assert [r["status"] for ((r, _),) in records] == [AGREE, AGREE]
+    assert len(smith_calls) == 10
+    assert z_builds == [(2, 1, 1, 1, 1, 1), (-12, 1, 1, 1, 1, 1)]
+
+
 def test_a_well_formed_command_builds_no_parser(capsys, monkeypatch):
     cli.build_parser.cache_clear()  # so a parse through argparse would build one
     made, added = [], []
@@ -1343,6 +1362,8 @@ def test_missing_sweep_config_is_a_parameter_error(tmp_path, capsys):
     # d + e = -1: the scan meets no block, so no matrix would check the prime
     ["incidence", "chars", "--n", "3", "--d", "0", "--e", "-1", "--prime", "4"],
     ["incidence", "chars", "--n", "3", "--d", "0", "--e", "-1", "--prime", "1"],
+    # checked before the shift q, a power of p, is sought
+    ["complex", "involution", "--w0", "1", "--d", "2", "--primes", "1"],
 ])
 def test_prime_zero_is_a_parameter_error(command, capsys):
     code = cli.main(command)

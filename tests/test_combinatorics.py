@@ -263,7 +263,7 @@ def test_pssyt_walk_equals_the_word_pair_scan():
     rng = random.Random(2329)
     cases = [c for c in grid if c[0] <= 3] + rng.sample([c for c in grid if c[0] > 3], 80)
     for n, a, b, p in cases:
-        assert enumerate_pssyt(n, a, b, p) == scanned_pssyt(n, a, b, p), (n, a, b, p)
+        assert list(enumerate_pssyt(n, a, b, p)) == scanned_pssyt(n, a, b, p), (n, a, b, p)
 
 
 def test_pssyt_three_two_one():
@@ -304,7 +304,7 @@ def test_pssyt_p2_transpose_count():
     for n in range(1, 5):
         for a in range(0, min(n, 4) + 1):
             for b in range(0, a + 1):
-                got = len(enumerate_pssyt(n, a, b, 2))
+                got = len(list(enumerate_pssyt(n, a, b, 2)))
                 assert got == conjugate_two_column_count(n, a, b), (n, a, b)
 
 

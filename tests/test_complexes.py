@@ -409,18 +409,56 @@ def test_hook_smith_invariants_match_sympy():
                 assert smith_invariants(rows) == want, (w0, d, k)
 
 
-@pytest.mark.parametrize("d", [7, 8, 9])
+@pytest.mark.parametrize("d", range(1, 10))
 def test_hook_smith_invariants_match_prime_field_ranks(d):
-    # past the sympy grid: over Z/l the rank of d_k is the number of its
-    # invariants prime to l, for every prime l
-    for w0 in (1, 2, 3, -2 * d - 1, -2 * d - 3):
-        w = _hook_weights(w0, d)
-        smith = [smith_invariants(build_complex(w).differential(k)) for k in range(1, d + 1)]
+    # two methods, past the sympy grid as well: the payload reads the rank
+    # of d_k over Z/l as the number of its Smith invariants over Z prime to
+    # l, for the direct and the negated complex; the oracle reduces each of
+    # them over Z/l
+    for w0 in range(7):
         for ell in (2, 3, 5, 7, 2**31 - 1):
-            ranks = build_complex(w, ell).ranks()
-            assert [sum(1 for s in inv if s % ell) for inv in smith] == list(ranks), (w0, ell)
+            _, payload = check_involution(w0, d, ell)
+            assert payload["smith_direct"] is not None
+            for key, w in (("ranks_direct", w0), ("ranks_negated", -w0 - 2 * d)):
+                ranks = build_complex(_hook_weights(w, d), ell).ranks()
+                assert payload[key] == list(ranks), (w0, ell, key)
     if d == 9:
         assert check_involution(1, 9, 2)[1]["agree_smith"] is True
+
+
+def test_involution_past_the_smith_limit_ranks_all_three_over_the_field(monkeypatch):
+    # at d = 10 the matrices pass SMITH_SIZE_LIMIT: no Smith side, and the
+    # direct and negated ranks come from their own builds over Z/p
+    built = []
+    monkeypatch.setattr(complexes, "build_complex",
+                        lambda w, p=None: built.append(p) or build_complex(w, p))
+    status, payload = check_involution(1, 10, 3)
+    assert built == [3, 3, 3]
+    assert status == AGREE
+    assert payload["smith_direct"] is None and payload["agree_smith"] is None
+    for key, w in (("ranks_direct", 1), ("ranks_negated", -21)):
+        assert payload[key] == list(build_complex(_hook_weights(w, 10), 3).ranks())
+
+
+def test_involution_payloads_share_no_lists():
+    # the Z side is kept as tuples; each payload gets its own lists
+    _, first = check_involution(2, 3, 2)
+    want = [[list(inv) for inv in first[key]] for key in ("smith_direct", "smith_negated")]
+    first["smith_direct"][0].append(99)
+    first["smith_negated"].clear()
+    _, second = check_involution(2, 3, 3)
+    assert [second["smith_direct"], second["smith_negated"]] == want
+    assert complexes._hook_smith.cache_info().hits == 1
+
+
+def test_the_involution_z_side_cache_is_bounded():
+    size = complexes.HOOK_SMITH_CACHE
+    for w0 in range(size + 5):
+        check_involution(w0, 1, 2)
+    info = complexes._hook_smith.cache_info()
+    assert info.maxsize == size
+    assert info.currsize <= size
+    assert info.misses == size + 5
 
 
 def test_ranks_match_sympy_over_prime_fields():

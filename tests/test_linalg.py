@@ -290,6 +290,58 @@ def test_smith_matches_sympy_on_random_matrices():
         assert smith_invariants(rows) == want, rows
 
 
+def test_smith_matches_sympy_on_drawn_sparse_matrices():
+    # the pivot scan, the column swap skipped when the pivot is in column 0
+    # and the unit pivot recorded without its remainder pass: shapes up to
+    # 8x8, 1xn and nx1 among them, mostly zero entries, zero rows and
+    # columns, a unit only in the last column, a smallest entry of both signs
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    st = hypothesis.strategies
+
+    @st.composite
+    def matrices(draw):
+        nr, nc = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+        zero = st.sampled_from((True, True, True, False))
+        rows = [[0 if draw(zero) else draw(st.integers(-40, 40)) for _ in range(nc)]
+                for _ in range(nr)]
+        if not (nr and nc):
+            return rows
+        for i in draw(st.sets(st.integers(0, nr - 1), max_size=2)):
+            rows[i] = [0] * nc
+        for j in draw(st.sets(st.integers(0, nc - 1), max_size=2)):
+            for row in rows:
+                row[j] = 0
+        plant = draw(st.sampled_from((None, "unit last", "both signs")))
+        if plant == "unit last":  # the other units doubled
+            rows = [[2 * x if x in (1, -1) else x for x in row] for row in rows]
+            rows[draw(st.integers(0, nr - 1))][-1] = draw(st.sampled_from((1, -1)))
+        elif plant == "both signs" and nr * nc > 1:
+            x = draw(st.integers(1, 40))
+            rows = [[y if abs(y) >= x or not y else (x if y > 0 else -x) for y in row]
+                    for row in rows]
+            cells = st.tuples(st.integers(0, nr - 1), st.integers(0, nc - 1))
+            (i, j), (k, m) = draw(st.lists(cells, min_size=2, max_size=2, unique=True))
+            rows[i][j], rows[k][m] = x, -x
+        return rows
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(matrices())
+    @hypothesis.example([[2, 0], [0, 3]])  # needs the divisibility fix-up
+    @hypothesis.example([[4, 6, 1], [6, 9, 0]])
+    @hypothesis.example([[3, 6], [-3, 9]])
+    def check(rows):
+        want = ()
+        if rows and rows[0]:
+            snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+            want = tuple(abs(int(snf[i, i])) for i in range(min(snf.shape)))
+        assert smith_invariants(rows) == want, rows
+
+    check()
+
+
 def test_smith_size_limit():
     with pytest.raises(ValueError, match="limited to"):
         smith_invariants([[0, 0]] * 201)
