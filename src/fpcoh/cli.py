@@ -60,11 +60,8 @@ from .verdicts import (
     OUTSIDE,
     exit_code,
     human_lines,
-    report_document,
-    table_keys,
     verdict,
-    write_csv,
-    write_json,
+    write_reports,
 )
 
 
@@ -544,13 +541,7 @@ def main(argv=None) -> int:
         if summary := v["payload"].get("summary"):
             print(f"    {summary}")
     try:
-        if hasattr(verdicts, "write_reports"):  # a sweep's records; its verdicts are spilled
-            verdicts.write_reports(ns, params)
-        else:
-            if ns.json is not None:
-                write_json(report_document(ns.command, params, verdicts), ns.json)
-            if ns.csv is not None:
-                write_csv(ns.csv, verdicts, [(v["parameters"], table_keys(v)) for v in verdicts])
+        write_reports(ns, params, verdicts)
     except OSError as exc:
         print(f"fpcoh: cannot write report: {exc}", file=sys.stderr)
         return 1

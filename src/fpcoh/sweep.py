@@ -9,23 +9,20 @@ worker also appends every verdict's text to its own spill file,
 `<report>.<8 hex digits>.<k>.spill` beside the report, and returns the byte
 range.  The parent makes one spill file per worker and holds none open
 while the rows run.  Once they have run it opens them and unlinks them, and
-it unlinks them on any error or interrupt as well; it copies the ranges
-into the document in grid order, so it never holds a payload.  A killed
+it unlinks them on any error or interrupt as well; each range becomes a
+`verdicts.Spilled` record, so the parent never holds a payload.  A killed
 worker breaks the pool: every row of a chunk not yet returned becomes a
 `sweep-row` error verdict.
 """
 
 from __future__ import annotations
 
-import io
-import json
 import multiprocessing
 import os
 import tempfile
 
 from . import cli
-from .verdicts import (_replacing, report_document, table_keys, verdict, write_csv,
-                       write_value)
+from .verdicts import _ITEM, Spilled, table_keys, verdict, write_value
 
 # Futures per pool worker: each future carries a pickle, a queue hop and a
 # wake-up of the parent, so small rows travel in chunks; a grid of at most
@@ -35,70 +32,17 @@ _CHUNKS_PER_WORKER = 8
 # The payload keys a sweep's parent reads: stdout and the exit code.
 _PRINTED = ("summary", "witness", "comparison_agrees", "message")
 
-_ITEM = "\n    "  # where a verdict's lines start in the report document
-
 _own = None  # in a pool worker, the `_Spill` its initializer took
 
 
-class Records(list):
-    """A sweep's records in grid order.  `spans[i]` tells where the whole
-    verdict of record i lies: (spill file number, start, end, table keys),
-    or None when the record is the whole verdict.  `files` are the spill
-    files' descriptors by number, open after the files are unlinked;
-    `error` is why the report cannot be written, when one was asked for."""
-
-    spans: list
-    files: list
-    error: OSError | None = None
-
-    def write_reports(self, ns, params: dict) -> None:
-        """The sweep's reports from its spill files: the document's head,
-        each verdict's bytes copied in grid order, then its tail; the CSV
-        rows read back one verdict at a time.  Closes the spill files."""
-        try:
-            if self.error:
-                raise self.error
-            if ns.json is not None:
-                text = io.StringIO()
-                write_value(report_document(ns.command, params, []), "\n", text)
-                head, tail = text.getvalue().split('"verdicts": []')  # once: keys are unescaped
-                with _replacing(ns.json) as fh:
-                    fh.write(head + '"verdicts": [')
-                    for i, (record, span) in enumerate(zip(self, self.spans)):
-                        fh.write("," + _ITEM if i else _ITEM)
-                        if span is None:
-                            write_value(record, _ITEM, fh)
-                            continue
-                        for block in self._spilled(span):
-                            fh.write(block.decode("ascii"))
-                    fh.write(("\n  ]" if self else "]") + tail + "\n")
-            if ns.csv is not None:
-                whole = (record if span is None else json.loads(b"".join(self._spilled(span)))
-                         for record, span in zip(self, self.spans))
-                write_csv(ns.csv, whole, [(r["parameters"], span[3] if span else ())
-                                          for r, span in zip(self, self.spans)])
-        finally:
-            for fd in self.files:
-                os.close(fd)
-            self.files = []
-
-    def _spilled(self, span: tuple):
-        """A verdict's text from its spill file, in blocks of at most 64 KiB,
-        so a copy never holds it whole."""
-        fd, start, end = self.files[span[0]], span[1], span[2]
-        for offset in range(start, end, 1 << 16):
-            yield os.pread(fd, min(end - offset, 1 << 16), offset)
-
-
-def run(ns, rows: list[list[str]]) -> Records:
-    """The records of every row, in grid order, with their verdicts spilled
-    when ns asks for a report."""
+def run(ns, rows: list[list[str]]) -> list[dict]:
+    """Every row's verdicts in grid order; with a report asked for, each
+    spilled one, or all once a spill file is lost, is a `Spilled` record."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(ns.parallel or cpus or 1, len(rows))
     # strided, so rows whose cost grows along a grid axis spread over all chunks
     count = 1 if workers == 1 else min(len(rows), _CHUNKS_PER_WORKER * workers)
-    records, names = Records(), []  # names: the spill files made, one per worker
-    records.files = []
+    names, files, error = [], [], None  # names: the spill files made, one per worker
     report = ns.json if ns.json is not None else ns.csv
     try:
         if report is not None:  # beside the report, unless it is written in place
@@ -111,8 +55,8 @@ def run(ns, rows: list[list[str]]) -> Records:
                     os.close(os.open(name, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600))
                     names.append(name)
             except OSError as exc:  # the rows run as without a report, which names the error
-                records.error = OSError(exc.errno, exc.strerror, report)
-        spills = [] if records.error else names
+                error = OSError(exc.errno, exc.strerror, report)
+        spills = [] if error else names
         tables = ns.csv is not None
         if workers == 1:
             chunks = [_run_chunk(rows, tables, _Spill(0, spills[0]) if spills else None)]
@@ -140,20 +84,23 @@ def run(ns, rows: list[list[str]]) -> Records:
             if failed := next((failed for _, failed in chunks if failed), None):
                 raise failed
             for name in spills:  # the parent reads through its own descriptors
-                records.files.append(os.open(name, os.O_RDONLY))
+                files.append(os.open(name, os.O_RDONLY))
         except OSError as exc:
-            for fd in records.files:
+            for fd in files:
                 os.close(fd)
-            records.files, records.error = [], OSError(exc.errno, exc.strerror, report)
+            files, error = [], OSError(exc.errno, exc.strerror, report)
     finally:  # no spill file outlives the sweep
         for name in names:
             os.unlink(name)
-    records.spans = []
+    verdicts = []
     for i in range(len(rows)):  # row i is item i // count of chunk i % count
         for record, span in chunks[i % count][0][i // count]:
-            records.append(record)
-            records.spans.append(span)
-    return records
+            if error:
+                record = Spilled(record, lost=error)
+            elif span:
+                record = Spilled(record, files[span[0]], *span[1:])
+            verdicts.append(record)
+    return verdicts
 
 
 class _Spill:

@@ -21,7 +21,7 @@ one string; `write_json` streams them to the report file, writing the
 buffer out between list items once it holds `_BUFFER_PIECES` pieces, so a
 report of any size holds one buffer of text at a time.
 `write_value` streams one value the same way, its lines starting at a given
-depth: a sweep writes each verdict so, as the document's list holds it.
+depth: a sweep spills each verdict so, and reports a `Spilled` record of it.
 
 Both reports are written to a temporary file in the target's directory and
 renamed over the target after the last piece, so a failed render or write
@@ -50,6 +50,26 @@ _STATUSES = (AGREE, DISAGREE, OUTSIDE, ERROR)
 # text.  Keep it small: with 16 384 pieces `sweep-mixed` peaked at 33.9 MB,
 # against 32.5 MB with this bound and 34.5 MB with the whole document held.
 _BUFFER_PIECES = 4096
+
+_ITEM = "\n    "  # where a verdict's lines start in the report document
+
+
+class Spilled(dict):
+    """A verdict in a spill file: the dict is the small record stdout reads,
+    `fd`, `start` and `end` locate the text `write_value` wrote at `_ITEM`,
+    `table` is its `table_keys`, and `lost` the OSError that kept the text
+    from the file, if one did.  No attribute may shadow a dict method."""
+
+    __slots__ = ("fd", "start", "end", "table", "lost")
+
+    def __init__(self, record: dict, fd=-1, start=0, end=0, table=(), lost=None):
+        super().__init__(record)
+        self.fd, self.start, self.end, self.table, self.lost = fd, start, end, table, lost
+
+    def blocks(self):
+        """The text in blocks of at most 64 KiB, so a copy never holds it whole."""
+        for offset in range(self.start, self.end, 1 << 16):
+            yield os.pread(self.fd, min(self.end - offset, 1 << 16), offset)
 
 
 def verdict(subject: str, parameters: dict, status: str, payload: dict) -> dict:
@@ -85,6 +105,22 @@ def write_json(document: dict, path: str) -> None:
         _stream(fh, lambda out, flush: _render_document(document, out, flush))
 
 
+def write_reports(ns, parameters: dict, verdicts: list) -> None:
+    """The `--json` and `--csv` reports ns asks for; a lost `Spilled` text
+    raises before any is opened.  Closes the spill files' descriptors."""
+    spilled = [v for v in verdicts if type(v) is Spilled]
+    try:
+        if lost := next((v.lost for v in spilled if v.lost), None):
+            raise lost
+        if ns.json is not None:
+            write_json(report_document(ns.command, parameters, verdicts), ns.json)
+        if ns.csv is not None:
+            write_csv(ns.csv, verdicts)
+    finally:
+        for fd in {v.fd for v in spilled if not v.lost}:
+            os.close(fd)
+
+
 def write_value(value, indent: str, fh) -> int:
     """Stream value's JSON text to fh as a document holds it where its lines
     start with indent, through the same bounded buffer as `write_json`.
@@ -115,7 +151,7 @@ def _render(value, indent: str, out: list[str], flush) -> None:
     """Append the JSON text of value to out; indent is the newline and
     spaces that start each line at value's own depth.  flush, when given,
     empties out into the report; it runs between list items once out holds
-    `_BUFFER_PIECES` pieces."""
+    `_BUFFER_PIECES` pieces, and after each block of a `Spilled` text."""
     kind = type(value)
     if kind is str:
         out.append(_quote(value))
@@ -145,6 +181,11 @@ def _render(value, indent: str, out: list[str], flush) -> None:
             if flush and len(out) >= _BUFFER_PIECES:
                 flush()
         out.append(indent + "]")
+    elif kind is Spilled:
+        for block in value.blocks():
+            out.append(block.decode("ascii"))
+            if flush:
+                flush()
     else:
         raise TypeError(f"cannot render {kind.__name__} as JSON")
 
@@ -216,26 +257,27 @@ def table_keys(v: dict) -> set:
     return set().union(*v["payload"].get("dimension_table", ()))
 
 
-def write_csv(path: str, verdicts, tables) -> None:
-    """Write every verdict's dimension rows to path as they are made, through
-    the same temporary file and rename as `write_json`.  The columns are
-    those some row has: subject and status, the parameters in sorted order,
-    then the table's own columns, read off tables, which holds each
-    verdict's parameters and `table_keys`."""
+def write_csv(path: str, verdicts: list) -> None:
+    """Write every verdict's dimension rows to path, through the same
+    temporary file and rename as `write_json`.  The columns are those some
+    row has: subject and status, the parameters in sorted order, then the
+    table's own columns, read off `table_keys` or a `Spilled` verdict's
+    `table`; a `Spilled` text is read back only for its rows."""
     lead, tail = ("subject", "status"), ("series", "degree", "multidegree", "dimension")
     params, entries = set(), set()  # the keys rows take
-    for parameters, keys in tables:
-        if keys:
-            params.update(map(str, parameters))
+    for v in verdicts:
+        if keys := v.table if type(v) is Spilled else table_keys(v):
+            params.update(map(str, v["parameters"]))
             entries.update(keys)
     columns = [*lead, *sorted(params.difference(lead, tail)),
                *(c for c in tail if c in params or c in entries)]
     with _replacing(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, restval="")
         writer.writeheader()
-        for v in verdicts:
+        for v in verdicts:  # one whole verdict held at a time
+            if type(v) is Spilled and v.table:
+                v = json.loads(b"".join(v.blocks()))
             writer.writerows(dimension_rows(v))
-            del v  # not held while the next verdict is made
 
 
 @contextlib.contextmanager

@@ -34,7 +34,7 @@ from fpcoh.verdicts import (
     human_lines,
     render_json,
     report_document,
-    table_keys,
+    Spilled,
     verdict,
     write_csv,
 )
@@ -1566,10 +1566,13 @@ def _checked_documents(monkeypatch) -> list:
     render = fpcoh.verdicts._render_document
 
     def checked(document, out, flush):
-        assert_json_ready(document)
+        whole = {**document, "verdicts": [  # a spilled verdict as its text holds it
+            json.loads(b"".join(v.blocks())) if type(v) is Spilled else v
+            for v in document["verdicts"]]}
+        assert_json_ready(whole)
         render(document, out, None)  # the writer writes out after this returns
         text = "".join(out)
-        assert text == _oracle(document)
+        assert text == _oracle(whole)
         seen.append(document)
 
     monkeypatch.setattr(fpcoh.verdicts, "_render_document", checked)
@@ -1604,7 +1607,7 @@ def test_streamed_csv_matches_collected_rows(tmp_path, capsys):
                        {"dimension_table": [{"multidegree": [1, 0], "dimension": 2}]}),
                verdict("t", {"z": 1}, AGREE, {})]
     csv_path = tmp_path / "named.csv"
-    write_csv(str(csv_path), records, [(v["parameters"], table_keys(v)) for v in records])
+    write_csv(str(csv_path), records)
     assert csv_path.read_bytes() == _collected_csv(records)
 
 
@@ -1643,7 +1646,10 @@ def test_sweep_and_disagreement_documents_are_json_ready(tmp_path, capsys, monke
                      "--json", str(tmp_path / "sweep.json")]) == 1
     statuses = [v["status"] for v in swept]
     assert statuses == [ERROR, ERROR, AGREE, AGREE]
-    assert seen == []  # no whole sweep document is rendered
+    (document,) = seen  # the sweep's one document holds its small records
+    assert all(type(v) is Spilled and set(v["payload"]) <= set(fpcoh.sweep._PRINTED)
+               for v in document["verdicts"])
+    seen.clear()
 
     exact = cli.h1_window_char
     monkeypatch.setattr(cli, "h1_window_char",
