@@ -7,9 +7,9 @@ count), 2 some comparison disagrees, 1 usage or parameter error.
 
 `sweep --config FILE` expands a declarative grid into rows, each run as its
 own command line by `_run_row`; `fpcoh.sweep` runs them, in a process pool
-with several workers, and keeps only what the parent prints.  Report order
-is the grid's row-major order, and every report is byte-identical across
-worker counts.
+with several workers, and keeps only what the parent prints.  One
+`verdicts.write_reports` call writes every command's reports, in the grid's
+row-major order for a sweep and byte-identical across worker counts.
 
 A well-formed command or sweep row is read straight from the `_LEAVES` table
 (`_namespace`) and builds no parser; `sweep`, help and any argv argparse might
@@ -60,6 +60,7 @@ from .verdicts import (
     OUTSIDE,
     exit_code,
     human_lines,
+    same_file,
     verdict,
     write_reports,
 )
@@ -509,6 +510,9 @@ def _cmd_sweep(ns):
             config = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read sweep config: {exc}") from exc
+    for flag in ("json", "csv"):
+        if getattr(ns, flag) is not None and same_file(getattr(ns, flag), ns.config):
+            raise ValueError(f"--{flag} names the sweep config {ns.config}")
     rows = expand_config(config)
     params = {"config": os.path.basename(ns.config), "rows": len(rows)}
     from . import sweep  # only a sweep compiles it
@@ -527,6 +531,9 @@ def main(argv=None) -> int:
         if getattr(ns, flag) is not None and not getattr(ns, flag):
             print(f"fpcoh: --{flag} needs a file path", file=sys.stderr)
             return 1
+    if ns.json is not None and ns.csv is not None and same_file(ns.json, ns.csv):
+        print(f"fpcoh: --json and --csv both name {ns.csv}", file=sys.stderr)
+        return 1
     try:
         params, verdicts = globals()[ns.handler](ns)
     except ValueError as exc:

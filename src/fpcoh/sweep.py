@@ -10,7 +10,7 @@ worker also appends every verdict's text to its own spill file,
 range.  The parent makes one spill file per worker and holds none open
 while the rows run.  Once they have run it opens them and unlinks them, and
 it unlinks them on any error or interrupt as well; each range becomes a
-`verdicts.Spilled` record, so the parent never holds a payload.  A killed
+`Spilled` record, so the parent never holds a payload.  A killed
 worker breaks the pool: every row of a chunk not yet returned becomes a
 `sweep-row` error verdict.
 """
@@ -22,7 +22,7 @@ import os
 import tempfile
 
 from . import cli
-from .verdicts import _ITEM, Spilled, table_keys, verdict, write_value
+from .verdicts import _ITEM, table_keys, verdict, write_value
 
 # Futures per pool worker: each future carries a pickle, a queue hop and a
 # wake-up of the parent, so small rows travel in chunks; a grid of at most
@@ -33,6 +33,29 @@ _CHUNKS_PER_WORKER = 8
 _PRINTED = ("summary", "witness", "comparison_agrees", "message")
 
 _own = None  # in a pool worker, the `_Spill` its initializer took
+
+
+class Spilled:
+    """A verdict in a spill file, read by key as its small `record`, what
+    stdout reads; `fd`, `start` and `end` locate the text `write_value`
+    wrote at `_ITEM`, `table` is its `table_keys`, and `lost` the OSError
+    that kept the text from the file, if one did.  The report writer knows
+    one by its `blocks`; the class lives here, so that a single command does
+    not compile it, and holds the record rather than copying it."""
+
+    __slots__ = ("record", "fd", "start", "end", "table", "lost")
+
+    def __init__(self, record: dict, fd=-1, start=0, end=0, table=(), lost=None):
+        self.record, self.fd, self.start, self.end = record, fd, start, end
+        self.table, self.lost = table, lost
+
+    def __getitem__(self, key: str):
+        return self.record[key]
+
+    def blocks(self):
+        """The text in blocks of at most 64 KiB, so a copy never holds it whole."""
+        for offset in range(self.start, self.end, 1 << 16):
+            yield os.pread(self.fd, min(self.end - offset, 1 << 16), offset)
 
 
 def run(ns, rows: list[list[str]]) -> list[dict]:

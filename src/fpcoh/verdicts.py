@@ -21,7 +21,8 @@ one string; `write_json` streams them to the report file, writing the
 buffer out between list items once it holds `_BUFFER_PIECES` pieces, so a
 report of any size holds one buffer of text at a time.
 `write_value` streams one value the same way, its lines starting at a given
-depth: a sweep spills each verdict so, and reports a `Spilled` record of it.
+depth: a sweep spills each verdict so, and reports a `sweep.Spilled` record
+of it, a dict whose `blocks()` yield that text.
 
 Both reports are written to a temporary file in the target's directory and
 renamed over the target after the last piece, so a failed render or write
@@ -52,25 +53,6 @@ _STATUSES = (AGREE, DISAGREE, OUTSIDE, ERROR)
 _BUFFER_PIECES = 4096
 
 _ITEM = "\n    "  # where a verdict's lines start in the report document
-
-
-class Spilled(dict):
-    """A verdict in a spill file: the dict is the small record stdout reads,
-    `fd`, `start` and `end` locate the text `write_value` wrote at `_ITEM`,
-    `table` is its `table_keys`, and `lost` the OSError that kept the text
-    from the file, if one did.  No attribute may shadow a dict method."""
-
-    __slots__ = ("fd", "start", "end", "table", "lost")
-
-    def __init__(self, record: dict, fd=-1, start=0, end=0, table=(), lost=None):
-        super().__init__(record)
-        self.fd, self.start, self.end, self.table, self.lost = fd, start, end, table, lost
-
-    def blocks(self):
-        """The text in blocks of at most 64 KiB, so a copy never holds it whole."""
-        for offset in range(self.start, self.end, 1 << 16):
-            yield os.pread(self.fd, min(self.end - offset, 1 << 16), offset)
-
 
 def verdict(subject: str, parameters: dict, status: str, payload: dict) -> dict:
     """The record of one checked statement, as the document holds it; the
@@ -106,9 +88,9 @@ def write_json(document: dict, path: str) -> None:
 
 
 def write_reports(ns, parameters: dict, verdicts: list) -> None:
-    """The `--json` and `--csv` reports ns asks for; a lost `Spilled` text
+    """The `--json` and `--csv` reports ns asks for; a lost spilled text
     raises before any is opened.  Closes the spill files' descriptors."""
-    spilled = [v for v in verdicts if type(v) is Spilled]
+    spilled = [v for v in verdicts if hasattr(v, "blocks")]
     try:
         if lost := next((v.lost for v in spilled if v.lost), None):
             raise lost
@@ -151,7 +133,7 @@ def _render(value, indent: str, out: list[str], flush) -> None:
     """Append the JSON text of value to out; indent is the newline and
     spaces that start each line at value's own depth.  flush, when given,
     empties out into the report; it runs between list items once out holds
-    `_BUFFER_PIECES` pieces, and after each block of a `Spilled` text."""
+    `_BUFFER_PIECES` pieces, and after each block of a spilled verdict."""
     kind = type(value)
     if kind is str:
         out.append(_quote(value))
@@ -181,7 +163,7 @@ def _render(value, indent: str, out: list[str], flush) -> None:
             if flush and len(out) >= _BUFFER_PIECES:
                 flush()
         out.append(indent + "]")
-    elif kind is Spilled:
+    elif hasattr(value, "blocks"):  # a spilled verdict, copied from its file
         for block in value.blocks():
             out.append(block.decode("ascii"))
             if flush:
@@ -261,12 +243,12 @@ def write_csv(path: str, verdicts: list) -> None:
     """Write every verdict's dimension rows to path, through the same
     temporary file and rename as `write_json`.  The columns are those some
     row has: subject and status, the parameters in sorted order, then the
-    table's own columns, read off `table_keys` or a `Spilled` verdict's
-    `table`; a `Spilled` text is read back only for its rows."""
+    table's own columns, read off `table_keys` or a spilled verdict's
+    `table`; a spilled text is read back only for its rows."""
     lead, tail = ("subject", "status"), ("series", "degree", "multidegree", "dimension")
     params, entries = set(), set()  # the keys rows take
     for v in verdicts:
-        if keys := v.table if type(v) is Spilled else table_keys(v):
+        if keys := v.table if hasattr(v, "blocks") else table_keys(v):
             params.update(map(str, v["parameters"]))
             entries.update(keys)
     columns = [*lead, *sorted(params.difference(lead, tail)),
@@ -275,9 +257,18 @@ def write_csv(path: str, verdicts: list) -> None:
         writer = csv.DictWriter(fh, fieldnames=columns, restval="")
         writer.writeheader()
         for v in verdicts:  # one whole verdict held at a time
-            if type(v) is Spilled and v.table:
+            if hasattr(v, "blocks") and v.table:
                 v = json.loads(b"".join(v.blocks()))
             writer.writerows(dimension_rows(v))
+
+
+def same_file(a: str, b: str) -> bool:
+    """Whether reports at paths a and b would replace one regular file or
+    make one at a path not yet there (a FIFO takes both, in place)."""
+    try:
+        return os.path.samefile(a, b) and stat.S_ISREG(os.stat(a).st_mode)
+    except OSError:  # a path not yet there
+        return not os.path.exists(a) and os.path.realpath(a) == os.path.realpath(b)
 
 
 @contextlib.contextmanager

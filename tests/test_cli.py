@@ -24,6 +24,7 @@ import fpcoh.sweep
 import fpcoh.verdicts
 from fpcoh import cli, linalg
 from fpcoh.characters import LaurentPolynomial
+from fpcoh.sweep import Spilled
 from fpcoh.verdicts import (
     AGREE,
     DISAGREE,
@@ -34,7 +35,6 @@ from fpcoh.verdicts import (
     human_lines,
     render_json,
     report_document,
-    Spilled,
     verdict,
     write_csv,
 )
@@ -268,6 +268,38 @@ def test_importing_the_package_root_loads_no_module():
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "0.1.0 []\n"
+
+
+def test_a_single_command_never_loads_the_sweep_module(tmp_path):
+    # compiling fpcoh.sweep would raise a single command's peak RSS
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import sys\nfrom fpcoh import cli\ncode = cli.main(sys.argv[1:])\n"
+             "print(code, 'fpcoh.sweep' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", probe, "char", "nim", "--m", "1", "--n", "2",
+                           "--json", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
+
+
+def test_json_and_csv_naming_one_file_are_refused(tmp_path, capsys, monkeypatch):
+    argv = ["char", "nim", "--m", "1", "--n", "2"]
+    report, ran = tmp_path / "r.out", []
+    monkeypatch.setattr(cli, "_cmd_char_nim", lambda ns: ran.append(ns))
+    for other in (report, tmp_path / "sub" / ".." / "r.out"):  # a path not yet there
+        assert cli.main([*argv, "--json", str(report), "--csv", str(other)]) == 1
+        assert capsys.readouterr().err == f"fpcoh: --json and --csv both name {other}\n"
+    report.write_text("earlier report\n")
+    link = tmp_path / "link.out"
+    link.symlink_to(report)
+    assert cli.main([*argv, "--json", str(report), "--csv", str(link)]) == 1
+    assert capsys.readouterr().err == f"fpcoh: --json and --csv both name {link}\n"
+    assert ran == [] and report.read_text() == "earlier report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.out", "r.out"]
+    monkeypatch.undo()  # a target written in place takes both reports, as before
+    assert cli.main([*argv, "--json", os.devnull, "--csv", os.devnull]) == 0
 
 
 def test_python_dash_m_fpcoh_usage_error_exits_one():
@@ -903,6 +935,26 @@ def test_a_full_disk_loses_the_report_not_the_rows(workers, tmp_path, capsys, mo
     assert captured.err == ("fpcoh: cannot write report: "
                             f"[Errno 28] No space left on device: '{report}'\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json"]
+
+
+@pytest.mark.parametrize("how", ["path", "symlink"])
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+def test_a_sweep_refuses_a_report_over_its_own_config(flag, how, tmp_path, capsys,
+                                                      monkeypatch):
+    cfg = _small_grid(tmp_path)
+    config = cfg.read_bytes()
+    target = tmp_path / "link.json"
+    if how == "symlink":
+        target.symlink_to(cfg)
+    else:
+        target = cfg
+    ran = []
+    monkeypatch.setattr(cli, "_run_row", lambda argv: ran.append(argv) or [])
+    assert cli.main(["sweep", "--config", str(cfg), "--parallel", "1", flag, str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and ran == []
+    assert captured.err == f"fpcoh: parameter error: {flag} names the sweep config {cfg}\n"
+    assert cfg.read_bytes() == config
 
 
 def test_a_sweep_copies_a_large_verdict_in_blocks(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,8 @@
 """The report writer: `write_json` streams exactly `render_json`'s bytes
 through a temporary file and a rename, in bounded memory."""
 
+import argparse
+import errno
 import json
 import os
 import stat
@@ -10,7 +12,19 @@ import tracemalloc
 import pytest
 
 from fpcoh import verdicts
-from fpcoh.verdicts import render_json, write_json, write_value
+from fpcoh.sweep import Spilled
+from fpcoh.verdicts import (
+    AGREE,
+    ERROR,
+    render_json,
+    report_document,
+    table_keys,
+    verdict,
+    write_csv,
+    write_json,
+    write_reports,
+    write_value,
+)
 from helpers import json_documents
 
 _DOCUMENT = {"command": "char nim", "verdicts": [{"coeff": k, "exponents": [k, 1]}
@@ -201,3 +215,56 @@ def test_write_json_holds_one_buffer_of_dict_records(tmp_path):
     size = path.stat().st_size
     assert path.read_bytes() == _oracle(document)
     assert streamed < size // 4, (streamed, size)
+
+
+def _spill(document: dict, path) -> dict:
+    """document with each verdict but the last spilled to path as a sweep
+    spills it, the record keeping only the subject, parameters and status."""
+    spans, end = [], 0
+    with open(path, "w", encoding="ascii") as fh:
+        for v in document["verdicts"][:-1]:
+            start, end = end, end + write_value(v, verdicts._ITEM, fh)
+            spans.append((start, end, table_keys(v)))
+    fd = os.open(path, os.O_RDONLY)
+    records = [Spilled(verdict(v["subject"], v["parameters"], v["status"], {}), fd, *span)
+               for v, span in zip(document["verdicts"], spans)]
+    return {**document, "verdicts": records + document["verdicts"][-1:]}
+
+
+def test_a_spilled_verdict_renders_as_the_whole_verdict(tmp_path, monkeypatch):
+    table = [{"series": "h1", "multidegree": [k, 1], "dimension": k} for k in range(2000)]
+    whole = {"command": "sweep", "parameters": {"rows": 4}, "verdicts": [
+        verdict("big", {"n": 3}, AGREE, {"summary": "s", "dimension_table": table}),  # 4 blocks
+        verdict("empty", {"n": 4}, AGREE, {}),
+        verdict("row", {"argv": ["char"]}, ERROR, {"message": "usage error"}),
+        verdict("kept", {"n": 5}, AGREE, {"dimension_table": table[:2]}),  # not spilled
+    ]}
+    spilled = _spill(whole, tmp_path / "verdicts.spill")
+    assert os.path.getsize(tmp_path / "verdicts.spill") > 3 << 16
+    assert render_json(spilled) == render_json(whole) == _oracle(whole).decode()
+    path = tmp_path / "report.json"
+    for pieces in (1, 2, 3):
+        monkeypatch.setattr(verdicts, "_BUFFER_PIECES", pieces)
+        write_json(spilled, str(path))
+        assert path.read_bytes() == _oracle(whole)
+    write_csv(str(tmp_path / "whole.csv"), whole["verdicts"])
+    ns = argparse.Namespace(command="sweep", json=str(path), csv=str(tmp_path / "spilled.csv"))
+    write_reports(ns, whole["parameters"], spilled["verdicts"])
+    assert path.read_bytes() == _oracle(report_document("sweep", {"rows": 4}, whole["verdicts"]))
+    assert (tmp_path / "spilled.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    with pytest.raises(OSError) as closed:  # the reports closed the spill file
+        os.fstat(spilled["verdicts"][0].fd)
+    assert closed.value.errno == errno.EBADF
+
+
+def test_a_lost_spilled_text_leaves_the_reports_as_they_were(tmp_path):
+    report = tmp_path / "report.json"
+    report.write_text("earlier report\n")
+    lost = OSError(errno.ENOSPC, "No space left on device", str(report))
+    records = [verdict("nim-character", {"m": 1}, AGREE, {"summary": "1"})]
+    ns = argparse.Namespace(command="sweep", json=str(report), csv=str(tmp_path / "r.csv"))
+    with pytest.raises(OSError) as raised:
+        write_reports(ns, {"rows": 1}, [Spilled(v, lost=lost) for v in records])
+    assert raised.value is lost
+    assert report.read_text() == "earlier report\n"
+    assert list(tmp_path.iterdir()) == [report]
