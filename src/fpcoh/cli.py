@@ -27,7 +27,9 @@ import functools
 import io
 import json
 import os
+import signal
 import sys
+import threading
 # `fpcoh.sweep` uses these; imported here so that a sweep's main() does not pay for them
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -525,34 +527,42 @@ def _cmd_sweep(ns):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    ns = _namespace(argv) or build_parser().parse_args(argv)
-    for flag in ("json", "csv"):  # argparse reads "--json=" as "" and "--json=--" as []
-        if getattr(ns, flag) is not None and not getattr(ns, flag):
-            print(f"fpcoh: --{flag} needs a file path", file=sys.stderr)
+    # SIGTERM raises as ^C does, so a stopped run removes its temporary and spill
+    # files; only the main thread may set a handler
+    term = (signal.signal(signal.SIGTERM, signal.default_int_handler)
+            if threading.current_thread() is threading.main_thread() else None)
+    try:
+        argv = sys.argv[1:] if argv is None else list(argv)
+        ns = _namespace(argv) or build_parser().parse_args(argv)
+        for flag in ("json", "csv"):  # argparse reads "--json=" as "" and "--json=--" as []
+            if getattr(ns, flag) is not None and not getattr(ns, flag):
+                print(f"fpcoh: --{flag} needs a file path", file=sys.stderr)
+                return 1
+        if ns.json is not None and ns.csv is not None and same_file(ns.json, ns.csv):
+            print(f"fpcoh: --json and --csv both name {ns.csv}", file=sys.stderr)
             return 1
-    if ns.json is not None and ns.csv is not None and same_file(ns.json, ns.csv):
-        print(f"fpcoh: --json and --csv both name {ns.csv}", file=sys.stderr)
-        return 1
-    try:
-        params, verdicts = globals()[ns.handler](ns)
-    except ValueError as exc:
-        print(f"fpcoh: parameter error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # a failed internal check still gets a report
-        verdicts = [_crash_verdict(ns.command, argv, exc)]
-        params = verdicts[0]["parameters"]
-        print(f"fpcoh: {verdicts[0]['payload']['message']}", file=sys.stderr)
-    for v, line in zip(verdicts, human_lines(verdicts)):
-        print(line)
-        if summary := v["payload"].get("summary"):
-            print(f"    {summary}")
-    try:
-        write_reports(ns, params, verdicts)
-    except OSError as exc:
-        print(f"fpcoh: cannot write report: {exc}", file=sys.stderr)
-        return 1
-    return exit_code(verdicts)
+        try:
+            params, verdicts = globals()[ns.handler](ns)
+        except ValueError as exc:
+            print(f"fpcoh: parameter error: {exc}", file=sys.stderr)
+            return 1
+        except Exception as exc:  # a failed internal check still gets a report
+            verdicts = [_crash_verdict(ns.command, argv, exc)]
+            params = verdicts[0]["parameters"]
+            print(f"fpcoh: {verdicts[0]['payload']['message']}", file=sys.stderr)
+        for v, line in zip(verdicts, human_lines(verdicts)):
+            print(line)
+            if summary := v["payload"].get("summary"):
+                print(f"    {summary}")
+        try:
+            write_reports(ns, params, verdicts)
+        except OSError as exc:
+            print(f"fpcoh: cannot write report: {exc}", file=sys.stderr)
+            return 1
+        return exit_code(verdicts)
+    finally:
+        if term is not None:
+            signal.signal(signal.SIGTERM, term)
 
 
 if __name__ == "__main__":

@@ -7,18 +7,20 @@ same chunk function in this process.  A chunk returns per verdict only the
 small record stdout and the exit code read.  With a report asked for, each
 worker also appends every verdict's text to its own spill file,
 `<report>.<8 hex digits>.<k>.spill` beside the report, and returns the byte
-range.  The parent makes one spill file per worker and holds none open
-while the rows run.  Once they have run it opens them and unlinks them, and
-it unlinks them on any error or interrupt as well; each range becomes a
-`Spilled` record, so the parent never holds a payload.  A killed
-worker breaks the pool: every row of a chunk not yet returned becomes a
-`sweep-row` error verdict.
+range, a `Spilled` record, so the parent never holds a payload.  The parent
+makes one spill file per worker and reads it through the descriptor it made
+it with; its name lasts only until its writer opens it.  ^C, SIGTERM (see
+`cli.main`) and a failed worker start kill every worker, and no spill file
+outlives the sweep but under SIGKILL.  A killed worker breaks the pool:
+every row of a chunk not yet returned becomes a `sweep-row` error verdict.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
+import signal
 import tempfile
 
 from . import cli
@@ -65,7 +67,7 @@ def run(ns, rows: list[list[str]]) -> list[dict]:
     workers = min(ns.parallel or cpus or 1, len(rows))
     # strided, so rows whose cost grows along a grid axis spread over all chunks
     count = 1 if workers == 1 else min(len(rows), _CHUNKS_PER_WORKER * workers)
-    names, files, error = [], [], None  # names: the spill files made, one per worker
+    names, files, error = [], [], None  # the spill files made, one per worker, and their readers
     report = ns.json if ns.json is not None else ns.csv
     try:
         if report is not None:  # beside the report, unless it is written in place
@@ -75,51 +77,45 @@ def run(ns, rows: list[list[str]]) -> list[dict]:
             prefix += f".{os.urandom(4).hex()}"
             try:
                 for name in (f"{prefix}.{k}.spill" for k in range(workers)):
-                    os.close(os.open(name, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600))
+                    files.append(os.open(name, os.O_RDONLY | os.O_CREAT | os.O_EXCL, 0o600))
                     names.append(name)
             except OSError as exc:  # the rows run as without a report, which names the error
-                error = OSError(exc.errno, exc.strerror, report)
+                error = exc
         spills = [] if error else names
         tables = ns.csv is not None
         if workers == 1:
             chunks = [_run_chunk(rows, tables, _Spill(0, spills[0]) if spills else None)]
         else:
             chunks = [None] * count
-            # each worker takes the next spill file as it starts
-            own = (dict(initializer=_take_spill, initargs=(spills, multiprocessing.Value("i")))
-                   if spills else {})
-            with cli.ProcessPoolExecutor(max_workers=workers, **own) as pool:
+            pool = cli.ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                           initargs=(spills, multiprocessing.Value("i")))
+            futures = [pool.submit(_run_chunk, rows[k::count], tables) for k in range(count)]
+            for k, future in enumerate(futures):
                 try:
-                    futures = [pool.submit(_run_chunk, rows[k::count], tables)
-                               for k in range(count)]
-                except OSError:  # a worker failed to start, as with no descriptor left;
-                    # those started would wait for work forever, and exit joins them
-                    for child in multiprocessing.active_children():
-                        child.terminate()
-                    raise
-                for k, future in enumerate(futures):
-                    try:
-                        chunks[k] = future.result()
-                    except cli.BrokenProcessPool as exc:  # every row not yet returned is lost
-                        chunks[k] = ([[(cli._crash_verdict("sweep-row", argv, exc), None)]
-                                      for argv in rows[k::count]], None)
-        try:
-            if failed := next((failed for _, failed in chunks if failed), None):
-                raise failed
-            for name in spills:  # the parent reads through its own descriptors
-                files.append(os.open(name, os.O_RDONLY))
-        except OSError as exc:
-            for fd in files:
-                os.close(fd)
-            files, error = [], OSError(exc.errno, exc.strerror, report)
-    finally:  # no spill file outlives the sweep
+                    chunks[k] = future.result()
+                except cli.BrokenProcessPool as exc:  # every row not yet returned is lost
+                    chunks[k] = ([[(cli._crash_verdict("sweep-row", argv, exc), None)]
+                                  for argv in rows[k::count]], None)
+            pool.shutdown()
+        error = error or next((failed for _, failed in chunks if failed), None)
+    except BaseException as exc:  # ^C, SIGTERM or a worker that failed to start: a pool's
+        # shutdown would wait for every queued chunk, so no worker is left to run one
+        for child in multiprocessing.active_children():
+            child.kill()
+        error = exc  # and no record holds a descriptor
+        raise
+    finally:  # no spill file keeps its name past the sweep, nor a descriptor no record holds
         for name in names:
-            os.unlink(name)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(name)
+        for fd in files if error else ():
+            os.close(fd)
+    lost = error and OSError(error.errno, error.strerror, report)
     verdicts = []
     for i in range(len(rows)):  # row i is item i // count of chunk i % count
         for record, span in chunks[i % count][0][i // count]:
-            if error:
-                record = Spilled(record, lost=error)
+            if lost:
+                record = Spilled(record, lost=lost)
             elif span:
                 record = Spilled(record, files[span[0]], *span[1:])
             verdicts.append(record)
@@ -137,6 +133,7 @@ class _Spill:
             # "r+", as "w" would truncate the empty file, and on ext4 a file
             # truncated to nothing starts its writeback when closed
             self.fh = open(name, "r+", encoding="ascii")
+            os.unlink(name)  # the parent reads it through the descriptor it made it with
         except OSError as exc:
             self.failed = exc
 
@@ -161,14 +158,16 @@ class _Spill:
             self.failed = self.failed or exc
 
 
-def _take_spill(names: list[str], taken) -> None:
-    """Pool initializer: the worker's own spill file, the first of names
-    that no other worker has taken."""
+def _start_worker(names: list[str], taken) -> None:
+    """Pool initializer: SIGTERM's default action, by which a broken pool ends
+    its workers, and the worker's spill file, the first of names not taken."""
     global _own
-    with taken.get_lock():
-        k = taken.value
-        taken.value += 1
-    _own = _Spill(k, names[k])
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if names:
+        with taken.get_lock():
+            k = taken.value
+            taken.value += 1
+        _own = _Spill(k, names[k])
 
 
 def _run_chunk(chunk: list[list[str]], tables: bool,

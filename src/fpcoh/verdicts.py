@@ -22,7 +22,7 @@ buffer out between list items once it holds `_BUFFER_PIECES` pieces, so a
 report of any size holds one buffer of text at a time.
 `write_value` streams one value the same way, its lines starting at a given
 depth: a sweep spills each verdict so, and reports a `sweep.Spilled` record
-of it, a dict whose `blocks()` yield that text.
+of it, which stdout reads by key and whose `blocks()` yield that text.
 
 Both reports are written to a temporary file in the target's directory and
 renamed over the target after the last piece, so a failed render or write

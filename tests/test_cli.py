@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: exit codes, report documents, sweeps."""
 
 import argparse
+import builtins
 import contextlib
 import csv
 import errno
@@ -1033,7 +1034,7 @@ def test_a_sweep_into_a_fifo_spills_to_the_temporary_directory(tmp_path, capsys,
     reader.join(timeout=10)
     capsys.readouterr()
     assert received == [(tmp_path / "r.json").read_bytes()]
-    assert made == [str(spills)] * 4  # a spill file per worker, made and then read
+    assert made == [str(spills)] * 2  # a spill file per worker, made once and read as made
     # no room for the spill files: the rows still print, and no report is written
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
     reader = threading.Thread(target=read, daemon=True)
@@ -1105,27 +1106,171 @@ def test_a_pool_short_of_descriptors_exits_one_at_once(tmp_path):
     assert out.startswith("[             error] sweep  ") and out.count("\n") == 1
 
 
+def _slow_sweep(tmp_path):
+    """A `--parallel 2 --json` sweep in a process group of its own, once
+    both workers run rows: each row marks its worker's pid, then sleeps."""
+    out, marks = tmp_path / "out", tmp_path / "marks"
+    out.mkdir()
+    marks.mkdir()
+    config = {"runs": [{"command": "char nim", "m": [1, 2, 3, 4, 5, 6, 7, 8], "n": [2, 3, 4]}]}
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(config))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import os, sys, time\n"
+             "from fpcoh import cli\n"
+             "nim = cli._cmd_char_nim\n"
+             "def slow(ns):\n"
+             "    open(os.path.join(sys.argv[1], str(os.getpid())), 'w').close()\n"
+             "    time.sleep(0.5)\n"
+             "    return nim(ns)\n"
+             "cli._cmd_char_nim = slow\n"
+             "sys.exit(cli.main(sys.argv[2:]))\n")
+    child = subprocess.Popen([sys.executable, "-c", probe, str(marks), "sweep", "--config",
+                              str(cfg), "--parallel", "2", "--json", str(out / "r.json")],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=dict(os.environ, PYTHONPATH=src), start_new_session=True)
+    deadline = time.monotonic() + 30
+    while len(list(marks.iterdir())) < 2 and child.poll() is None:
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    assert list(out.iterdir()) == []  # each spill file lost its name when its worker opened it
+    return child, out
+
+
+def _group_gone(pgid: int, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.01)
+    return False
+
+
+@pytest.mark.parametrize("how", ["sigint-to-group", "sigterm-to-parent"])
+def test_a_stopped_sweep_leaves_no_worker_and_no_spill_file(how, tmp_path):
+    # a pool's shutdown waits for every queued chunk, and a parent that
+    # SIGTERM kills outright orphans its workers and their spill files
+    child, out = _slow_sweep(tmp_path)
+    try:
+        if how == "sigint-to-group":
+            os.killpg(child.pid, signal.SIGINT)
+        else:
+            os.kill(child.pid, signal.SIGTERM)
+        start = time.monotonic()
+        child.communicate(timeout=30)
+        assert time.monotonic() - start < 1
+        assert child.returncode == -signal.SIGINT  # SIGTERM ends a run as ^C does
+        assert list(out.iterdir()) == []
+        assert _group_gone(child.pid, 2 if how == "sigterm-to-parent" else 0.1)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+
+
+def test_main_restores_sigterm_and_runs_off_the_main_thread(capsys):
+    # main makes SIGTERM raise for its run only, and only the main thread may
+    # set a handler
+    argv, codes = ["char", "nim", "--m", "1", "--n", "2"], []
+    before = signal.getsignal(signal.SIGTERM)
+    assert cli.main(argv) == 0
+    assert signal.getsignal(signal.SIGTERM) is before
+    thread = threading.Thread(target=lambda: codes.append(cli.main(argv)))
+    thread.start()
+    thread.join()
+    assert codes == [0]
+    assert capsys.readouterr().out.count("[             agree] nim-character") == 2
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+def test_a_broken_pool_ends_a_worker_that_is_running_a_row(tmp_path):
+    # the pool ends its other workers with SIGTERM once one dies; a worker
+    # that raised on it, as `cli.main` makes the parent do, would go on to
+    # run the chunks still queued
+    config = {"runs": [{"command": "char nim", "m": [1, 2, 3, 4], "n": 2}]}
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps(config))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import os, sys, time\n"
+             "from fpcoh import cli\n"
+             "def dying(m, n):\n"
+             "    time.sleep(0.5 if m == 1 else 60)  # the other row is running by then\n"
+             "    os._exit(3)\n"
+             "cli.nim_poly = dying\n"
+             "sys.exit(cli.main(sys.argv[1:]))\n")
+    child = subprocess.Popen([sys.executable, "-c", probe, "sweep", "--config", str(cfg),
+                              "--parallel", "2"], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), start_new_session=True)
+    try:
+        out, err = child.communicate(timeout=20)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+    assert (child.returncode, err) == (1, "")
+    assert out.count("message: BrokenProcessPool: ") == 4
+
+
+def test_sigterm_while_a_report_is_written_leaves_the_target_as_it_was(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import os, signal, sys\n"
+             "from fpcoh import cli, verdicts\n"
+             "render = verdicts._render_document\n"
+             "def stopped(document, out, flush):\n"
+             "    render(document, out, flush)\n"
+             "    flush()\n"
+             "    os.kill(os.getpid(), signal.SIGTERM)\n"
+             "verdicts._render_document = stopped\n"
+             "sys.exit(cli.main(sys.argv[1:]))\n")
+    report = tmp_path / "r.json"
+    report.write_text("earlier report\n")
+    done = subprocess.run([sys.executable, "-c", probe, "char", "nim", "--m", "3", "--n", "2",
+                           "--json", str(report)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert report.read_text() == "earlier report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+    assert done.returncode == -signal.SIGINT  # SIGTERM ends a run as ^C does
+    assert done.stdout.startswith("[             agree] nim-character")
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("step", ["make", "read"])
 def test_a_spill_file_that_will_not_open_names_the_report(step, workers, tmp_path, capsys,
-                                                          monkeypatch):
+                                                          monkeypatch, tmp_path_factory):
     cfg = _small_grid(tmp_path)
     sweep = ["sweep", "--config", str(cfg), "--parallel", workers]
     assert cli.main(sweep) == 0
     lines = capsys.readouterr().out
-    flags = os.O_RDONLY if step == "read" else os.O_RDWR | os.O_CREAT | os.O_EXCL
-    opened, os_open = [], os.open
+    # the parent makes each spill file, and its writer (a forked worker at
+    # --parallel 2) opens it by name; the log counts the failures of both
+    log = tmp_path_factory.mktemp("opened") / "opened.log"
+    last = f".{int(workers) - 1}.spill"
+    os_open, builtin_open = os.open, builtins.open
 
-    def limited(path, how, *args, **kwargs):  # the last spill file runs out of descriptors
-        if str(path).endswith(f".{int(workers) - 1}.spill") and how == flags:
-            opened.append(path)
-            raise OSError(errno.EMFILE, "Too many open files")
+    def failed(path):  # the last spill file runs out of descriptors
+        with builtin_open(log, "a") as fh:
+            fh.write(f"{path}\n")
+        return OSError(errno.EMFILE, "Too many open files")
+
+    def limited(path, how, *args, **kwargs):
+        if str(path).endswith(last) and how == os.O_RDONLY | os.O_CREAT | os.O_EXCL:
+            raise failed(path)
         return os_open(path, how, *args, **kwargs)
 
-    monkeypatch.setattr(os, "open", limited)
+    def limited_writer(path, mode="r", *args, **kwargs):
+        if str(path).endswith(last) and mode == "r+":
+            raise failed(path)
+        return builtin_open(path, mode, *args, **kwargs)
+
+    if step == "make":
+        monkeypatch.setattr(os, "open", limited)
+    else:
+        monkeypatch.setattr(builtins, "open", limited_writer)
     report = tmp_path / "r.json"
     assert cli.main([*sweep, "--json", str(report), "--csv", str(tmp_path / "r.csv")]) == 1
     captured = capsys.readouterr()
+    opened = log.read_text().splitlines() if log.exists() else []
     assert len(opened) == 1
     assert captured.out == lines
     assert captured.err == ("fpcoh: cannot write report: "
