@@ -526,10 +526,14 @@ def _cmd_sweep(ns):
 # entry point
 
 
+def _stopped(signum, frame):  # SIGTERM's handler within `main`; `__main__.run` reads signum
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv=None) -> int:
-    # SIGTERM raises as ^C does, so a stopped run removes its temporary and spill
-    # files; only the main thread may set a handler
-    term = (signal.signal(signal.SIGTERM, signal.default_int_handler)
+    # SIGTERM raises as ^C does, naming itself, so a stopped run removes its
+    # temporary and spill files; only the main thread may set a handler
+    term = (signal.signal(signal.SIGTERM, _stopped)
             if threading.current_thread() is threading.main_thread() else None)
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
@@ -549,11 +553,9 @@ def main(argv=None) -> int:
         except Exception as exc:  # a failed internal check still gets a report
             verdicts = [_crash_verdict(ns.command, argv, exc)]
             params = verdicts[0]["parameters"]
-            print(f"fpcoh: {verdicts[0]['payload']['message']}", file=sys.stderr)
-        for v, line in zip(verdicts, human_lines(verdicts)):
+            print(f"fpcoh: {type(exc).__name__}: {exc}", file=sys.stderr)
+        for line in human_lines(verdicts):
             print(line)
-            if summary := v["payload"].get("summary"):
-                print(f"    {summary}")
         try:
             write_reports(ns, params, verdicts)
         except OSError as exc:

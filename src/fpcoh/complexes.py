@@ -340,49 +340,24 @@ def ses_dimension_check(w, split: int, p: int) -> tuple[str, dict]:
     h_merged = homology_dims(build_complex(merged, p))
     h_total = homology_dims(build_complex(w, p))
 
-    dim_rows = []
+    dim_rows, sub_rows = [], []
     for k in range(d + 1):
-        tensor = sum(
-            math.comb(d1, k1) * math.comb(d2, k - k1)
-            for k1 in range(max(0, k - d2), min(d1, k) + 1)
-        )
-        quotient = math.comb(d - 1, k - 1) if k >= 1 else 0
+        k1s = range(max(0, k - d2), min(d1, k) + 1)  # the k1 with both sides in range
         total = math.comb(d, k)
-        dim_rows.append(
-            {
-                "degree": k,
-                "total": total,
-                "tensor": tensor,
-                "quotient": quotient,
-                "ok": total == tensor + quotient,
-            }
-        )
+        tensor = sum(math.comb(d1, k1) * math.comb(d2, k - k1) for k1 in k1s)
+        quotient = math.comb(d - 1, k - 1) if k else 0
+        dim_rows.append({"degree": k, "total": total, "tensor": tensor, "quotient": quotient,
+                         "ok": total == tensor + quotient})
+        bound = sum(h_left[k1] * h_right[k - k1] for k1 in k1s) + (h_merged[k - 1] if k else 0)
+        sub_rows.append({"degree": k, "homology": h_total[k], "bound": bound,
+                         "ok": h_total[k] <= bound})
 
-    euler_total = sum((-1) ** k * math.comb(d, k) for k in range(d + 1))
-    euler_tensor = sum(
-        (-1) ** k1 * math.comb(d1, k1) for k1 in range(d1 + 1)
-    ) * sum((-1) ** k2 * math.comb(d2, k2) for k2 in range(d2 + 1))
-    euler_merged = sum((-1) ** k * math.comb(d - 1, k) for k in range(d))
-
-    sub_rows = []
-    for k in range(d + 1):
-        kunneth = sum(
-            (h_left[k1] if k1 <= d1 else 0) * (h_right[k - k1] if 0 <= k - k1 <= d2 else 0)
-            for k1 in range(0, k + 1)
-        )
-        shifted = h_merged[k - 1] if 1 <= k <= d else 0
-        bound = kunneth + shifted
-        sub_rows.append(
-            {
-                "degree": k,
-                "homology": h_total[k],
-                "bound": bound,
-                "ok": h_total[k] <= bound,
-            }
-        )
-
-    euler = {"total": euler_total, "tensor": euler_tensor, "merged": euler_merged,
-             "ok": euler_total == euler_tensor - euler_merged}
+    # the Euler characteristics are the alternating sums of the dimension rows;
+    # the quotient's is minus the merged complex's, one degree down
+    chi_total, chi_tensor, chi_quotient = (sum((-1) ** r["degree"] * r[key] for r in dim_rows)
+                                           for key in ("total", "tensor", "quotient"))
+    euler = {"total": chi_total, "tensor": chi_tensor, "merged": -chi_quotient,
+             "ok": chi_total == chi_tensor + chi_quotient}
     payload = {"dimensions": dim_rows, "euler": euler, "subadditivity": sub_rows}
     witness = next((r for r in dim_rows + sub_rows if not r["ok"]), euler)
     if witness["ok"]:

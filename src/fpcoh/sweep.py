@@ -10,9 +10,10 @@ worker also appends every verdict's text to its own spill file,
 range, a `Spilled` record, so the parent never holds a payload.  The parent
 makes one spill file per worker and reads it through the descriptor it made
 it with; its name lasts only until its writer opens it.  ^C, SIGTERM (see
-`cli.main`) and a failed worker start kill every worker, and no spill file
-outlives the sweep but under SIGKILL.  A killed worker breaks the pool:
-every row of a chunk not yet returned becomes a `sweep-row` error verdict.
+`cli.main`) and a failed worker start kill every worker, a worker whose
+parent is gone ends itself, and no spill file outlives the sweep but under
+SIGKILL.  A killed worker breaks the pool: every row of a chunk not yet
+returned becomes a `sweep-row` error verdict.
 """
 
 from __future__ import annotations
@@ -22,17 +23,16 @@ import multiprocessing
 import os
 import signal
 import tempfile
+import threading
+import time
 
 from . import cli
-from .verdicts import _ITEM, table_keys, verdict, write_value
+from .verdicts import _ITEM, PRINTED, table_keys, verdict, write_value
 
 # Futures per pool worker: each future carries a pickle, a queue hop and a
 # wake-up of the parent, so small rows travel in chunks; a grid of at most
 # this many rows per worker still gets one row per future.
 _CHUNKS_PER_WORKER = 8
-
-# The payload keys a sweep's parent reads: stdout and the exit code.
-_PRINTED = ("summary", "witness", "comparison_agrees", "message")
 
 _own = None  # in a pool worker, the `_Spill` its initializer took
 
@@ -140,11 +140,13 @@ class _Spill:
     def write(self, v: dict, tables: bool) -> tuple | None:
         """Append v's text as the report's "verdicts" list holds it.  Its
         span, (k, start, end, the keys its table entries hold when
-        `tables`), or None once the file has failed."""
+        `tables`), with end the file's position after it, or None once the
+        file has failed."""
         if self.failed:
             return None
         try:
-            start, self.end = self.end, self.end + write_value(v, _ITEM, self.fh)
+            write_value(v, _ITEM, self.fh)
+            start, self.end = self.end, self.fh.tell()
         except OSError as exc:
             self.failed = exc
             return None
@@ -160,9 +162,11 @@ class _Spill:
 
 def _start_worker(names: list[str], taken) -> None:
     """Pool initializer: SIGTERM's default action, by which a broken pool ends
-    its workers, and the worker's spill file, the first of names not taken."""
+    its workers, a thread that ends the worker once its parent is gone, and
+    the worker's spill file, the first of names not taken."""
     global _own
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    threading.Thread(target=_orphaned, args=(os.getppid(),), daemon=True).start()
     if names:
         with taken.get_lock():
             k = taken.value
@@ -170,11 +174,19 @@ def _start_worker(names: list[str], taken) -> None:
         _own = _Spill(k, names[k])
 
 
+def _orphaned(parent: int) -> None:
+    """End this worker once its parent has changed, as after a SIGKILL, which
+    ends no worker and leaves it to finish its row and wait for the next."""
+    while os.getppid() == parent:
+        time.sleep(0.2)
+    os._exit(1)
+
+
 def _run_chunk(chunk: list[list[str]], tables: bool,
                spill: _Spill | None = None) -> tuple[list[list[tuple]], OSError | None]:
     """Each row of one chunk, in the chunk's order, as (record, span) pairs
     per verdict, and the error that stopped the spill file, if one did.
-    The record is the verdict with only the `_PRINTED` payload keys; span
+    The record is the verdict with only the `PRINTED` payload keys; span
     is where `_Spill.write` put the whole verdict, or None without a spill
     file.  spill is this process's only chunk's file, closed at its end; in
     a pool, a worker's chunks share its own, flushed at each chunk's end, so
@@ -186,7 +198,7 @@ def _run_chunk(chunk: list[list[str]], tables: bool,
             for v in cli._run_row(argv):  # through the module, where a tracer wraps it
                 payload, span = v["payload"], own and own.write(v, tables)
                 row.append((verdict(v["subject"], v["parameters"], v["status"],
-                                    {k: payload[k] for k in _PRINTED if k in payload}), span))
+                                    {k: payload[k] for k in PRINTED if k in payload}), span))
             rows.append(row)
             v = payload = None  # not held while the next row runs
     finally:

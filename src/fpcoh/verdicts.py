@@ -9,20 +9,23 @@ contain floats.
 Handlers build parameters and payloads JSON-ready (str-keyed dicts, lists,
 str, int, bool and None), and the document passes them through as they are.
 `_render` is the one encoder and the one gate: it writes exactly the bytes
-of the json module's dump with sorted keys and a two-space indent, plus a
-newline, without json's pure-Python indenting encoder, and raises TypeError
-on anything else (a float, a tuple, a non-str key).  A dict is written
-from a `_plan`, which checks its keys: the sorted keys, each with the text
-before its value.  A list of records reuses the last record's plan while
-the keys match, so thousands of same-keyed records sort, quote and check
-their keys once.  An int, a str or a list of ints is written in place, as
-its own piece after its key's head.  `render_json` joins the pieces into
-one string; `write_json` streams them to the report file, writing the
-buffer out between list items once it holds `_BUFFER_PIECES` pieces, so a
-report of any size holds one buffer of text at a time.
-`write_value` streams one value the same way, its lines starting at a given
-depth: a sweep spills each verdict so, and reports a `sweep.Spilled` record
-of it, which stdout reads by key and whose `blocks()` yield that text.
+of the json module's dump with sorted keys and a two-space indent, without
+json's pure-Python indenting encoder, and raises TypeError on anything else
+(a float, a tuple, a non-str key).  A dict is written from a `_plan`, which
+checks its keys: the sorted keys, each with the text before its value.  A
+list of records reuses the last record's plan while the keys match, so
+thousands of same-keyed records sort, quote and check their keys once.  An
+int, a str or a list of ints is written in place, as its own piece after
+its key's head.  `write_value` is the one writer of that text: it streams
+the pieces to a file, writing the buffer out between list items once it
+holds `_BUFFER_PIECES` pieces, so a report of any size holds one buffer of
+text at a time.  The value's lines start at a given depth: `write_json`
+writes the document and a newline to the report file, `render_json` the
+same to a string, and a sweep spills each verdict at `_ITEM`, reporting a
+`sweep.Spilled` record of it whose `blocks()` yield that text.
+
+`human_lines` is all stdout shows of the verdicts, and it and `exit_code`
+read only the `PRINTED` payload keys, all that a sweep's parent keeps.
 
 Both reports are written to a temporary file in the target's directory and
 renamed over the target after the last piece, so a failed render or write
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import os
 import stat
@@ -47,12 +51,16 @@ ERROR = "error"
 
 _STATUSES = (AGREE, DISAGREE, OUTSIDE, ERROR)
 
-# Pieces `write_json` holds before it writes them out, a few hundred kB of
+# Pieces `write_value` holds before it writes them out, a few hundred kB of
 # text.  Keep it small: with 16 384 pieces `sweep-mixed` peaked at 33.9 MB,
 # against 32.5 MB with this bound and 34.5 MB with the whole document held.
 _BUFFER_PIECES = 4096
 
 _ITEM = "\n    "  # where a verdict's lines start in the report document
+
+# The payload keys stdout and the exit code read.
+PRINTED = ("summary", "witness", "comparison_agrees", "message")
+
 
 def verdict(subject: str, parameters: dict, status: str, payload: dict) -> dict:
     """The record of one checked statement, as the document holds it; the
@@ -76,15 +84,17 @@ def report_document(command: str, parameters: dict, verdicts) -> dict:
 
 def render_json(document: dict) -> str:
     """The report document as one string."""
-    out: list[str] = []
-    _render_document(document, out, None)
-    return "".join(out)
+    text = io.StringIO()
+    write_value(document, "\n", text)
+    text.write("\n")
+    return text.getvalue()
 
 
 def write_json(document: dict, path: str) -> None:
     """Stream the report document to path (see the module docstring)."""
     with _replacing(path) as fh:
-        _stream(fh, lambda out, flush: _render_document(document, out, flush))
+        write_value(document, "\n", fh)
+        fh.write("\n")
 
 
 def write_reports(ns, parameters: dict, verdicts: list) -> None:
@@ -103,36 +113,23 @@ def write_reports(ns, parameters: dict, verdicts: list) -> None:
             os.close(fd)
 
 
-def write_value(value, indent: str, fh) -> int:
+def write_value(value, indent: str, fh) -> None:
     """Stream value's JSON text to fh as a document holds it where its lines
-    start with indent, through the same bounded buffer as `write_json`.
-    Returns the characters written, each one byte: the text is ASCII."""
-    return _stream(fh, lambda out, flush: _render(value, indent, out, flush))
-
-
-def _stream(fh, render) -> int:
+    start with indent, holding at most one buffer of pieces at a time."""
     out: list[str] = []
-    written = 0
 
     def flush() -> None:
-        nonlocal written
-        written += fh.write("".join(out))
+        fh.write("".join(out))
         out.clear()
 
-    render(out, flush)
+    _render(value, indent, out, flush)
     flush()
-    return written
-
-
-def _render_document(document: dict, out: list[str], flush) -> None:
-    _render(document, "\n", out, flush)
-    out.append("\n")
 
 
 def _render(value, indent: str, out: list[str], flush) -> None:
     """Append the JSON text of value to out; indent is the newline and
-    spaces that start each line at value's own depth.  flush, when given,
-    empties out into the report; it runs between list items once out holds
+    spaces that start each line at value's own depth.  flush empties out
+    into the report; it runs between list items once out holds
     `_BUFFER_PIECES` pieces, and after each block of a spilled verdict."""
     kind = type(value)
     if kind is str:
@@ -160,14 +157,13 @@ def _render(value, indent: str, out: list[str], flush) -> None:
                 _fields(x, plan, out, flush)
             else:
                 _render(x, inner, out, flush)
-            if flush and len(out) >= _BUFFER_PIECES:
+            if len(out) >= _BUFFER_PIECES:
                 flush()
         out.append(indent + "]")
     elif hasattr(value, "blocks"):  # a spilled verdict, copied from its file
         for block in value.blocks():
             out.append(block.decode("ascii"))
-            if flush:
-                flush()
+            flush()
     else:
         raise TypeError(f"cannot render {kind.__name__} as JSON")
 
@@ -301,7 +297,8 @@ def _replacing(path: str, newline: str | None = None):
 
 
 def human_lines(verdicts) -> list[str]:
-    """One aligned line per verdict for terminal output."""
+    """One aligned line per verdict for terminal output, and its summary,
+    when it has one, indented on the next."""
     lines = []
     for v in verdicts:
         params = " ".join(f"{k}={_compact(val)}" for k, val in v["parameters"].items())
@@ -314,6 +311,8 @@ def human_lines(verdicts) -> list[str]:
         elif status == ERROR and "message" in payload:
             note = f"  message: {payload['message']}"
         lines.append(f"[{status:>18}] {v['subject']}  {params}{note}")
+        if summary := payload.get("summary"):
+            lines.append(f"    {summary}")
     return lines
 
 

@@ -414,10 +414,10 @@ def test_failed_render_leaves_an_existing_report_whole(tmp_path, capsys, monkeyp
     path = tmp_path / "report.json"
     path.write_text("earlier report\n")
 
-    def fail(document, out, flush):
+    def fail(value, indent, fh):
         raise RuntimeError("render failed")
 
-    monkeypatch.setattr(fpcoh.verdicts, "_render_document", fail)
+    monkeypatch.setattr(fpcoh.verdicts, "write_value", fail)
     with pytest.raises(RuntimeError, match="render failed"):
         cli.main(["char", "nim", "--m", "1", "--n", "2", "--json", str(path)])
     capsys.readouterr()
@@ -1216,12 +1216,11 @@ def test_sigterm_while_a_report_is_written_leaves_the_target_as_it_was(tmp_path)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     probe = ("import os, signal, sys\n"
              "from fpcoh import cli, verdicts\n"
-             "render = verdicts._render_document\n"
-             "def stopped(document, out, flush):\n"
-             "    render(document, out, flush)\n"
-             "    flush()\n"
+             "write = verdicts.write_value\n"
+             "def stopped(value, indent, fh):\n"
+             "    write(value, indent, fh)\n"
              "    os.kill(os.getpid(), signal.SIGTERM)\n"
-             "verdicts._render_document = stopped\n"
+             "verdicts.write_value = stopped\n"
              "sys.exit(cli.main(sys.argv[1:]))\n")
     report = tmp_path / "r.json"
     report.write_text("earlier report\n")
@@ -1232,6 +1231,69 @@ def test_sigterm_while_a_report_is_written_leaves_the_target_as_it_was(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
     assert done.returncode == -signal.SIGINT  # SIGTERM ends a run as ^C does
     assert done.stdout.startswith("[             agree] nim-character")
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=lambda s: s.name)
+def test_a_stop_prints_one_line_and_ends_by_its_signal(signum, tmp_path):
+    # through the process entry, as the console script and `python -m fpcoh` run it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import sys, time\n"
+             "from fpcoh import cli\n"
+             "from fpcoh.__main__ import run\n"
+             "mark = sys.argv.pop(1)\n"
+             "def slow(ns):\n"
+             "    open(mark, 'w').close()\n"
+             "    time.sleep(30)\n"
+             "cli._cmd_char_nim = slow\n"
+             "sys.exit(run())\n")
+    mark = tmp_path / "running"
+    child = subprocess.Popen([sys.executable, "-c", probe, str(mark), "char", "nim", "--m", "1",
+                              "--n", "2"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True, env=dict(os.environ, PYTHONPATH=src))
+    try:
+        deadline = time.monotonic() + 30
+        while not mark.exists() and child.poll() is None:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        child.send_signal(signum)
+        out, err = child.communicate(timeout=30)
+    finally:
+        child.kill()
+    assert (child.returncode, out, err) == (-signum, "", f"fpcoh: stopped by {signum.name}\n")
+
+
+def test_the_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(cli.__file__).resolve().parents[2]
+    with open(root / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"fpcoh": "fpcoh.__main__:run"}
+
+
+def _state(pid: int) -> str | None:
+    """The state letter in /proc/<pid>/stat, or None once pid is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_a_sigkilled_sweep_leaves_no_worker_running(tmp_path):
+    # SIGKILL runs no cleanup in the parent, so each worker ends itself
+    child, _ = _slow_sweep(tmp_path)
+    try:
+        workers = [int(p.name) for p in (tmp_path / "marks").iterdir()]
+        os.kill(child.pid, signal.SIGKILL)
+        child.wait(timeout=30)  # the workers hold its pipes
+        deadline = time.monotonic() + 2
+        while any(_state(pid) not in (None, "Z") for pid in workers):
+            assert time.monotonic() < deadline, [_state(pid) for pid in workers]
+            time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -1758,21 +1820,23 @@ _EVERY_LEAF = [
 
 def _checked_documents(monkeypatch) -> list:
     """Route the report writer's render through a check that the document is
-    JSON-ready and renders as json.dumps does; returns the documents it saw."""
+    JSON-ready and renders as json.dumps does; returns the documents it saw.
+    Only documents reach `verdicts.write_value`: `sweep` binds its own name."""
     seen = []
-    render = fpcoh.verdicts._render_document
+    write_value = fpcoh.verdicts.write_value
 
-    def checked(document, out, flush):
+    def checked(document, indent, fh):
         whole = {**document, "verdicts": [  # a spilled verdict as its text holds it
             json.loads(b"".join(v.blocks())) if type(v) is Spilled else v
             for v in document["verdicts"]]}
         assert_json_ready(whole)
-        render(document, out, None)  # the writer writes out after this returns
-        text = "".join(out)
-        assert text == _oracle(whole)
+        text = io.StringIO()
+        write_value(document, indent, text)
+        assert text.getvalue() + "\n" == _oracle(whole)
+        fh.write(text.getvalue())
         seen.append(document)
 
-    monkeypatch.setattr(fpcoh.verdicts, "_render_document", checked)
+    monkeypatch.setattr(fpcoh.verdicts, "write_value", checked)
     return seen
 
 
@@ -1844,7 +1908,7 @@ def test_sweep_and_disagreement_documents_are_json_ready(tmp_path, capsys, monke
     statuses = [v["status"] for v in swept]
     assert statuses == [ERROR, ERROR, AGREE, AGREE]
     (document,) = seen  # the sweep's one document holds its small records
-    assert all(type(v) is Spilled and set(v["payload"]) <= set(fpcoh.sweep._PRINTED)
+    assert all(type(v) is Spilled and set(v["payload"]) <= set(fpcoh.verdicts.PRINTED)
                for v in document["verdicts"])
     seen.clear()
 
@@ -1912,10 +1976,11 @@ def test_huge_prime_is_refused_without_trial_division(capsys, monkeypatch):
 
 
 def test_human_lines_witness_note():
-    v = verdict("s", {"d": 2}, DISAGREE, {"witness": {"degree": 1}})
-    (line,) = human_lines([v])
+    v = verdict("s", {"d": 2}, DISAGREE, {"witness": {"degree": 1}, "summary": "h0 = 1"})
+    line, summary = human_lines([v])
     assert "witness" in line
     assert '"degree": 1' in line
+    assert summary == "    h0 = 1"  # the summary on the next line, indented
 
 
 def test_human_lines_error_message(tmp_path, capsys):

@@ -63,7 +63,8 @@ def test_write_value_writes_a_value_as_a_document_holds_it_at_its_depth(tmp_path
             monkeypatch.setattr(verdicts, "_BUFFER_PIECES", pieces)
             for indent in ("\n", "\n    "):
                 with open(path, "w", encoding="ascii") as fh:
-                    written = write_value(value, indent, fh)
+                    assert write_value(value, indent, fh) is None
+                    written = fh.tell()
                 text = json.dumps(value, sort_keys=True, indent=2).replace("\n", indent)
                 assert path.read_text() == text
                 assert written == len(text) == path.stat().st_size
@@ -75,16 +76,18 @@ def test_a_float_after_several_buffers_leaves_the_earlier_report(tmp_path, monke
     path = tmp_path / "report.json"
     path.write_text("earlier report\n")
     flushes = []
-    render = verdicts._render_document
+    write_value = verdicts.write_value
 
-    def counting(document, out, flush):
-        def counted():
-            flushes.append(len(out))
-            flush()
+    class Counting:  # the report file, counting the buffers written to it
+        def __init__(self, fh):
+            self.fh = fh
 
-        render(document, out, counted)
+        def write(self, text):
+            flushes.append(len(text))
+            return self.fh.write(text)
 
-    monkeypatch.setattr(verdicts, "_render_document", counting)
+    monkeypatch.setattr(verdicts, "write_value",
+                        lambda value, indent, fh: write_value(value, indent, Counting(fh)))
     records = [{"coeff": k, "exponents": [k, 1]} for k in range(3 * verdicts._BUFFER_PIECES)]
     with pytest.raises(TypeError):
         write_json({"verdicts": records + [{"coeff": 0.5}]}, str(path))
@@ -223,7 +226,8 @@ def _spill(document: dict, path) -> dict:
     spans, end = [], 0
     with open(path, "w", encoding="ascii") as fh:
         for v in document["verdicts"][:-1]:
-            start, end = end, end + write_value(v, verdicts._ITEM, fh)
+            write_value(v, verdicts._ITEM, fh)
+            start, end = end, fh.tell()
             spans.append((start, end, table_keys(v)))
     fd = os.open(path, os.O_RDONLY)
     records = [Spilled(verdict(v["subject"], v["parameters"], v["status"], {}), fd, *span)
