@@ -5,20 +5,19 @@ it.
 The rows go to a process pool in strided chunks, or with one worker to the
 same chunk function in this process.  A chunk returns per verdict only the
 small record stdout and the exit code read.  With a report asked for, each
-worker also appends every verdict's text to its own spill file,
-`<report>.<8 hex digits>.<k>.spill` beside the report, and returns the byte
-range, a `Spilled` record, so the parent never holds a payload.  The parent
-makes one spill file per worker and reads it through the descriptor it made
-it with; its name lasts only until its writer opens it.  ^C, SIGTERM (see
-`cli.main`) and a failed worker start kill every worker, a worker whose
-parent is gone ends itself, and no spill file outlives the sweep but under
-SIGKILL.  A killed worker breaks the pool: every row of a chunk not yet
-returned becomes a `sweep-row` error verdict.
+worker also appends every verdict's text to its own spill file and returns
+the byte range, a `Spilled` record, so the parent never holds a payload.
+The parent unlinks each spill file as it makes it: a spill file is only a
+descriptor, which the parent reads and closes, so none outlives a sweep.
+The pool forks whatever the platform's default, so its workers inherit the
+descriptors and the functions bound at the sweep, a rebound handler too.
+^C, SIGTERM (see `cli.main`) and a failed worker start kill every worker,
+a worker whose parent is gone ends itself, and a killed worker breaks the
+pool: every row of a chunk not yet returned becomes a `sweep-row` error.
 """
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import os
 import signal
@@ -67,28 +66,27 @@ def run(ns, rows: list[list[str]]) -> list[dict]:
     workers = min(ns.parallel or cpus or 1, len(rows))
     # strided, so rows whose cost grows along a grid axis spread over all chunks
     count = 1 if workers == 1 else min(len(rows), _CHUNKS_PER_WORKER * workers)
-    names, files, error = [], [], None  # the spill files made, one per worker, and their readers
+    files, error = [], None  # the spill files made, one descriptor per worker
     report = ns.json if ns.json is not None else ns.csv
     try:
         if report is not None:  # beside the report, unless it is written in place
             beside = not os.path.exists(report) or os.path.isfile(report)
-            prefix = (os.path.realpath(report) if beside else
-                      os.path.join(tempfile.gettempdir(), os.path.basename(report)))
-            prefix += f".{os.urandom(4).hex()}"
+            folder = os.path.dirname(os.path.realpath(report)) if beside else None
             try:
-                for name in (f"{prefix}.{k}.spill" for k in range(workers)):
-                    files.append(os.open(name, os.O_RDONLY | os.O_CREAT | os.O_EXCL, 0o600))
-                    names.append(name)
+                for _ in range(workers):
+                    fd, name = tempfile.mkstemp(".spill", os.path.basename(report) + ".", folder)
+                    files.append(fd)
+                    os.unlink(name)
             except OSError as exc:  # the rows run as without a report, which names the error
                 error = exc
-        spills = [] if error else names
+        spills = [] if error else files
         tables = ns.csv is not None
         if workers == 1:
-            chunks = [_run_chunk(rows, tables, _Spill(0, spills[0]) if spills else None)]
+            chunks = [_run_chunk(rows, tables, _Spill(spills[0]) if spills else None)]
         else:
-            chunks = [None] * count
-            pool = cli.ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                                           initargs=(spills, multiprocessing.Value("i")))
+            chunks, fork = [None] * count, multiprocessing.get_context("fork")
+            pool = cli.ProcessPoolExecutor(workers, mp_context=fork, initializer=_start_worker,
+                                           initargs=(spills, fork.Value("i")))
             futures = [pool.submit(_run_chunk, rows[k::count], tables) for k in range(count)]
             for k, future in enumerate(futures):
                 try:
@@ -104,10 +102,7 @@ def run(ns, rows: list[list[str]]) -> list[dict]:
             child.kill()
         error = exc  # and no record holds a descriptor
         raise
-    finally:  # no spill file keeps its name past the sweep, nor a descriptor no record holds
-        for name in names:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(name)
+    finally:  # no descriptor outlives the sweep unless a record holds it
         for fd in files if error else ():
             os.close(fd)
     lost = error and OSError(error.errno, error.strerror, report)
@@ -117,29 +112,24 @@ def run(ns, rows: list[list[str]]) -> list[dict]:
             if lost:
                 record = Spilled(record, lost=lost)
             elif span:
-                record = Spilled(record, files[span[0]], *span[1:])
+                record = Spilled(record, *span)
             verdicts.append(record)
     return verdicts
 
 
 class _Spill:
-    """The spill file number k of a sweep, which one process appends its
-    verdicts to.  A failed write, such as on a full disk, stops the file
-    but not the rows; `failed` is its error."""
+    """The spill file at descriptor fd, the same number in the parent and in
+    a forked worker, which one process appends its verdicts to.  A failed
+    write, such as on a full disk, stops the file but not the rows;
+    `failed` is its error."""
 
-    def __init__(self, k: int, name: str):
-        self.k, self.end, self.failed, self.fh = k, 0, None, None
-        try:
-            # "r+", as "w" would truncate the empty file, and on ext4 a file
-            # truncated to nothing starts its writeback when closed
-            self.fh = open(name, "r+", encoding="ascii")
-            os.unlink(name)  # the parent reads it through the descriptor it made it with
-        except OSError as exc:
-            self.failed = exc
+    def __init__(self, fd: int):
+        self.fd, self.end, self.failed = fd, 0, None
+        self.fh = open(fd, "w", encoding="ascii", closefd=False)  # the parent closes fd
 
     def write(self, v: dict, tables: bool) -> tuple | None:
         """Append v's text as the report's "verdicts" list holds it.  Its
-        span, (k, start, end, the keys its table entries hold when
+        span, (fd, start, end, the keys its table entries hold when
         `tables`), with end the file's position after it, or None once the
         file has failed."""
         if self.failed:
@@ -150,28 +140,27 @@ class _Spill:
         except OSError as exc:
             self.failed = exc
             return None
-        return self.k, start, self.end, table_keys(v) if tables else ()
+        return self.fd, start, self.end, table_keys(v) if tables else ()
 
-    def finish(self, close: bool) -> None:
+    def finish(self) -> None:
         try:
-            if self.fh:
-                self.fh.close() if close else self.fh.flush()
+            self.fh.flush()
         except OSError as exc:  # the last buffer did not reach the file
             self.failed = self.failed or exc
 
 
-def _start_worker(names: list[str], taken) -> None:
+def _start_worker(files: list[int], taken) -> None:
     """Pool initializer: SIGTERM's default action, by which a broken pool ends
     its workers, a thread that ends the worker once its parent is gone, and
-    the worker's spill file, the first of names not taken."""
+    the worker's spill file, the first of the inherited files not taken."""
     global _own
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     threading.Thread(target=_orphaned, args=(os.getppid(),), daemon=True).start()
-    if names:
+    if files:
         with taken.get_lock():
             k = taken.value
             taken.value += 1
-        _own = _Spill(k, names[k])
+        _own = _Spill(files[k])
 
 
 def _orphaned(parent: int) -> None:
@@ -188,9 +177,9 @@ def _run_chunk(chunk: list[list[str]], tables: bool,
     per verdict, and the error that stopped the spill file, if one did.
     The record is the verdict with only the `PRINTED` payload keys; span
     is where `_Spill.write` put the whole verdict, or None without a spill
-    file.  spill is this process's only chunk's file, closed at its end; in
-    a pool, a worker's chunks share its own, flushed at each chunk's end, so
-    what a chunk returns is in the file even if the worker dies later."""
+    file.  spill is this process's only chunk's file; in a pool, a worker's
+    chunks share its own.  Either is flushed at each chunk's end, so what a
+    chunk returns is in the file even if the worker dies later."""
     own, rows = spill or _own, []
     try:
         for argv in chunk:
@@ -203,5 +192,5 @@ def _run_chunk(chunk: list[list[str]], tables: bool,
             v = payload = None  # not held while the next row runs
     finally:
         if own:
-            own.finish(close=own is spill)
+            own.finish()
     return rows, own and own.failed

@@ -1,7 +1,6 @@
 """End-to-end CLI behaviour: exit codes, report documents, sweeps."""
 
 import argparse
-import builtins
 import contextlib
 import csv
 import errno
@@ -1133,7 +1132,7 @@ def _slow_sweep(tmp_path):
     while len(list(marks.iterdir())) < 2 and child.poll() is None:
         assert time.monotonic() < deadline
         time.sleep(0.01)
-    assert list(out.iterdir()) == []  # each spill file lost its name when its worker opened it
+    assert list(out.iterdir()) == []  # each spill file lost its name as it was made
     return child, out
 
 
@@ -1296,44 +1295,63 @@ def test_a_sigkilled_sweep_leaves_no_worker_running(tmp_path):
             os.killpg(child.pid, signal.SIGKILL)
 
 
+def test_a_sigkilled_sweep_leaves_no_spill_file_name(tmp_path):
+    # SIGKILL runs no cleanup in the parent, here while its workers are held
+    # before they take their spill files
+    out, marks = tmp_path / "out", tmp_path / "marks"
+    out.mkdir()
+    marks.mkdir()
+    cfg = _small_grid(tmp_path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import os, sys, time\n"
+             "from fpcoh import cli, sweep\n"
+             "start = sweep._start_worker\n"
+             "def held(*args):\n"
+             "    open(os.path.join(sys.argv[1], str(os.getpid())), 'w').close()\n"
+             "    time.sleep(3)\n"
+             "    start(*args)\n"
+             "sweep._start_worker = held\n"
+             "sys.exit(cli.main(sys.argv[2:]))\n")
+    child = subprocess.Popen([sys.executable, "-c", probe, str(marks), "sweep", "--config",
+                              str(cfg), "--parallel", "2", "--json", str(out / "r.json")],
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                             env=dict(os.environ, PYTHONPATH=src), start_new_session=True)
+    try:
+        deadline = time.monotonic() + 30
+        while len(list(marks.iterdir())) < 2 and child.poll() is None:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        os.kill(child.pid, signal.SIGKILL)
+        child.wait(timeout=30)
+        assert list(out.iterdir()) == []
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
-@pytest.mark.parametrize("step", ["make", "read"])
-def test_a_spill_file_that_will_not_open_names_the_report(step, workers, tmp_path, capsys,
-                                                          monkeypatch, tmp_path_factory):
+def test_a_spill_file_that_will_not_open_names_the_report(workers, tmp_path, capsys,
+                                                          monkeypatch):
     cfg = _small_grid(tmp_path)
     sweep = ["sweep", "--config", str(cfg), "--parallel", workers]
     assert cli.main(sweep) == 0
     lines = capsys.readouterr().out
-    # the parent makes each spill file, and its writer (a forked worker at
-    # --parallel 2) opens it by name; the log counts the failures of both
-    log = tmp_path_factory.mktemp("opened") / "opened.log"
-    last = f".{int(workers) - 1}.spill"
-    os_open, builtin_open = os.open, builtins.open
+    # the parent makes every spill file, one per worker, before any row runs,
+    # and no worker opens a file; the log counts the parent's failures
+    made, log, mkstemp = [], [], tempfile.mkstemp
 
-    def failed(path):  # the last spill file runs out of descriptors
-        with builtin_open(log, "a") as fh:
-            fh.write(f"{path}\n")
-        return OSError(errno.EMFILE, "Too many open files")
+    def limited(*args, **kwargs):  # the last spill file runs out of descriptors
+        made.append(args)
+        if len(made) == int(workers):
+            log.append(args)
+            raise OSError(errno.EMFILE, "Too many open files")
+        return mkstemp(*args, **kwargs)
 
-    def limited(path, how, *args, **kwargs):
-        if str(path).endswith(last) and how == os.O_RDONLY | os.O_CREAT | os.O_EXCL:
-            raise failed(path)
-        return os_open(path, how, *args, **kwargs)
-
-    def limited_writer(path, mode="r", *args, **kwargs):
-        if str(path).endswith(last) and mode == "r+":
-            raise failed(path)
-        return builtin_open(path, mode, *args, **kwargs)
-
-    if step == "make":
-        monkeypatch.setattr(os, "open", limited)
-    else:
-        monkeypatch.setattr(builtins, "open", limited_writer)
+    monkeypatch.setattr(tempfile, "mkstemp", limited)
     report = tmp_path / "r.json"
     assert cli.main([*sweep, "--json", str(report), "--csv", str(tmp_path / "r.csv")]) == 1
     captured = capsys.readouterr()
-    opened = log.read_text().splitlines() if log.exists() else []
-    assert len(opened) == 1
+    assert len(log) == 1
     assert captured.out == lines
     assert captured.err == ("fpcoh: cannot write report: "
                             f"[Errno 24] Too many open files: '{report}'\n")
@@ -1560,6 +1578,35 @@ def test_handler_rebound_after_the_parser_is_built_runs(workers, tmp_path, capsy
     assert code == 0
     verdicts = json.loads(out_path.read_text())["verdicts"]
     assert [v["subject"] for v in verdicts] == ["patched-nim"] * 2
+
+
+def test_a_sweep_forks_its_workers_whatever_the_start_method(tmp_path):
+    # a spawned worker would import `cli` afresh, without the handler rebound
+    # in its parent, and would inherit no spill file
+    cfg = _small_grid(tmp_path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import multiprocessing, sys\n"
+             "from fpcoh import cli\n"
+             "if sys.argv.pop(1) == 'spawn':\n"
+             "    multiprocessing.set_start_method('spawn', force=True)\n"
+             "nim = cli._cmd_char_nim\n"
+             "def rebound(ns):\n"
+             "    params, verdicts = nim(ns)\n"
+             "    verdicts[0]['subject'] = 'rebound-nim'\n"
+             "    return params, verdicts\n"
+             "cli._cmd_char_nim = rebound\n"
+             "sys.exit(cli.main(sys.argv[1:]))\n")
+    lines = {}
+    for method in ("default", "spawn"):
+        done = subprocess.run([sys.executable, "-c", probe, method, "sweep", "--config",
+                               str(cfg), "--parallel", "2", "--json", str(tmp_path / method)],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        lines[method] = done.stdout
+    assert lines["spawn"] == lines["default"]
+    assert lines["spawn"].count("] rebound-nim  m=") == 3
+    assert (tmp_path / "spawn").read_bytes() == (tmp_path / "default").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [
